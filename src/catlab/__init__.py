@@ -16,10 +16,8 @@ from .spin import (
     Y_AXIS,
     Z_AXIS,
     axis_op,
-    cartesian_ops,
     coherent_state,
     expectation,
-    make_space,
     rotation,
     thermal_state,
     variance,

@@ -29,6 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: bisection stops once the bracket on z_c(phi) is narrower than this
+SEPARATRIX_TOL = 1e-12
+#: largest energy drift |H_cl(t) - H_cl(0)| a trajectory may accumulate
+ENERGY_DRIFT_TOL = 1e-6
+
+
 class SeparatrixAbsentError(ValueError):
     """No separatrix crossing exists for the requested coupling/azimuth."""
 
@@ -42,11 +48,6 @@ class MeanFieldParams:
     def __post_init__(self):
         if not (np.isfinite(self.lambda_cl) and self.lambda_cl >= 0):
             raise ValueError(f"lambda_cl must be >= 0, got {self.lambda_cl}")
-
-    @classmethod
-    def from_couplings(cls, u_int: float, n_particles: int, t_hop: float) -> "MeanFieldParams":
-        """lambda_cl = u N / t, matching the quantum twist-and-turn couplings."""
-        return cls(u_int * n_particles / t_hop)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
 def separatrix(phi: float, params: MeanFieldParams) -> float:
     """Separatrix height z_c(phi) >= 0, the smallest root of H_cl(z, phi) = 1.
 
-    Solved by bracketed bisection to 1e-10.  Raises SeparatrixAbsentError when
+    Solved by bracketed bisection to SEPARATRIX_TOL.  Raises SeparatrixAbsentError when
     lambda_cl <= 1 (no saddle) or when the separatrix does not extend to the
     requested azimuth (possible for 1 < lambda_cl < 2).
     """
@@ -180,7 +181,7 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-12:
+        if hi - lo < SEPARATRIX_TOL:
             break
     z_c = 0.5 * (lo + hi)
     return float(z_c)
@@ -206,7 +207,7 @@ def integrate_trajectory(
 
     Near the poles |z| = 1 the flow is singular; a failing step is retried
     with a halved dt up to 2^10 refinements before giving up.  The total
-    energy drift over the run must stay below 1e-6.
+    energy drift over the run must stay below ENERGY_DRIFT_TOL.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -259,8 +260,8 @@ def integrate_trajectory(
         if sign0 == 0 and z != 0:
             sign0 = np.sign(z)
         max_drift = max(max_drift, abs(e_prev - e0))
-    if max_drift > 1e-6:
-        raise RuntimeError(f"energy drift {max_drift:.3e} exceeds 1e-6")
+    if max_drift > ENERGY_DRIFT_TOL:
+        raise RuntimeError(f"energy drift {max_drift:.3e} exceeds {ENERGY_DRIFT_TOL}")
     phi_arr = np.array(phis)
     winding = np.abs(phi_arr - phi_arr[0]).max() > 2 * np.pi
     if not sign_changed and winding:

@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """A configuration field is out of range or inconsistent."""
@@ -40,7 +38,7 @@ class RunConfig:
     u_int: float = 0.1
     t_hop: float = 1.0
     state_label: str = "zero"  # "pi" or "zero"
-    beta_inv_over_eps: float = 0.0  # 0 means the beta_scaled = 50 pure-state proxy
+    beta_inv_over_eps: float = 0.0  # 0 means the dynamics.PURE_STATE_BETA pure-state proxy
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
     readout_angle: float = math.pi / 2
     readout_theta: float = math.pi / 2
@@ -63,6 +61,12 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        # NaN and inf pass every range comparison below, so reject them first
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not isinstance(self.n_particles, int) or self.n_particles < 2 or self.n_particles % 2:
             raise ConfigError(
                 f"n_particles must be an even integer >= 2, got {self.n_particles!r}"
@@ -101,13 +105,6 @@ class RunConfig:
         if self.wigner_phi_points < 4:
             raise ConfigError(f"wigner_phi_points must be >= 4, got {self.wigner_phi_points!r}")
 
-    @property
-    def beta_scaled(self) -> float:
-        """Thermal beta * eps_tau; 0 temperature maps to the pure-state proxy."""
-        if self.beta_inv_over_eps == 0:
-            return 50.0
-        return 1.0 / self.beta_inv_over_eps
-
     def effective_time_factor(self, state_label: str | None = None) -> float:
         label = state_label if state_label is not None else self.state_label
         if self.time_factor is not None:
@@ -138,9 +135,3 @@ class RunConfig:
             raise ConfigError("config JSON must be an object")
         return cls.from_dict(data)
 
-
-def log_grid(lo: float, hi: float, points: int) -> list[float]:
-    """Log-spaced grid endpoints included; helper for temperature sweeps."""
-    if points < 2 or lo <= 0 or hi <= lo:
-        raise ConfigError("log_grid needs points >= 2 and 0 < lo < hi")
-    return [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), points)]

@@ -24,7 +24,9 @@ splits it into the two macroscopically distinct branches of a cat.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +41,11 @@ from .spin import (
 #: beta_scaled value standing in for zero temperature.  At N = 200 the weight
 #: outside the top eigenstate is ~ exp(-50), far below every tolerance here.
 PURE_STATE_BETA = 50.0
+
+
+def beta_scaled_of(beta_inv: float) -> float:
+    """beta_scaled for a temperature beta_inv in units of eps_tau (0 means pure)."""
+    return PURE_STATE_BETA if beta_inv == 0 else 1.0 / beta_inv
 
 
 class SignConvention(enum.Enum):
@@ -101,6 +108,8 @@ class Propagator:
 
     def __init__(self, hamiltonian: np.ndarray):
         self._decomp = spectral_decomp(hamiltonian)
+        for arr in self._decomp:
+            arr.flags.writeable = False
         self._dim = hamiltonian.shape[0]
 
     def unitary(self, duration: float) -> np.ndarray:
@@ -121,20 +130,15 @@ class Propagator:
         return out
 
 
-_PROPAGATOR_CACHE: dict[bytes, Propagator] = {}
-_PROPAGATOR_CACHE_MAX = 8
+@lru_cache(maxsize=1)
+def propagator(params: TwistTurnParams) -> Propagator:
+    """Propagator of params' Hamiltonian, kept for the next call: a sweep has one H."""
+    return Propagator(build_hamiltonian(params))
 
 
 def evolve(rho: np.ndarray, hamiltonian: np.ndarray, duration: float) -> np.ndarray:
-    """Evolve rho(tau) = exp(-iH tau) rho exp(+iH tau), caching the eigensystem of H."""
-    key = hamiltonian.tobytes()
-    prop = _PROPAGATOR_CACHE.get(key)
-    if prop is None:
-        if len(_PROPAGATOR_CACHE) >= _PROPAGATOR_CACHE_MAX:
-            _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE)))
-        prop = Propagator(hamiltonian)
-        _PROPAGATOR_CACHE[key] = prop
-    return prop.evolve(rho, duration)
+    """Evolve rho(tau) = exp(-iH tau) rho exp(+iH tau) for one arbitrary H."""
+    return Propagator(hamiltonian).evolve(rho, duration)
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,9 @@ class EvolvedState:
     provenance: InitialCondition
 
     def __post_init__(self):
+        # rho was validated where it was made: Propagator.evolve or thermal_state
         if self.elapsed < 0:
             raise ValueError("elapsed time must be >= 0")
-        assert_density_matrix(self.rho)
 
 
 def initial_condition(
@@ -180,18 +184,24 @@ def initial_condition(
 def prepare_and_evolve(
     state_label: StateLabel,
     beta_scaled: float,
-    time_factor: float,
+    time_factors: Iterable[float],
     params: TwistTurnParams,
-) -> EvolvedState:
-    """Prepare a pi/0 thermal state and evolve it for time_factor * T_pi."""
-    if time_factor < 0:
-        raise ValueError(f"time_factor must be >= 0, got {time_factor}")
+) -> Iterator[EvolvedState]:
+    """Prepare a pi/0 thermal state and evolve it for each time_factor * T_pi.
+
+    The state, its validation and H's eigensystem are built here, once, so
+    bad input raises at the call.  The evolved states are then yielded one
+    at a time, in the order of time_factors.
+    """
+    factors = list(time_factors)
+    if not all(np.isfinite(f) and f >= 0 for f in factors):
+        raise ValueError(f"time factors must be finite and >= 0, got {factors}")
     init = initial_condition(state_label, beta_scaled, params)
     phi0 = init.phi
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
         phi0 = phi0 + np.pi
     rho = thermal_state(params.space, beta_scaled, init.z, phi0)
-    duration = time_factor * t_pi(params.space, params.u_int)
-    rho_t = evolve(rho, build_hamiltonian(params), duration)
-    return EvolvedState(rho_t, duration, params, init)
+    prop = propagator(params)
+    tpi = t_pi(params.space, params.u_int)
+    return (EvolvedState(prop.evolve(rho, f * tpi), f * tpi, params, init) for f in factors)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, classical, metrology, spin
 from .classical import (
     MeanFieldParams,
     SeparatrixAbsentError,
@@ -31,6 +31,7 @@ from .dynamics import (
     SignConvention,
     StateLabel,
     TwistTurnParams,
+    beta_scaled_of,
     prepare_and_evolve,
     t_pi,
 )
@@ -40,18 +41,18 @@ from .metrology import (
     metrology_report,
     qfi_axis_map,
 )
-from .spin import SpinAxis, SpinSpace
+from .spin import SpinAxis, space_for_dim
 from .wigner import wigner
 
 TOLERANCES = {
-    "hermiticity": 1e-10,
-    "unitarity": 1e-9,
-    "trace": 1e-10,
-    "eigenvalue_floor": -1e-10,
-    "fisher_weight_cutoff": 1e-12,
-    "probability_floor": -1e-12,
-    "energy_drift": 1e-6,
-    "separatrix_bisection": 1e-10,
+    "hermiticity": spin.HERMITICITY_TOL,
+    "unitarity": spin.UNITARITY_TOL,
+    "trace": spin.TRACE_TOL,
+    "eigenvalue_floor": spin.EIGENVALUE_FLOOR,
+    "fisher_weight_cutoff": metrology.WEIGHT_CUTOFF,
+    "probability_floor": metrology.PROB_FLOOR,
+    "energy_drift": classical.ENERGY_DRIFT_TOL,
+    "separatrix_bisection": classical.SEPARATRIX_TOL,
 }
 
 
@@ -92,10 +93,9 @@ def parallel_map(func, items: list, n_workers: int) -> list:
         return list(pool.map(func, items))
 
 
-def _params_from_config(config: RunConfig, n_particles: int | None = None) -> TwistTurnParams:
-    space = SpinSpace(n_particles if n_particles is not None else config.n_particles)
+def _params_from_config(config: RunConfig) -> TwistTurnParams:
     return TwistTurnParams(
-        space=space,
+        space=space_for_dim(config.n_particles + 1),
         t_hop=config.t_hop,
         u_int=config.u_int,
         sign_convention=SignConvention(config.sign_convention),
@@ -109,10 +109,17 @@ def _readout_from_config(config: RunConfig) -> ReadoutSpec:
     )
 
 
-def _evolved_rho(config: RunConfig, state_label: str, time_factor: float, beta_inv: float):
-    params = _params_from_config(config)
-    beta = 50.0 if beta_inv == 0 else 1.0 / beta_inv
-    return prepare_and_evolve(StateLabel(state_label), beta, time_factor, params).rho
+def _evolved_states(config: RunConfig, state_label: str, factors: list[float], beta_inv: float):
+    return prepare_and_evolve(
+        StateLabel(state_label), beta_scaled_of(beta_inv), factors, _params_from_config(config)
+    )
+
+
+def _evolved_rho(config: RunConfig) -> np.ndarray:
+    """The configured state at its configured time: distribution, qfi-map and wigner."""
+    factor = config.effective_time_factor()
+    [state] = _evolved_states(config, config.state_label, [factor], config.beta_inv_over_eps)
+    return state.rho
 
 
 def derived_quantities(config: RunConfig) -> dict:
@@ -132,20 +139,25 @@ def derived_quantities(config: RunConfig) -> dict:
 # ----------------------------------------------------------------------------
 # sweep workers (top level so they pickle cleanly into the process pool)
 
-def _time_sweep_point(args: tuple) -> tuple:
-    config_dict, factor = args
+def _time_sweep_point(args: tuple) -> list[tuple]:
+    """One row per time factor of a chunk, all evolved from one prepared state."""
+    config_dict, factors = args
     config = RunConfig.from_dict(config_dict)
-    rho = _evolved_rho(config, config.state_label, factor, config.beta_inv_over_eps)
-    report = metrology_report(rho, readout=_readout_from_config(config))
-    return (
-        factor,
-        report.lam,
-        report.delta_s,
-        report.r_c,
-        report.r_q,
-        report.reduced_lambda_c,
-        report.reduced_lambda_q,
-    )
+    readout = _readout_from_config(config)
+    rows = []
+    states = _evolved_states(config, config.state_label, factors, config.beta_inv_over_eps)
+    for factor, state in zip(factors, states):
+        report = metrology_report(state.rho, readout=readout)
+        rows.append((
+            factor,
+            report.lam,
+            report.delta_s,
+            report.r_c,
+            report.r_q,
+            report.reduced_lambda_c,
+            report.reduced_lambda_q,
+        ))
+    return rows
 
 
 def _temp_sweep_point(args: tuple) -> tuple:
@@ -156,10 +168,10 @@ def _temp_sweep_point(args: tuple) -> tuple:
         if config.optimize_time_factor
         else [config.effective_time_factor(state_label)]
     )
+    readout = _readout_from_config(config)
     best = None
-    for factor in factors:
-        rho = _evolved_rho(config, state_label, factor, beta_inv)
-        report = metrology_report(rho, readout=_readout_from_config(config))
+    for factor, state in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
+        report = metrology_report(state.rho, readout=readout)
         if best is None or report.lam > best[1].lam:
             best = (factor, report)
     factor, report = best
@@ -182,13 +194,7 @@ def _temp_sweep_point(args: tuple) -> tuple:
 # commands
 
 def cmd_distribution(config: RunConfig, out_dir: Path) -> list[Path]:
-    rho = _evolved_rho(
-        config,
-        config.state_label,
-        config.effective_time_factor(),
-        config.beta_inv_over_eps,
-    )
-    dist = jz_distribution(rho)
+    dist = jz_distribution(_evolved_rho(config))
     rows = [(m, p) for m, p in zip(dist.m_values, dist.probs)]
     path = out_dir / "jz_distribution.csv"
     write_csv(path, ["m", "p"], rows)
@@ -196,9 +202,12 @@ def cmd_distribution(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_time_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
-    items = [(config.to_dict(), f) for f in sorted(config.time_factors)]
-    rows = parallel_map(_time_sweep_point, items, resolve_workers(config))
-    rows.sort(key=lambda r: r[0])
+    factors = sorted(config.time_factors)
+    n_workers = min(resolve_workers(config), len(factors))
+    # one chunk of factors per worker, so each prepares its state once
+    items = [(config.to_dict(), factors[k::n_workers]) for k in range(n_workers)]
+    chunks = parallel_map(_time_sweep_point, items, n_workers)
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
     path = out_dir / "lambda_r_vs_time.csv"
     write_csv(
         path,
@@ -229,12 +238,7 @@ def cmd_temp_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
-    rho = _evolved_rho(
-        config,
-        config.state_label,
-        config.effective_time_factor(),
-        config.beta_inv_over_eps,
-    )
+    rho = _evolved_rho(config)
     thetas = np.linspace(0.0, np.pi, config.grid_theta)
     phis = np.linspace(-np.pi, np.pi, config.grid_phi, endpoint=False)
     amap = qfi_axis_map(rho, thetas, phis)
@@ -249,13 +253,7 @@ def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_wigner(config: RunConfig, out_dir: Path) -> list[Path]:
-    rho = _evolved_rho(
-        config,
-        config.state_label,
-        config.effective_time_factor(),
-        config.beta_inv_over_eps,
-    )
-    grid = wigner(rho, config.wigner_phi_points)
+    grid = wigner(_evolved_rho(config), config.wigner_phi_points)
     rows = [
         (z, ph, grid.values[i, k])
         for i, z in enumerate(grid.z_values)

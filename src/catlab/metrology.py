@@ -35,6 +35,7 @@ from .spin import (
     NumericalInvariantError,
     X_AXIS,
     rotation,
+    space_for_dim,
     state_eigensystem,
 )
 
@@ -43,17 +44,6 @@ from .spin import (
 WEIGHT_CUTOFF = 1e-12
 
 PROB_FLOOR = -1e-12
-
-
-@lru_cache(maxsize=16)
-def _space_for_dim(dim: int) -> SpinSpace:
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError(f"dimension {dim} is not an N+1 with even N >= 2")
-    return SpinSpace(dim - 1)
-
-
-def _space_of(mat: np.ndarray) -> SpinSpace:
-    return _space_for_dim(mat.shape[0])
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,12 @@ class ReadoutSpec:
     axis: SpinAxis = X_AXIS
     angle: float = np.pi / 2
 
+    @lru_cache(maxsize=1)
     def unitary(self, space: SpinSpace) -> np.ndarray:
-        return rotation(space, self.angle, self.axis)
+        """U_r on the given space, read-only; the last one built is reused."""
+        u = rotation(space, self.angle, self.axis)
+        u.flags.writeable = False
+        return u
 
 
 def trivial_readout() -> ReadoutSpec:
@@ -113,7 +107,7 @@ def protocol_distribution(
     readout: ReadoutSpec,
 ) -> JzDistribution:
     """Outcome distribution of the full protocol at encoded phase psi."""
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     rho_psi = rho
     if psi != 0.0:
         u = rotation(space, psi, encoding_axis)
@@ -125,7 +119,7 @@ def protocol_distribution(
 
 def jz_distribution(rho: np.ndarray) -> JzDistribution:
     """Diagonal of rho in the Dicke basis: counting statistics of J_z."""
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     return JzDistribution(space, np.real(np.diag(rho)))
 
 
@@ -188,14 +182,18 @@ def qfi(rho: np.ndarray, generator: np.ndarray) -> float:
     if rho.shape != generator.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {generator.shape}")
     dec = state_eigensystem(rho)
-    p = dec.values
     g = dec.vectors.conj().T @ generator @ dec.vectors
+    return float(2.0 * np.sum(_qfi_weights(dec.values) * np.abs(g) ** 2))
+
+
+def _qfi_weights(p: np.ndarray) -> np.ndarray:
+    """(p_l - p_l')^2 / (p_l + p_l') over eigenvalue pairs, 0 where the sum is below cutoff."""
     num = (p[:, None] - p[None, :]) ** 2
     den = p[:, None] + p[None, :]
     weights = np.zeros_like(num)
     mask = den > WEIGHT_CUTOFF
     weights[mask] = num[mask] / den[mask]
-    return float(2.0 * np.sum(weights * np.abs(g) ** 2))
+    return weights
 
 
 def _readout_frame_diag(mat: np.ndarray, u_r: np.ndarray) -> np.ndarray:
@@ -211,7 +209,7 @@ def cfi_commutator(rho: np.ndarray, generator: np.ndarray, readout: ReadoutSpec)
     """
     if rho.shape != generator.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {generator.shape}")
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     u_r = readout.unitary(space)
     p = np.real(_readout_frame_diag(rho, u_r))
     drho = 1j * (generator @ rho - rho @ generator)
@@ -268,7 +266,9 @@ class MetrologyReport:
     def __post_init__(self):
         if self.degenerate:
             return
-        if not (-1e-9 <= self.r_c <= self.r_q <= 1.0 + 1e-9):
+        # r_c <= r_q is F_c <= F_q (r_c / r_q = sqrt(F_c / F_q)), checked
+        # once, in F, where its round-off slack is stated
+        if not (-1e-9 <= self.r_c and self.r_q <= 1.0 + 1e-9):
             raise NumericalInvariantError(
                 f"Fisher chain violated: r_c = {self.r_c}, r_q = {self.r_q}"
             )
@@ -282,7 +282,7 @@ def metrology_report(
     readout: ReadoutSpec | None = None,
 ) -> MetrologyReport:
     """Assemble the full report; defaults measure J_z indefiniteness via J_y."""
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     if generator is None:
         generator = space.jz
     if readout is None:
@@ -319,7 +319,7 @@ def _generator_distribution(rho: np.ndarray, generator: np.ndarray) -> JzDistrib
     Valid for generators unitarily equivalent to J_z (any axis projection):
     the eigenbasis plays the role of the Dicke lattice.
     """
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     w, v = np.linalg.eigh(generator)
     if np.abs(w - space.m_values).max() > 1e-6:
         raise ValueError("generator spectrum is not the J_z lattice; use an axis projection")
@@ -345,15 +345,10 @@ def qfi_quadratic_form(rho: np.ndarray) -> np.ndarray:
     fixed linear combination of (J_z, J_x, J_y), one eigendecomposition of
     rho determines the whole axis map exactly.
     """
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     dec = state_eigensystem(rho)
-    p = dec.values
     comps = [dec.vectors.conj().T @ g @ dec.vectors for g in (space.jz, space.jx, space.jy)]
-    num = (p[:, None] - p[None, :]) ** 2
-    den = p[:, None] + p[None, :]
-    weights = np.zeros_like(num)
-    mask = den > WEIGHT_CUTOFF
-    weights[mask] = num[mask] / den[mask]
+    weights = _qfi_weights(dec.values)
     m_form = np.empty((3, 3))
     for a in range(3):
         for b in range(a, 3):
@@ -372,7 +367,7 @@ def qfi_axis_map(
     phi_grid = np.asarray(phi_grid, dtype=float)
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("axis grids must be non-empty")
-    space = _space_of(rho)
+    space = space_for_dim(rho.shape[0])
     m_form = qfi_quadratic_form(rho)
     th = theta_grid[:, None]
     ph = phi_grid[None, :]

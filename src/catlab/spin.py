@@ -25,7 +25,7 @@ cheap and leaves no convergence knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -109,14 +109,12 @@ class SpinSpace:
         return (self.jplus - self.jplus.conj().T) / 2j
 
 
-def make_space(n_particles: int) -> SpinSpace:
-    """Build the collective-spin space for an even particle number N >= 2."""
-    return SpinSpace(n_particles)
-
-
-def cartesian_ops(space: SpinSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (J_z, J_x, J_y) as dense matrices in the Dicke basis."""
-    return space.jz, space.jx, space.jy
+@lru_cache(maxsize=16)
+def space_for_dim(dim: int) -> SpinSpace:
+    """The process-wide SpinSpace of dimension N+1, so its operators are built once."""
+    if dim < 3 or dim % 2 == 0:
+        raise ValueError(f"dimension {dim} is not an N+1 with even N >= 2")
+    return SpinSpace(dim - 1)
 
 
 def canonicalize_angles(theta: float, phi: float) -> tuple[float, float]:

@@ -19,19 +19,19 @@ def params200(space200):
 @pytest.fixture(scope="session")
 def cold_zero_cat(params200):
     """Pure 0 state evolved 1.4 T_pi: the reference cat at N = 200."""
-    return prepare_and_evolve(StateLabel.ZERO, PURE_BETA, 1.4, params200)
+    return next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params200))
 
 
 @pytest.fixture(scope="session")
 def cold_pi_cat(params200):
     """Pure pi state evolved 1.0 T_pi."""
-    return prepare_and_evolve(StateLabel.PI, PURE_BETA, 1.0, params200)
+    return next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0], params200))
 
 
 @pytest.fixture(scope="session")
 def hot_zero_cat(params200):
     """0 state at temperature 10 eps_tau evolved 1.1 T_pi."""
-    return prepare_and_evolve(StateLabel.ZERO, 0.1, 1.1, params200)
+    return next(prepare_and_evolve(StateLabel.ZERO, 0.1, [1.1], params200))
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:

@@ -63,7 +63,7 @@ def crossover_sweep(params200):
     for label, factor in ((StateLabel.PI, 1.0), (StateLabel.ZERO, 1.4)):
         rows = []
         for beta_inv in grid:
-            state = prepare_and_evolve(label, 1.0 / beta_inv, factor, params200)
+            state = next(prepare_and_evolve(label, 1.0 / beta_inv, [factor], params200))
             rep = metrology_report(state.rho)
             rows.append(rep)
         out[label] = rows
@@ -148,7 +148,7 @@ def test_criterion_05_n_scaling():
     for n in ns:
         space = SpinSpace(int(n))
         params = TwistTurnParams(space, t_hop=1.0, u_int=20.0 / n)
-        state = prepare_and_evolve(StateLabel.ZERO, PURE_BETA, 1.4, params)
+        state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
         lams.append(cat_split(jz_distribution(state.rho)).extensive_difference)
     lams = np.array(lams)
     slope = float((ns * lams).sum() / (ns * ns).sum())
@@ -199,7 +199,7 @@ def test_criterion_06_fisher_chain():
         beta = rng.choice([PURE_BETA, rng.uniform(0.1, 2.0)])
         factor = rng.uniform(0.0, 2.0)
         label = StateLabel.PI if rng.random() < 0.5 else StateLabel.ZERO
-        state = prepare_and_evolve(label, float(beta), float(factor), params)
+        state = next(prepare_and_evolve(label, float(beta), [float(factor)], params))
         check_state(state.rho, sp60, pure=beta == PURE_BETA)
 
     assert checked >= 100 and pure_checked >= 40

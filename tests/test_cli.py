@@ -56,6 +56,31 @@ def test_config_validation_messages(field, value, fragment):
         RunConfig.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--beta-inv", "nan"),
+        ("--u", "inf"),
+        ("--time-factor", "inf"),
+        ("--lambda-cl", "nan"),
+        ("--betas", "nan"),
+        ("--factors", "inf"),
+    ],
+)
+def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value):
+    assert main(["distribution", flag, value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_cli_optimize_time_through_zero_factor(tmp_path):
+    # at time factor 0 the read-out is optimal and F_c equals F_q up to round-off
+    code = main(["temp-sweep", "--n", "40", "--betas", "1", "--factors", "0", "1.4",
+                 "--optimize-time", "--out", str(tmp_path)])
+    assert code == 0
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         RunConfig.from_dict({"n_particle": 200})

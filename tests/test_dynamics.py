@@ -15,6 +15,7 @@ from catlab import (
     t_pi,
 )
 from catlab.classical import MeanFieldParams, SeparatrixAbsentError
+from catlab.dynamics import propagator
 from catlab.metrology import cat_split
 
 from conftest import PURE_BETA, random_density
@@ -82,9 +83,30 @@ def test_evolve_dimension_mismatch():
         evolve(np.eye(other.dim) / other.dim, h, 1.0)
 
 
+def test_propagator_memo_is_read_only():
+    params = TwistTurnParams(SpinSpace(10))
+    prop = propagator(params)
+    assert propagator(TwistTurnParams(SpinSpace(10))) is prop
+    with pytest.raises(ValueError):
+        prop._decomp.vectors[0, 0] = 0.0
+    rho = np.eye(11) / 11
+    assert np.abs(prop.evolve(rho, 0.3) - evolve(rho, build_hamiltonian(params), 0.3)).max() == 0
+
+
+def test_prepare_and_evolve_yields_each_factor():
+    params = TwistTurnParams(SpinSpace(20))
+    factors = [0.0, 0.5, 1.0]
+    states = list(prepare_and_evolve(StateLabel.PI, PURE_BETA, factors, params))
+    assert [s.elapsed for s in states] == [f * t_pi(params.space, params.u_int) for f in factors]
+    single = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
+    assert np.abs(states[1].rho - single.rho).max() == 0
+    with pytest.raises(ValueError):
+        prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0, -0.1], params)
+
+
 def test_pi_state_parity_symmetry():
     params = TwistTurnParams(SpinSpace(60))
-    state = prepare_and_evolve(StateLabel.PI, PURE_BETA, 1.0, params)
+    state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0], params))
     p = jz_distribution(state.rho).probs
     assert np.abs(p - p[::-1]).max() < 1e-6
 
@@ -93,7 +115,7 @@ def test_zero_state_starts_on_separatrix():
     from catlab.classical import PhasePoint
 
     params = TwistTurnParams(SpinSpace(60))
-    state = prepare_and_evolve(StateLabel.ZERO, PURE_BETA, 0.0, params)
+    state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [0.0], params))
     init = state.provenance
     assert init.phi == 0.0
     e = classical_energy(PhasePoint(init.z, init.phi), MeanFieldParams(params.lambda_cl))
@@ -111,16 +133,16 @@ def count_peaks(p: np.ndarray, floor: float = 1e-6) -> int:
 
 def test_zero_time_factor_keeps_single_peak():
     params = TwistTurnParams(SpinSpace(60))
-    state = prepare_and_evolve(StateLabel.PI, PURE_BETA, 0.0, params)
+    state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.0], params))
     assert count_peaks(jz_distribution(state.rho).probs) == 1
 
 
 def test_subcritical_coupling_propagates_error():
     params = TwistTurnParams(SpinSpace(40), t_hop=1.0, u_int=0.02)  # lambda_cl = 0.8
     with pytest.raises(SeparatrixAbsentError):
-        prepare_and_evolve(StateLabel.ZERO, PURE_BETA, 1.0, params)
+        prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.0], params)
     # the pi state needs no separatrix and still works
-    state = prepare_and_evolve(StateLabel.PI, PURE_BETA, 0.5, params)
+    state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
     assert state.rho.shape == (41, 41)
 
 
@@ -129,8 +151,8 @@ def test_sign_convention_gauge_equivalence():
     fig = TwistTurnParams(sp, sign_convention=SignConvention.FIGURE_ONE)
     lit = TwistTurnParams(sp, sign_convention=SignConvention.LITERAL_EQ5)
     for label in (StateLabel.PI, StateLabel.ZERO):
-        a = prepare_and_evolve(label, 2.0, 1.2, fig)
-        b = prepare_and_evolve(label, 2.0, 1.2, lit)
+        a = next(prepare_and_evolve(label, 2.0, [1.2], fig))
+        b = next(prepare_and_evolve(label, 2.0, [1.2], lit))
         pa = jz_distribution(a.rho).probs
         pb = jz_distribution(b.rho).probs
         assert np.abs(pa - pb).max() < 1e-8

@@ -1,11 +1,17 @@
+import functools
+import importlib
+import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catlab import RunConfig
-from catlab.harness import run_command
+from catlab import RunConfig, dynamics
+from catlab.harness import parallel_map, run_command
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -109,3 +115,56 @@ def test_qfi_map_csv_shape_and_manifest(tmp_path):
     assert manifest["derived"]["lambda_cl"] == pytest.approx(4.0)
     assert manifest["derived"]["z_c0"] == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
     assert manifest["time_factor_zero"] == 1.4
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts of thermal-state preparations and Hamiltonian diagonalizations."""
+    counts = {"thermal_state": 0, "propagator": 0}
+    thermal_state, init = dynamics.thermal_state, dynamics.Propagator.__init__
+
+    def counted_thermal_state(*args):
+        counts["thermal_state"] += 1
+        return thermal_state(*args)
+
+    def counted_init(self, hamiltonian):
+        counts["propagator"] += 1
+        init(self, hamiltonian)
+
+    monkeypatch.setattr(dynamics, "thermal_state", counted_thermal_state)
+    monkeypatch.setattr(dynamics.Propagator, "__init__", counted_init)
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    dynamics.propagator.cache_clear()
+    return counts
+
+
+def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
+    cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4, 2.0], out_dir=str(tmp_path))
+    run_command("time-sweep", cfg)
+    assert build_counts == {"thermal_state": 1, "propagator": 1}
+    assert len(read_csv(tmp_path / "lambda_r_vs_time.csv")[1]) == 4
+
+
+def test_optimized_temp_sweep_prepares_once_per_state_and_beta(tmp_path, build_counts):
+    cfg = RunConfig(
+        n_particles=40,
+        beta_inv_grid=[0.5, 5.0],
+        time_factors=[1.0, 1.2, 1.4],
+        optimize_time_factor=True,
+        out_dir=str(tmp_path),
+    )
+    run_command("temp-sweep", cfg)
+    assert build_counts == {"thermal_state": 4, "propagator": 1}
+
+
+def test_tracer_targets_resolve():
+    """Every name the benchmark's tracer wraps still exists with its signature."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, targets in tracer.TARGETS.items():
+        module = importlib.import_module(module_name)
+        for path, _, _ in targets:
+            functools.reduce(getattr, path.split("."), module)
+    # the pool-size hook reads parallel_map's positional arguments
+    assert list(inspect.signature(parallel_map).parameters) == ["func", "items", "n_workers"]

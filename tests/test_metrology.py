@@ -5,6 +5,8 @@ from scipy.optimize import minimize
 
 from catlab import (
     JzDistribution,
+    MetrologyReport,
+    NumericalInvariantError,
     ReadoutSpec,
     SpinAxis,
     SpinSpace,
@@ -219,7 +221,7 @@ def test_cfi_bounded_by_qfi_random_suite():
 
 def test_cfi_finite_difference_matches_commutator():
     params = TwistTurnParams(SpinSpace(60))
-    state = prepare_and_evolve(StateLabel.ZERO, PURE_BETA, 1.4, params)
+    state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
     readout = ReadoutSpec()
     exact = cfi_commutator(state.rho, params.space.jz, readout)
     fd = cfi_finite_difference(state.rho, Z_AXIS, readout, delta=1e-4)
@@ -254,6 +256,33 @@ def test_report_degenerate_case():
     assert report.delta_s == pytest.approx(0.0, abs=1e-9)
 
 
+def fisher_report(f_q: float, f_c: float, delta_s: float = 10.0) -> MetrologyReport:
+    r_q = 0.5 * np.sqrt(f_q) / delta_s
+    r_c = 0.5 * np.sqrt(f_c) / delta_s
+    return MetrologyReport(
+        delta_s, f_q, 0.5 * np.sqrt(f_q), f_c, r_q, r_c, 1.0, r_q, r_c, f_q / 160,
+    )
+
+
+def test_report_fisher_chain_slack():
+    # F_c above F_q by round-off puts r_c above r_q by round-off: both pass
+    report = fisher_report(100.0, 100.0 * (1 + 1e-10))
+    assert report.r_c > report.r_q
+    with pytest.raises(NumericalInvariantError, match="exceeds"):
+        fisher_report(100.0, 100.0 * (1 + 1e-5))
+    with pytest.raises(NumericalInvariantError, match="Fisher chain"):
+        fisher_report(400.0, 100.0, delta_s=9.0)  # r_q = 10/9 > 1
+
+
+def test_readout_unitary_reused_and_read_only():
+    sp = SpinSpace(10)
+    readout = ReadoutSpec()
+    u = readout.unitary(sp)
+    assert ReadoutSpec().unitary(SpinSpace(10)) is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
 def test_report_hot_state(hot_zero_cat):
     report = metrology_report(hot_zero_cat.rho)
     assert report.r_c <= 0.10
@@ -282,7 +311,7 @@ def test_rq_monotone_under_heating():
     params = TwistTurnParams(SpinSpace(40))
     values = []
     for beta in (50.0, 5.0, 1.0, 0.5, 0.2, 0.1):
-        state = prepare_and_evolve(StateLabel.ZERO, beta, 1.4, params)
+        state = next(prepare_and_evolve(StateLabel.ZERO, beta, [1.4], params))
         values.append(metrology_report(state.rho).r_q)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

@@ -3,14 +3,13 @@ import pytest
 
 from catlab import (
     SpinAxis,
+    SpinSpace,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
     axis_op,
-    cartesian_ops,
     coherent_state,
     expectation,
-    make_space,
     rotation,
     thermal_state,
     variance,
@@ -21,10 +20,10 @@ from conftest import random_density
 
 
 def test_make_space_dimensions():
-    sp = make_space(200)
+    sp = SpinSpace(200)
     assert sp.dim == 201
     assert sp.j == 100
-    small = make_space(2)
+    small = SpinSpace(2)
     assert small.dim == 3
     assert small.j == 1
 
@@ -32,12 +31,12 @@ def test_make_space_dimensions():
 @pytest.mark.parametrize("bad", [3, 0, -2, 1])
 def test_make_space_rejects_bad_n(bad):
     with pytest.raises(ValueError):
-        make_space(bad)
+        SpinSpace(bad)
 
 
 def test_cartesian_ops_spin_one():
-    sp = make_space(2)
-    jz, jx, jy = cartesian_ops(sp)
+    sp = SpinSpace(2)
+    jz, jx, jy = sp.jz, sp.jx, sp.jy
     assert np.allclose(np.diag(jz), [-1, 0, 1])
     # <0| J+ |-1> = sqrt(2) sits one row below the diagonal in ascending order
     assert abs(sp.jplus[1, 0] - np.sqrt(2)) < 1e-12
@@ -45,8 +44,8 @@ def test_cartesian_ops_spin_one():
 
 @pytest.mark.parametrize("n", [2, 6, 20, 200])
 def test_su2_algebra(n):
-    sp = make_space(n)
-    jz, jx, jy = cartesian_ops(sp)
+    sp = SpinSpace(n)
+    jz, jx, jy = sp.jz, sp.jx, sp.jy
     for a, b, c in [(jx, jy, jz), (jy, jz, jx), (jz, jx, jy)]:
         comm = a @ b - b @ a - 1j * c
         assert np.abs(comm).max() < 1e-9
@@ -55,14 +54,14 @@ def test_su2_algebra(n):
 
 
 def test_axis_op_special_directions():
-    sp = make_space(8)
+    sp = SpinSpace(8)
     assert np.abs(axis_op(sp, SpinAxis(0.0, 0.7)) - sp.jz).max() < 1e-12
     assert np.abs(axis_op(sp, X_AXIS) - sp.jx).max() < 1e-12
     assert np.abs(axis_op(sp, Y_AXIS) - sp.jy).max() < 1e-12
 
 
 def test_axis_op_spectrum_is_jz_ladder():
-    sp = make_space(20)
+    sp = SpinSpace(20)
     rng = np.random.default_rng(3)
     for _ in range(10):
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
@@ -89,7 +88,7 @@ def test_canonicalize_angles_ranges_and_direction():
 
 
 def test_rotation_identities():
-    sp = make_space(6)
+    sp = SpinSpace(6)
     assert np.abs(rotation(sp, 0.0, X_AXIS) - np.eye(sp.dim)).max() < 1e-12
     # integer spin: a full turn about any axis is the identity
     ax = SpinAxis(1.1, -2.0)
@@ -97,20 +96,20 @@ def test_rotation_identities():
 
 
 def test_readout_rotation_maps_jz_to_jy():
-    sp = make_space(10)
+    sp = SpinSpace(10)
     u = rotation(sp, np.pi / 2, X_AXIS)
     conjugated = u.conj().T @ sp.jz @ u
     assert np.abs(conjugated - sp.jy).max() < 1e-9
 
 
 def test_thermal_state_infinite_temperature():
-    sp = make_space(10)
+    sp = SpinSpace(10)
     rho = thermal_state(sp, 0.0, 0.3, 1.0)
     assert np.abs(rho - np.eye(sp.dim) / sp.dim).max() < 1e-12
 
 
 def test_thermal_state_zero_temperature_proxy():
-    sp = make_space(40)
+    sp = SpinSpace(40)
     ax = SpinAxis(np.arccos(0.3), -1.2)
     rho = thermal_state(sp, 50.0, 0.3, -1.2)
     # independent oracle: projector onto the top eigenvector of the axis op
@@ -121,7 +120,7 @@ def test_thermal_state_zero_temperature_proxy():
 
 
 def test_thermal_state_rejects_bad_inputs():
-    sp = make_space(4)
+    sp = SpinSpace(4)
     with pytest.raises(ValueError):
         thermal_state(sp, 1.0, 1.5, 0.0)
     with pytest.raises(ValueError):
@@ -129,7 +128,7 @@ def test_thermal_state_rejects_bad_inputs():
 
 
 def test_thermal_state_commutes_with_axis_op():
-    sp = make_space(16)
+    sp = SpinSpace(16)
     rho = thermal_state(sp, 0.7, -0.4, 2.0)
     a = axis_op(sp, SpinAxis(np.arccos(-0.4), 2.0))
     comm = rho @ a - a @ rho
@@ -139,7 +138,7 @@ def test_thermal_state_commutes_with_axis_op():
 def test_thermal_state_rotation_covariance():
     # rho(beta, z, phi) equals the z-polar thermal state conjugated by the
     # rotation that carries the z axis onto (acos z, phi)
-    sp = make_space(14)
+    sp = SpinSpace(14)
     rng = np.random.default_rng(5)
     for _ in range(6):
         z = rng.uniform(-0.95, 0.95)
@@ -153,7 +152,7 @@ def test_thermal_state_rotation_covariance():
 
 
 def test_expectation_and_variance():
-    sp = make_space(100)
+    sp = SpinSpace(100)
     rho_mixed = np.eye(sp.dim) / sp.dim
     assert abs(expectation(rho_mixed, sp.jz)) < 1e-12
 
@@ -169,15 +168,15 @@ def test_expectation_and_variance():
 
 
 def test_expectation_dimension_mismatch():
-    a = make_space(4)
-    b = make_space(6)
+    a = SpinSpace(4)
+    b = SpinSpace(6)
     with pytest.raises(ValueError):
         expectation(np.eye(a.dim) / a.dim, b.jz)
 
 
 def test_state_constructors_pass_density_checks():
     rng = np.random.default_rng(9)
-    sp = make_space(12)
+    sp = SpinSpace(12)
     for _ in range(5):
         z = rng.uniform(-1, 1)
         phi = rng.uniform(-np.pi, np.pi)
