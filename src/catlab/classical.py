@@ -94,21 +94,40 @@ class PhasePortrait:
     trajectories: list[Trajectory]
 
 
-def classical_energy(p: PhasePoint, params: MeanFieldParams) -> float:
-    """Dimensionless mean-field energy H_cl(z, phi)."""
-    return float(
-        0.5 * params.lambda_cl * p.z**2 - np.sqrt(max(1.0 - p.z**2, 0.0)) * np.cos(p.phi)
+def _energy(z, phi, lam):
+    """H_cl(z, phi) on scalars or arrays.
+
+    Keep the operand order: `0.5 * lam * z * z` differs in the last bit, and
+    the integrator's accept decisions at its energy budget follow that bit.
+    """
+    return 0.5 * lam * z**2 - np.sqrt(np.maximum(1.0 - z**2, 0.0)) * np.cos(phi)
+
+
+def _flow(z, phi, lam, floor=None):
+    """Canonical flow (dz/dtau, dphi/dtau) on scalars or arrays.
+
+    Unless 1 - z^2 is floored, the rates turn non-finite at |z| >= 1.
+    """
+    gap = 1.0 - z * z
+    root = np.sqrt(gap if floor is None else np.maximum(gap, floor))
+    return -root * np.sin(phi), lam * z + z * np.cos(phi) / root
+
+
+def _rk4(z, phi, lam, dt, floor=None):
+    """One classical RK4 step of the flow."""
+    k1z, k1p = _flow(z, phi, lam, floor)
+    k2z, k2p = _flow(z + 0.5 * dt * k1z, phi + 0.5 * dt * k1p, lam, floor)
+    k3z, k3p = _flow(z + 0.5 * dt * k2z, phi + 0.5 * dt * k2p, lam, floor)
+    k4z, k4p = _flow(z + dt * k3z, phi + dt * k3p, lam, floor)
+    return (
+        z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
+        phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p),
     )
 
 
-def flow(z: float, phi: float, lam: float) -> tuple[float, float]:
-    """Canonical flow (dz/dtau, dphi/dtau)."""
-    root = np.sqrt(max(1.0 - z * z, 0.0))
-    zdot = -root * np.sin(phi)
-    if root == 0.0:
-        raise FloatingPointError("flow singular at |z| = 1")
-    phidot = lam * z + z * np.cos(phi) / root
-    return zdot, phidot
+def classical_energy(p: PhasePoint, params: MeanFieldParams) -> float:
+    """Dimensionless mean-field energy H_cl(z, phi)."""
+    return float(_energy(p.z, p.phi, params.lambda_cl))
 
 
 def _jacobian(z: float, phi: float, lam: float) -> np.ndarray:
@@ -157,19 +176,13 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
         raise SeparatrixAbsentError(
             f"no separatrix: lambda_cl = {lam} <= 1 has no unstable fixed point"
         )
-    cosphi = np.cos(phi)
-
-    def excess(z: float) -> float:
-        return 0.5 * lam * z * z - np.sqrt(max(1.0 - z * z, 0.0)) * cosphi - 1.0
-
-    f0 = excess(0.0)
-    if abs(f0) < 1e-15:
+    if abs(_energy(0.0, phi, lam) - 1.0) < 1e-15:
         return 0.0
-    # f0 = -cos(phi) - 1 <= 0 always; scan for a sign change to bracket the
-    # smallest root, then bisect.
+    # H_cl(0, phi) = -cos(phi) < 1 always; scan for the first upward crossing
+    # of H_cl = 1 to bracket the smallest root, then bisect.
     grid = np.linspace(0.0, 1.0, 4097)
-    vals = np.array([excess(z) for z in grid])
-    cross = np.nonzero((vals[:-1] < 0) & (vals[1:] >= 0))[0]
+    above = _energy(grid, phi, lam) >= 1.0
+    cross = np.nonzero(~above[:-1] & above[1:])[0]
     if cross.size == 0:
         raise SeparatrixAbsentError(
             f"separatrix does not reach phi = {phi:.6g} at lambda_cl = {lam:.6g}"
@@ -177,7 +190,7 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
     lo, hi = grid[cross[0]], grid[cross[0] + 1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
+        if _energy(mid, phi, lam) < 1.0:
             lo = mid
         else:
             hi = mid
@@ -187,14 +200,69 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
     return float(z_c)
 
 
-def _rk4_step(z: float, phi: float, lam: float, dt: float) -> tuple[float, float]:
-    k1 = flow(z, phi, lam)
-    k2 = flow(z + 0.5 * dt * k1[0], phi + 0.5 * dt * k1[1], lam)
-    k3 = flow(z + 0.5 * dt * k2[0], phi + 0.5 * dt * k2[1], lam)
-    k4 = flow(z + dt * k3[0], phi + dt * k3[1], lam)
-    z_new = z + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    phi_new = phi + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return z_new, phi_new
+@np.errstate(divide="ignore", invalid="ignore")  # a step reaching |z| >= 1 turns non-finite
+def _integrate(
+    starts: list[PhasePoint], params: MeanFieldParams, t_final: float, dt: float
+) -> list[Trajectory]:
+    """Fixed-step RK4 integration of every start at once.
+
+    All orbits take each step together.  An orbit whose step leaves |z| < 1
+    (the flow is singular at the poles) or overspends its share of the energy
+    budget retries that step on its own as 2^k substeps, k <= 10, before the
+    run gives up.  Each orbit's energy drift must stay below ENERGY_DRIFT_TOL.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if not starts:
+        return []
+    lam = params.lambda_cl
+    n_steps = max(1, int(round(t_final / dt)))
+    times = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])
+    zs = np.empty((n_steps + 1, len(starts)))
+    phis = np.empty_like(zs)
+    energies = np.empty_like(zs)
+    zs[0] = [p.z for p in starts]
+    phis[0] = [p.phi for p in starts]
+    energies[0] = [classical_energy(p, params) for p in starts]
+    # per-step energy budget; summed over the run it stays below 5e-7 < 1e-6
+    step_budget = 5e-7 * dt / max(t_final, dt)
+    for k in range(1, n_steps + 1):
+        zs[k], phis[k] = _rk4(zs[k - 1], phis[k - 1], lam, dt)
+        energies[k] = _energy(zs[k], phis[k], lam)
+        ok = (np.abs(zs[k]) < 1.0) & (np.abs(energies[k] - energies[k - 1]) <= step_budget)
+        if ok.all():
+            continue
+        for i in np.flatnonzero(~ok):
+            for attempt in range(1, 11):
+                z, phi = zs[k - 1, i], phis[k - 1, i]
+                for _ in range(2**attempt):
+                    z, phi = _rk4(z, phi, lam, dt / 2**attempt)
+                e = _energy(z, phi, lam)
+                if abs(z) < 1.0 and abs(e - energies[k - 1, i]) <= step_budget:
+                    break
+            else:
+                raise RuntimeError(
+                    f"integration failed near |z| = 1 at t = {times[k - 1]:.6g} "
+                    "after 2^10 refinements"
+                )
+            zs[k, i], phis[k, i], energies[k, i] = z, phi, e
+    drifts = np.abs(energies - energies[0]).max(axis=0)
+    if drifts.max() > ENERGY_DRIFT_TOL:
+        raise RuntimeError(f"energy drift {drifts.max():.3e} exceeds {ENERGY_DRIFT_TOL}")
+    # trapped: the phase winds past 2 pi while z keeps the sign of its first nonzero value
+    signs = np.sign(zs)
+    first = signs[(signs != 0).argmax(axis=0), np.arange(len(starts))]
+    sign_changed = ((signs != 0) & (signs != first)).any(axis=0)
+    trapped = ~sign_changed & (np.abs(phis - phis[0]).max(axis=0) > 2 * np.pi)
+    return [
+        Trajectory(
+            times.copy(),
+            np.column_stack([zs[:, i], phis[:, i]]),
+            TrajectoryClass.SELF_TRAPPING if trapped[i] else TrajectoryClass.FREE_OSCILLATION,
+            float(drifts[i]),
+        )
+        for i in range(len(starts))
+    ]
 
 
 def integrate_trajectory(
@@ -203,73 +271,14 @@ def integrate_trajectory(
     t_final: float,
     dt: float = 1e-3,
 ) -> Trajectory:
-    """Fixed-step RK4 integration with pole-refinement and energy guard.
+    """Fixed-step RK4 integration of one orbit with pole-refinement and energy guard.
 
     Near the poles |z| = 1 the flow is singular; a failing step is retried
     with a halved dt up to 2^10 refinements before giving up.  The total
     energy drift over the run must stay below ENERGY_DRIFT_TOL.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    lam = params.lambda_cl
-    e0 = classical_energy(p0, params)
-    n_steps = max(1, int(round(t_final / dt)))
-    times = [0.0]
-    zs = [p0.z]
-    phis = [p0.phi]
-    z, phi = p0.z, p0.phi
-    e_prev = e0
-    t = 0.0
-    max_drift = 0.0
-    sign0 = np.sign(z) if z != 0 else 0.0
-    sign_changed = False
-    # per-step energy budget; summed over the run it stays below 5e-7 < 1e-6
-    step_budget = 5e-7 * dt / max(t_final, dt)
-    for _ in range(n_steps):
-        step = dt
-        accepted = False
-        for attempt in range(11):
-            sub = 2**attempt
-            z_try, phi_try = z, phi
-            ok = True
-            try:
-                for _ in range(sub):
-                    z_try, phi_try = _rk4_step(z_try, phi_try, lam, step / sub)
-                    if abs(z_try) >= 1.0:
-                        ok = False
-                        break
-            except FloatingPointError:
-                ok = False
-            if ok:
-                e_try = classical_energy(PhasePoint(z_try, phi_try), params)
-                if abs(e_try - e_prev) <= step_budget:
-                    accepted = True
-                    e_prev = e_try
-                    break
-        if not accepted:
-            raise RuntimeError(
-                f"integration failed near |z| = 1 at t = {t:.6g} after 2^10 refinements"
-            )
-        z, phi = z_try, phi_try
-        t += step
-        times.append(t)
-        zs.append(z)
-        phis.append(phi)
-        if sign0 != 0 and np.sign(z) != sign0 and z != 0:
-            sign_changed = True
-        if sign0 == 0 and z != 0:
-            sign0 = np.sign(z)
-        max_drift = max(max_drift, abs(e_prev - e0))
-    if max_drift > ENERGY_DRIFT_TOL:
-        raise RuntimeError(f"energy drift {max_drift:.3e} exceeds {ENERGY_DRIFT_TOL}")
-    phi_arr = np.array(phis)
-    winding = np.abs(phi_arr - phi_arr[0]).max() > 2 * np.pi
-    if not sign_changed and winding:
-        cls = TrajectoryClass.SELF_TRAPPING
-    else:
-        cls = TrajectoryClass.FREE_OSCILLATION
-    pts = np.column_stack([np.array(zs), phi_arr])
-    return Trajectory(np.array(times), pts, cls, max_drift)
+    [trajectory] = _integrate([p0], params, t_final, dt)
+    return trajectory
 
 
 def classify_batch(
@@ -296,21 +305,11 @@ def classify_batch(
     free = np.zeros(z.size, dtype=bool)
     active = np.ones(z.size, dtype=bool)
 
-    def vflow(zv, pv):
-        root = np.sqrt(np.clip(1.0 - zv * zv, 1e-18, None))
-        return -root * np.sin(pv), lam * zv + zv * np.cos(pv) / root
-
     n_steps = int(round(t_max / dt))
     for _ in range(n_steps):
         if not active.any():
             break
-        za, pa = z[active], phi[active]
-        k1z, k1p = vflow(za, pa)
-        k2z, k2p = vflow(za + 0.5 * dt * k1z, pa + 0.5 * dt * k1p)
-        k3z, k3p = vflow(za + 0.5 * dt * k2z, pa + 0.5 * dt * k2p)
-        k4z, k4p = vflow(za + dt * k3z, pa + dt * k3p)
-        z_new = za + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        p_new = pa + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        z_new, p_new = _rk4(z[active], phi[active], lam, dt, floor=1e-18)
         z[active] = np.clip(z_new, -1.0, 1.0)
         phi[active] = p_new
         flipped = active & (np.sign(z) != sign0) & (np.sign(z) != 0) & (sign0 != 0)
@@ -348,5 +347,4 @@ def phase_portrait(
             for z in (min(1.2 * z_c0, 0.98), min(1.5 * z_c0, 0.99)):
                 starts.append(PhasePoint(z, 0.0))
                 starts.append(PhasePoint(-z, 0.0))
-    trajs = [integrate_trajectory(p, params, t_final, dt) for p in starts]
-    return PhasePortrait(params, fps, phis, zsep, trajs)
+    return PhasePortrait(params, fps, phis, zsep, _integrate(starts, params, t_final, dt))

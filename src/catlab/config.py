@@ -17,6 +17,21 @@ class ConfigError(ValueError):
     """A configuration field is out of range or inconsistent."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the values each field annotation admits; bool is an int subclass, so it is excluded
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
 def _default_time_factors() -> list[float]:
     return [round(0.1 * k, 10) for k in range(0, 21)]
 
@@ -61,13 +76,15 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        # NaN and inf pass every range comparison below, so reject them first
+        # a wrong type or NaN/inf would slip past or crash the range checks below
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             entries = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if not isinstance(self.n_particles, int) or self.n_particles < 2 or self.n_particles % 2:
+        if self.n_particles < 2 or self.n_particles % 2:
             raise ConfigError(
                 f"n_particles must be an even integer >= 2, got {self.n_particles!r}"
             )

@@ -122,6 +122,11 @@ def _evolved_rho(config: RunConfig) -> np.ndarray:
     return state.rho
 
 
+def _wigner_phi_points(config: RunConfig) -> int:
+    """At least N + 1 phi points, so no e^{i 2 n phi} harmonic aliases."""
+    return max(config.wigner_phi_points, config.n_particles + 1)
+
+
 def derived_quantities(config: RunConfig) -> dict:
     params = _params_from_config(config)
     lam_cl = config.lambda_cl if config.lambda_cl is not None else params.lambda_cl
@@ -133,6 +138,7 @@ def derived_quantities(config: RunConfig) -> dict:
         "t_pi": t_pi(params.space, config.u_int),
         "lambda_cl": lam_cl,
         "z_c0": z_c0,
+        "wigner_phi_points": _wigner_phi_points(config),
     }
 
 
@@ -253,7 +259,7 @@ def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_wigner(config: RunConfig, out_dir: Path) -> list[Path]:
-    grid = wigner(_evolved_rho(config), config.wigner_phi_points)
+    grid = wigner(_evolved_rho(config), _wigner_phi_points(config))
     rows = [
         (z, ph, grid.values[i, k])
         for i, z in enumerate(grid.z_values)

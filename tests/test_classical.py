@@ -12,8 +12,10 @@ from catlab import (
     classify_batch,
     fixed_points,
     integrate_trajectory,
+    phase_portrait,
     separatrix,
 )
+from catlab import classical
 
 
 def closed_form_separatrix(lam: float, phi: float) -> float:
@@ -73,13 +75,22 @@ def test_separatrix_reference_values():
 
 
 def test_separatrix_matches_closed_form():
+    # below lambda_cl = 2 both roots s lie in [0, 1]; the oracle's larger one must match
     rng = np.random.default_rng(12)
-    for _ in range(30):
-        lam = rng.uniform(2.1, 40.0)
+    for _ in range(300):
+        lam = rng.uniform(1.01, 40.0)
         phi = rng.uniform(-np.pi, np.pi)
-        assert separatrix(phi, MeanFieldParams(lam)) == pytest.approx(
-            closed_form_separatrix(lam, phi), abs=1e-9
-        )
+        try:
+            expected = closed_form_separatrix(lam, phi)
+        except ValueError:
+            expected = None
+        try:
+            z_c = separatrix(phi, MeanFieldParams(lam))
+        except SeparatrixAbsentError:
+            z_c = None
+        assert (z_c is None) == (expected is None), f"crossing exists? lam={lam}, phi={phi}"
+        if expected is not None:
+            assert z_c == pytest.approx(expected, abs=1e-9)
 
 
 def test_separatrix_absent():
@@ -110,6 +121,36 @@ def test_trajectory_classification_examples():
     trapped = integrate_trajectory(PhasePoint(0.8, 0.0), mf, t_final=6.0)
     assert trapped.classification is TrajectoryClass.SELF_TRAPPING
     assert free.energy_drift < 1e-6 and trapped.energy_drift < 1e-6
+
+
+def test_portrait_orbits_match_single_orbit_integration():
+    # at lambda_cl = 200 the default starts need refined steps, each orbit its own
+    mf = MeanFieldParams(200.0)
+    portrait = phase_portrait(mf)
+    assert len(portrait.trajectories) == 7
+    for traj in portrait.trajectories:
+        z0, phi0 = traj.points[0]
+        alone = integrate_trajectory(PhasePoint(float(z0), float(phi0)), mf, 12.0)
+        assert np.array_equal(alone.times, traj.times)
+        assert np.array_equal(alone.points, traj.points)
+        assert alone.classification is traj.classification
+        assert alone.energy_drift == traj.energy_drift
+
+
+def test_trajectory_refines_steps_near_the_pole(monkeypatch):
+    rk4 = classical._rk4
+    substeps = []
+
+    def counting_rk4(z, phi, lam, dt, floor=None):
+        substeps.append(dt)
+        return rk4(z, phi, lam, dt, floor)
+
+    monkeypatch.setattr(classical, "_rk4", counting_rk4)
+    traj = integrate_trajectory(PhasePoint(0.9999, 0.0), MeanFieldParams(20.0), 1.0)
+    assert sum(dt < 1e-3 for dt in substeps) == 86
+    assert traj.classification is TrajectoryClass.SELF_TRAPPING
+    assert traj.energy_drift < 1e-6
+    assert np.abs(traj.points[:, 0]).max() < 1.0
 
 
 def test_trajectory_stationary_at_fixed_point():

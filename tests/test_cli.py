@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catlab.cli import main
 from catlab.config import ConfigError, RunConfig
@@ -72,6 +75,68 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"u_int": "abc"},
+        {"time_factors": 1.0},
+        {"workers": "2"},
+        {"grid_theta": 2.5},
+        {"optimize_time_factor": "yes"},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_cli_rejects_wrong_typed_config(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    assert main(["catqubit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.integers() | _FLOAT
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": _FLOAT,
+    "str": st.text(),
+    "list of numbers": st.lists(_NUMBER, max_size=3),
+    "list of non-numbers": st.lists(st.none() | st.booleans() | st.text(), min_size=1, max_size=3),
+    "object": st.dictionaries(st.text(), _NUMBER, max_size=2),
+}
+# the JSON kinds each field annotation admits
+_ADMITS = {
+    "int": {"int"},
+    "float": {"int", "float"},
+    "float | None": {"int", "float", "null"},
+    "str": {"str"},
+    "bool": {"bool"},
+    "list[float]": {"list of numbers"},
+}
+
+
+@given(st.data())
+def test_config_rejects_any_wrong_typed_field(data):
+    for field in dataclasses.fields(RunConfig):
+        kind = data.draw(st.sampled_from(sorted(set(_JSON_KINDS) - _ADMITS[field.type])))
+        config = RunConfig().to_dict()
+        config[field.name] = data.draw(_JSON_KINDS[kind])
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(config)
+
+
+def test_wigner_phi_grid_sized_from_n(tmp_path):
+    # the default 256 points would alias the e^{i 2 n phi} harmonics at N = 300
+    assert main(["wigner", "--n", "300", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "wigner.csv").read_text().strip().splitlines()[1:]
+    assert len({row.split(",")[1] for row in rows}) == 301
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["derived"]["wigner_phi_points"] == 301
 
 
 def test_cli_optimize_time_through_zero_factor(tmp_path):
