@@ -330,14 +330,17 @@ def phase_portrait(
     t_final: float = 12.0,
     dt: float = 1e-3,
 ) -> PhasePortrait:
-    """Fixed points, sampled separatrix, and a bundle of integrated orbits."""
+    """Fixed points, the separatrix at the sampled azimuths it reaches, and orbits."""
     fps = fixed_points(params)
     phis = np.linspace(-np.pi, np.pi, n_separatrix)
-    try:
-        zsep = np.array([separatrix(p, params) for p in phis])
-    except SeparatrixAbsentError:
-        phis = np.array([])
-        zsep = np.array([])
+    zsep = np.full(phis.shape, np.nan)
+    for k, phi in enumerate(phis):
+        try:
+            zsep[k] = separatrix(phi, params)
+        except SeparatrixAbsentError:
+            pass  # for 1 < lambda_cl < 2 the curve reaches only the azimuths near pi
+    reached = ~np.isnan(zsep)
+    phis, zsep = phis[reached], zsep[reached]
     if starts is None:
         starts = []
         if params.lambda_cl > 2.0:

@@ -6,7 +6,8 @@ Commands: distribution | time-sweep | temp-sweep | qfi-map | wigner |
 classical | catqubit | all-figures.  Each run writes figure-ready CSV files
 plus a manifest.json with config echo and per-file checksums.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-invariant failure.
+Exit codes: 0 success, 2 configuration error (including a requested state
+that does not exist for the couplings), 3 numerical-invariant failure.
 The CATLAB_WORKERS environment variable overrides the configured worker
 count.
 """
@@ -105,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         outputs = run_command(args.command, config)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a state the couplings do not admit
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalInvariantError as exc:

@@ -112,8 +112,7 @@ def protocol_distribution(
     if psi != 0.0:
         u = rotation(space, psi, encoding_axis)
         rho_psi = u.conj().T @ rho @ u  # rho -> U^dag rho U
-    u_r = readout.unitary(space)
-    p = np.real(np.einsum("im,ij,jm->m", u_r.conj(), rho_psi, u_r, optimize=True))
+    p = np.real(_readout_frame_diag(rho_psi, readout.unitary(space)))
     return JzDistribution(space, p)
 
 
@@ -276,28 +275,16 @@ class MetrologyReport:
             raise NumericalInvariantError(f"F_c = {self.f_c} exceeds F_q = {self.f_q}")
 
 
-def metrology_report(
-    rho: np.ndarray,
-    generator: np.ndarray | None = None,
-    readout: ReadoutSpec | None = None,
-) -> MetrologyReport:
-    """Assemble the full report; defaults measure J_z indefiniteness via J_y."""
+def metrology_report(rho: np.ndarray, readout: ReadoutSpec | None = None) -> MetrologyReport:
+    """Assemble the J_z indefiniteness report; the default read-out measures J_y."""
     space = space_for_dim(rho.shape[0])
-    if generator is None:
-        generator = space.jz
     if readout is None:
         readout = ReadoutSpec()
-    off_diag = generator - np.diag(np.diag(generator))
-    if np.abs(off_diag).max() == 0.0 and np.abs(
-        np.real(np.diag(generator)) - space.m_values
-    ).max() <= 1e-9:
-        dist = jz_distribution(rho)
-    else:
-        dist = _generator_distribution(rho, generator)
+    dist = jz_distribution(rho)
     delta_s = statistical_uncertainty(dist)
     split = cat_split(dist)
-    f_q = qfi(rho, generator)
-    f_c = cfi_commutator(rho, generator, readout)
+    f_q = qfi(rho, space.jz)
+    f_c = cfi_commutator(rho, space.jz, readout)
     delta_q = 0.5 * np.sqrt(f_q)
     n_eff_bound = f_q / (4.0 * space.n_particles)
     if delta_s == 0.0:
@@ -311,20 +298,6 @@ def metrology_report(
     return MetrologyReport(
         delta_s, f_q, delta_q, f_c, r_q, r_c, lam, lam * r_q, lam * r_c, n_eff_bound,
     )
-
-
-def _generator_distribution(rho: np.ndarray, generator: np.ndarray) -> JzDistribution:
-    """Counting distribution of an arbitrary spin-projection generator.
-
-    Valid for generators unitarily equivalent to J_z (any axis projection):
-    the eigenbasis plays the role of the Dicke lattice.
-    """
-    space = space_for_dim(rho.shape[0])
-    w, v = np.linalg.eigh(generator)
-    if np.abs(w - space.m_values).max() > 1e-6:
-        raise ValueError("generator spectrum is not the J_z lattice; use an axis projection")
-    p = np.real(np.einsum("im,ij,jm->m", v.conj(), rho, v, optimize=True))
-    return JzDistribution(space, p)
 
 
 @dataclass(frozen=True)
@@ -391,15 +364,14 @@ def default_axis_grids(n_theta: int = 64, n_phi: int = 128) -> tuple[np.ndarray,
     return np.linspace(0.0, np.pi, n_theta), np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
 
 
-def n_eff(
-    rho: np.ndarray,
-    theta_grid: np.ndarray | None = None,
-    phi_grid: np.ndarray | None = None,
-) -> tuple[float, SpinAxis]:
-    """Macroscopicity max_axis F_q / (4N) with the maximizing axis."""
-    if theta_grid is None or phi_grid is None:
-        dth, dph = default_axis_grids()
-        theta_grid = dth if theta_grid is None else theta_grid
-        phi_grid = dph if phi_grid is None else phi_grid
-    amap = qfi_axis_map(rho, theta_grid, phi_grid)
-    return amap.max_value, amap.argmax_axis
+def n_eff(rho: np.ndarray) -> tuple[float, SpinAxis]:
+    """Macroscopicity max_axis F_q / (4N) with the maximizing axis.
+
+    F_q(J(u)) = u^T M u over unit vectors u, so the exact maximum is the top
+    eigenvalue of the quadratic form M and the axis is its eigenvector.
+    """
+    space = space_for_dim(rho.shape[0])
+    w, v = np.linalg.eigh(qfi_quadratic_form(rho))
+    nz, nx, ny = v[:, -1]
+    axis = SpinAxis(float(np.arccos(np.clip(nz, -1.0, 1.0))), float(np.arctan2(ny, nx)))
+    return float(w[-1] / (4.0 * space.n_particles)), axis

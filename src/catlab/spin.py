@@ -200,9 +200,9 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     logw -= logw.max()
     p = np.exp(logw)
     p /= p.sum()
-    rho = (dec.vectors * p) @ dec.vectors.conj().T
-    assert_density_matrix(rho)
-    return rho
+    # weights p >= 0 summing to 1 on an orthonormal eigenbasis make a density
+    # matrix by construction; it is checked where its spectrum is taken
+    return (dec.vectors * p) @ dec.vectors.conj().T
 
 
 def expectation(rho: np.ndarray, a: np.ndarray) -> float:
@@ -241,19 +241,24 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = TRACE_TOL) -> None:
-    assert_hermitian(rho)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise NumericalInvariantError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < EIGENVALUE_FLOOR:
-        raise NumericalInvariantError(f"negative eigenvalue {w.min():.3e} below round-off floor")
-
-
 def state_eigensystem(rho: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a density matrix with round-off negatives clamped to 0."""
+    """The one density-matrix check, made where the spectrum is taken.
+
+    rho must be Hermitian, have unit trace and no eigenvalue below the
+    round-off floor.  Returns its eigensystem with round-off negatives
+    clamped to 0.
+    """
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NumericalInvariantError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     dec = spectral_decomp(rho)
     if dec.values.min() < EIGENVALUE_FLOOR:
-        raise NumericalInvariantError(f"density matrix has eigenvalue {dec.values.min():.3e}")
+        raise NumericalInvariantError(
+            f"negative eigenvalue {dec.values.min():.3e} below round-off floor"
+        )
     return SpectralDecomp(np.clip(dec.values, 0.0, None), dec.vectors)
+
+
+def assert_density_matrix(rho: np.ndarray) -> None:
+    """Check rho where nothing needs its spectrum (see state_eigensystem)."""
+    state_eigensystem(rho)

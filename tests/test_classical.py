@@ -103,6 +103,16 @@ def test_separatrix_absent():
     assert 0 < z_near_saddle < 1
 
 
+def test_portrait_keeps_the_azimuths_the_separatrix_reaches():
+    mf = MeanFieldParams(1.5)
+    portrait = phase_portrait(mf)
+    assert portrait.separatrix_phi.size == 30
+    for phi, z in zip(portrait.separatrix_phi, portrait.separatrix_z):
+        assert np.cos(phi) < 0  # the azimuths near the saddle at pi
+        assert z == separatrix(phi, mf)
+    assert phase_portrait(MeanFieldParams(0.9)).separatrix_phi.size == 0
+
+
 def test_separatrix_even_monotone_and_continuous():
     mf = MeanFieldParams(10.0)
     phis = np.linspace(0.0, np.pi, 41)

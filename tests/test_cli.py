@@ -77,6 +77,16 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["distribution", "wigner", "time-sweep"])
+def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
+    # the 0 state sits on the separatrix, which needs lambda_cl = u N / t > 1
+    argv = [command, "--n", "20", "--u", "0.001", "--state", "zero", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "bad",
     [

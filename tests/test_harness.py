@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catlab import RunConfig, dynamics
+from catlab import RunConfig, dynamics, metrology
 from catlab.harness import parallel_map, run_command
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -143,6 +143,26 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
     run_command("time-sweep", cfg)
     assert build_counts == {"thermal_state": 1, "propagator": 1}
     assert len(read_csv(tmp_path / "lambda_r_vs_time.csv")[1]) == 4
+
+
+def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
+    """Each swept state is checked by the eigendecomposition its QFI takes, and only there."""
+    checked = []
+    state_eigensystem = metrology.state_eigensystem
+
+    def counted(rho):
+        checked.append(rho.shape)
+        return state_eigensystem(rho)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("a state was diagonalized only to be checked")
+
+    monkeypatch.setattr(metrology, "state_eigensystem", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4], out_dir=str(tmp_path))
+    run_command("time-sweep", cfg)
+    assert checked == [(41, 41)] * 3
 
 
 def test_optimized_temp_sweep_prepares_once_per_state_and_beta(tmp_path, build_counts):

@@ -27,7 +27,7 @@ from catlab import (
     statistical_uncertainty,
     thermal_state,
 )
-from catlab.metrology import trivial_readout
+from catlab.metrology import default_axis_grids, qfi_quadratic_form, trivial_readout
 from catlab.spin import axis_op
 
 from conftest import PURE_BETA, random_density, random_pure
@@ -350,6 +350,18 @@ def test_axis_map_mixed_state_zero():
     amap = qfi_axis_map(np.eye(sp.dim) / sp.dim, np.linspace(0, np.pi, 8),
                         np.linspace(-np.pi, np.pi, 8))
     assert np.abs(amap.values).max() < 1e-12
+
+
+def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
+    rho = cold_zero_cat.rho
+    scale = 4.0 * space200.n_particles
+    value, axis = n_eff(rho)
+    top = np.linalg.eigvalsh(qfi_quadratic_form(rho)).max() / scale
+    assert value == pytest.approx(top, rel=1e-12)
+    assert value == pytest.approx(26.7222, abs=1e-4)
+    # the spectral QFI along the returned axis is that maximum, and no grid axis beats it
+    assert qfi(rho, axis_op(space200, axis)) / scale == pytest.approx(value, rel=1e-9)
+    assert qfi_axis_map(rho, *default_axis_grids()).max_value <= value * (1 + 1e-12)
 
 
 def test_axis_map_evolved_cat_equatorial(cold_pi_cat, cold_zero_cat):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catlab import (
+    NumericalInvariantError,
     SpinAxis,
     SpinSpace,
     X_AXIS,
@@ -10,11 +11,17 @@ from catlab import (
     axis_op,
     coherent_state,
     expectation,
+    qfi,
     rotation,
     thermal_state,
     variance,
 )
-from catlab.spin import assert_density_matrix, canonicalize_angles, spectral_decomp
+from catlab.spin import (
+    assert_density_matrix,
+    canonicalize_angles,
+    spectral_decomp,
+    state_eigensystem,
+)
 
 from conftest import random_density
 
@@ -183,6 +190,24 @@ def test_state_constructors_pass_density_checks():
         beta = rng.uniform(0, 5)
         assert_density_matrix(thermal_state(sp, beta, z, phi))
     assert_density_matrix(random_density(rng, sp.dim))
+
+
+BAD_STATES = {
+    "non_hermitian": [[0.5, 0.1], [0.0, 0.5]],
+    "trace_two": [[1.0, 0.0], [0.0, 1.0]],
+    "negative_eigenvalue": [[1.0 + 1e-6, 0.0], [0.0, -1e-6]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATES))
+def test_density_checks_reject_bad_states(name):
+    rho = np.array(BAD_STATES[name], dtype=complex)
+    with pytest.raises(NumericalInvariantError):
+        assert_density_matrix(rho)
+    with pytest.raises(NumericalInvariantError):
+        state_eigensystem(rho)
+    with pytest.raises(NumericalInvariantError):
+        qfi(rho, np.diag([0.5, -0.5]).astype(complex))
 
 
 def test_spectral_decomp_reconstruction():
