@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinSpace, assert_density_matrix
+from .spin import SpectralDecomp, SpinSpace, state_eigensystem
 
 
 def _check_eta(eta: float) -> float:
@@ -114,17 +114,15 @@ def make_synthetic_cat(space: SpinSpace, center: float, width: float) -> Synthet
     return SyntheticCat(space, alive, dead)
 
 
-def reduced_density(cat: SyntheticCat, eta: float) -> np.ndarray:
-    """Spin-sector density matrix after tracing out the auxiliary qubit."""
+def reduced_density(cat: SyntheticCat, eta: float) -> SpectralDecomp:
+    """Spin-sector state after tracing out the auxiliary qubit, as its checked eigensystem."""
     a, d = cat.alive, cat.dead
     rho = 0.5 * (
         np.outer(a, a.conj())
         + np.outer(d, d.conj())
         + np.cos(eta) * (np.outer(a, d.conj()) + np.outer(d, a.conj()))
     )
-    rho = (rho + rho.conj().T) / 2
-    assert_density_matrix(rho)
-    return rho
+    return state_eigensystem(rho)
 
 
 def analytic_qfi(model: CatQubitModel) -> float:

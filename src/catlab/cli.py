@@ -7,9 +7,9 @@ classical | catqubit | all-figures.  Each run writes figure-ready CSV files
 plus a manifest.json with config echo and per-file checksums.
 
 Exit codes: 0 success, 2 configuration error (including a requested state
-that does not exist for the couplings), 3 numerical-invariant failure.
-The CATLAB_WORKERS environment variable overrides the configured worker
-count.
+that does not exist for the couplings), 3 numerical-invariant or LAPACK
+failure (numpy.linalg.LinAlgError).  The CATLAB_WORKERS environment
+variable overrides the configured worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from .config import ConfigError, RunConfig
 from .harness import COMMANDS, run_command
@@ -106,12 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         outputs = run_command(args.command, config)
+    except (NumericalInvariantError, LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical invariant failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError, or a state the couplings do not admit
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalInvariantError as exc:
-        print(f"numerical invariant failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     for path in outputs:
         print(path)
     return EXIT_OK

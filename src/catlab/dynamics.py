@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
-from .spin import SpinSpace, spectral_decomp, thermal_state
+from .spin import SpectralDecomp, SpinSpace, spectral_decomp, thermal_state
 
 #: beta_scaled value standing in for zero temperature.  At N = 200 the weight
 #: outside the top eigenstate is ~ exp(-50), far below every tolerance here.
@@ -79,10 +79,13 @@ class TwistTurnParams:
 
 
 def build_hamiltonian(params: TwistTurnParams) -> np.ndarray:
-    """Dense twist-and-turn Hamiltonian, tridiagonal in the Dicke basis."""
+    """Dense twist-and-turn Hamiltonian: real symmetric, tridiagonal in the Dicke basis."""
     space = params.space
     sigma = -1.0 if params.sign_convention is SignConvention.FIGURE_ONE else 1.0
-    return 2.0 * params.u_int * np.diag(space.m_values**2) + sigma * 2.0 * params.t_hop * space.jx
+    return (
+        2.0 * params.u_int * np.diag(space.m_values**2)
+        + sigma * 2.0 * params.t_hop * space.jx.real
+    )
 
 
 def t_pi(space: SpinSpace, u_int: float) -> float:
@@ -96,32 +99,27 @@ def t_pi(space: SpinSpace, u_int: float) -> float:
 class Propagator:
     """Unitary evolution under a fixed Hamiltonian via one eigendecomposition.
 
-    The decomposition is computed once and reused for every duration, so
-    sweeping many times against the same H costs one matrix-matrix product
-    per point.  Instances are immutable and safe to share across workers.
+    The decomposition is computed once and reused for every duration.  A
+    state (p, V) evolves to (p, V_H (e^{-i w tau} * V_H^dag V)): only its r
+    support columns move, at O(N^2 r) per duration.  Instances are
+    immutable and safe to share across workers.
     """
 
     def __init__(self, hamiltonian: np.ndarray):
         self._decomp = spectral_decomp(hamiltonian)
         for arr in self._decomp:
             arr.flags.writeable = False
-        self._dim = hamiltonian.shape[0]
 
-    def unitary(self, duration: float) -> np.ndarray:
-        return self._decomp.apply(lambda w: np.exp(-1j * w * duration))
-
-    def evolve(self, rho: np.ndarray, duration: float) -> np.ndarray:
-        if rho.shape[0] != self._dim:
-            raise ValueError(f"dimension mismatch: state {rho.shape[0]}, H {self._dim}")
+    def evolve(self, state: SpectralDecomp, duration: float) -> SpectralDecomp:
+        w, v_h = self._decomp
+        if state.vectors.shape[0] != w.size:
+            raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {w.size}")
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         if duration == 0:
-            return rho.copy()
-        u = self.unitary(duration)
-        out = u @ rho @ u.conj().T
-        # a unitary from the Hermitian-checked H keeps trace and spectrum; only
-        # Hermiticity drifts by round-off, and the symmetrization makes it exact
-        return (out + out.conj().T) / 2
+            return state
+        phases = np.exp(-1j * w * duration)[:, None]
+        return SpectralDecomp(state.values, v_h @ (phases * (v_h.conj().T @ state.vectors)))
 
 
 @lru_cache(maxsize=1)
@@ -130,9 +128,9 @@ def propagator(params: TwistTurnParams) -> Propagator:
     return Propagator(build_hamiltonian(params))
 
 
-def evolve(rho: np.ndarray, hamiltonian: np.ndarray, duration: float) -> np.ndarray:
-    """Evolve rho(tau) = exp(-iH tau) rho exp(+iH tau) for one arbitrary H."""
-    return Propagator(hamiltonian).evolve(rho, duration)
+def evolve(state: SpectralDecomp, hamiltonian: np.ndarray, duration: float) -> SpectralDecomp:
+    """Evolve a state by exp(-iH tau) for one arbitrary H."""
+    return Propagator(hamiltonian).evolve(state, duration)
 
 
 @dataclass(frozen=True)
@@ -146,16 +144,15 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """A density matrix together with how it was produced."""
+    """A state, as its eigensystem on the support, together with how it was produced."""
 
-    rho: np.ndarray
+    state: SpectralDecomp
     elapsed: float
     params: TwistTurnParams
     provenance: InitialCondition
 
     def __post_init__(self):
-        # rho is a density matrix by construction (thermal_state, then a
-        # unitary); it is checked where its spectrum is taken, in metrology.qfi
+        # state is checked where thermal_state makes it (spin.state_factor)
         if self.elapsed < 0:
             raise ValueError("elapsed time must be >= 0")
 
@@ -186,9 +183,8 @@ def prepare_and_evolve(
 
     The state and H's eigensystem are built here, once, so bad input raises
     at the call.  The evolved states are then yielded one at a time, in the
-    order of time_factors.  They are not diagonalized to be checked here:
-    metrology.qfi checks each one through spin.state_eigensystem, in the
-    eigendecomposition it needs anyway.
+    order of time_factors.  Each carries the weights of the prepared state
+    and its evolved eigenvectors, so no evolved state is diagonalized.
     """
     factors = list(time_factors)
     if not all(np.isfinite(f) and f >= 0 for f in factors):
@@ -198,7 +194,7 @@ def prepare_and_evolve(
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
         phi0 = phi0 + np.pi
-    rho = thermal_state(params.space, beta_scaled, init.z, phi0)
+    state = thermal_state(params.space, beta_scaled, init.z, phi0)
     prop = propagator(params)
     tpi = t_pi(params.space, params.u_int)
-    return (EvolvedState(prop.evolve(rho, f * tpi), f * tpi, params, init) for f in factors)
+    return (EvolvedState(prop.evolve(state, f * tpi), f * tpi, params, init) for f in factors)

@@ -115,11 +115,11 @@ def _evolved_states(config: RunConfig, state_label: str, factors: list[float], b
     )
 
 
-def _evolved_rho(config: RunConfig) -> np.ndarray:
+def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
     """The configured state at its configured time: distribution, qfi-map and wigner."""
     factor = config.effective_time_factor()
-    [state] = _evolved_states(config, config.state_label, [factor], config.beta_inv_over_eps)
-    return state.rho
+    [evolved] = _evolved_states(config, config.state_label, [factor], config.beta_inv_over_eps)
+    return evolved.state
 
 
 def _wigner_phi_points(config: RunConfig) -> int:
@@ -152,8 +152,8 @@ def _time_sweep_point(args: tuple) -> list[tuple]:
     readout = _readout_from_config(config)
     rows = []
     states = _evolved_states(config, config.state_label, factors, config.beta_inv_over_eps)
-    for factor, state in zip(factors, states):
-        report = metrology_report(state.rho, readout=readout)
+    for factor, evolved in zip(factors, states):
+        report = metrology_report(evolved.state, readout=readout)
         rows.append((
             factor,
             report.lam,
@@ -176,8 +176,8 @@ def _temp_sweep_point(args: tuple) -> tuple:
     )
     readout = _readout_from_config(config)
     best = None
-    for factor, state in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
-        report = metrology_report(state.rho, readout=readout)
+    for factor, evolved in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
+        report = metrology_report(evolved.state, readout=readout)
         if best is None or report.lam > best[1].lam:
             best = (factor, report)
     factor, report = best
@@ -200,7 +200,7 @@ def _temp_sweep_point(args: tuple) -> tuple:
 # commands
 
 def cmd_distribution(config: RunConfig, out_dir: Path) -> list[Path]:
-    dist = jz_distribution(_evolved_rho(config))
+    dist = jz_distribution(_evolved_state(config))
     rows = [(m, p) for m, p in zip(dist.m_values, dist.probs)]
     path = out_dir / "jz_distribution.csv"
     write_csv(path, ["m", "p"], rows)
@@ -244,10 +244,10 @@ def cmd_temp_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
-    rho = _evolved_rho(config)
+    state = _evolved_state(config)
     thetas = np.linspace(0.0, np.pi, config.grid_theta)
     phis = np.linspace(-np.pi, np.pi, config.grid_phi, endpoint=False)
-    amap = qfi_axis_map(rho, thetas, phis)
+    amap = qfi_axis_map(state, thetas, phis)
     rows = [
         (th, ph, amap.values[i, k])
         for i, th in enumerate(thetas)
@@ -259,7 +259,7 @@ def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_wigner(config: RunConfig, out_dir: Path) -> list[Path]:
-    grid = wigner(_evolved_rho(config), _wigner_phi_points(config))
+    grid = wigner(_evolved_state(config), _wigner_phi_points(config))
     rows = [
         (z, ph, grid.values[i, k])
         for i, z in enumerate(grid.z_values)

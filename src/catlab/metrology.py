@@ -3,7 +3,9 @@
 The four-step interferometric protocol is: prepare rho, encode a phase
 (rho_psi = U^dag rho U with U = exp(-i psi J_Omega)), rotate for read-out
 (U_r), and measure J_z.  Everything observable here derives from the
-resulting distribution p(r) = <r| rho_psi |r> with |r> = U_r |m>.
+resulting distribution p(r) = <r| rho_psi |r> with |r> = U_r |m>.  A state
+is passed as its eigensystem (p, V) on its support (spin.SpectralDecomp),
+so p(r) = sum_k p_k |<r|v_k>|^2 and rho itself is never formed.
 
 From the distribution of J_z itself we get the statistical uncertainty
 Delta_s and, after splitting at the mean, the extensive difference Lambda
@@ -11,12 +13,18 @@ between the two halves of a double-peaked cat distribution.
 
 Sensitivity to the encoded phase is quantified by the classical Fisher
 information for the chosen read-out and by the quantum Fisher information
-over the eigensystem of rho:
 
     F_q = 2 sum_{l,l'} (p_l - p_l')^2 / (p_l + p_l') |<l| G |l'>|^2,
 
 which for a pure state reduces to 4 Var(G) and in general equals the
-convex-roof of 4 Var over all pure-state decompositions.  The quality of
+convex-roof of 4 Var over all pure-state decompositions.  Pairs outside the
+support S add 0 or 2 p_l |G_ll'|^2, so F_q closes on S alone (Liu, Yuan,
+Lu & Wang, J. Phys. A 53, 023001 (2020)), with P_S the projector onto S:
+
+    F_q = 2 sum_{l,l' in S} (p_l - p_l')^2 / (p_l + p_l') |G_ll'|^2
+          + 4 sum_{l in S} p_l || (1 - P_S) G |l> ||^2.
+
+Both terms are non-negative and need no weight cutoff.  The quality of
 indefiniteness r_q = (sqrt(F_q)/2) / Delta_s in [0, 1] measures the fraction
 of the observed uncertainty that no amount of classical knowledge could
 remove; r_c is its experimentally accessible lower bound from the CFI.
@@ -30,16 +38,16 @@ from functools import lru_cache
 import numpy as np
 
 from .spin import (
+    SpectralDecomp,
     SpinAxis,
     SpinSpace,
     NumericalInvariantError,
     X_AXIS,
     rotation,
     space_for_dim,
-    state_eigensystem,
 )
 
-#: eigenvalue-pair cutoff in the spectral QFI and bin cutoff in the CFI;
+#: bin cutoff in the CFI: a read-out bin with p_r below it is skipped, which
 #: removes 0/0 terms without touching anything at the 1e-6 acceptance level
 WEIGHT_CUTOFF = 1e-12
 
@@ -100,26 +108,29 @@ class JzDistribution:
         return float(np.sqrt(max(var, 0.0)))
 
 
+def _bin_probabilities(p: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """sum_k p_k |a_rk|^2: the read-out distribution from amplitudes a = <r|v_k>."""
+    return (amplitudes.real**2 + amplitudes.imag**2) @ p
+
+
 def protocol_distribution(
-    rho: np.ndarray,
+    state: SpectralDecomp,
     psi: float,
     encoding_axis: SpinAxis,
     readout: ReadoutSpec,
 ) -> JzDistribution:
     """Outcome distribution of the full protocol at encoded phase psi."""
-    space = space_for_dim(rho.shape[0])
-    rho_psi = rho
+    p, v = state
+    space = space_for_dim(v.shape[0])
     if psi != 0.0:
-        u = rotation(space, psi, encoding_axis)
-        rho_psi = u.conj().T @ rho @ u  # rho -> U^dag rho U
-    p = np.real(_readout_frame_diag(rho_psi, readout.unitary(space)))
-    return JzDistribution(space, p)
+        v = rotation(space, psi, encoding_axis).conj().T @ v  # rho -> U^dag rho U
+    return JzDistribution(space, _bin_probabilities(p, readout.unitary(space).conj().T @ v))
 
 
-def jz_distribution(rho: np.ndarray) -> JzDistribution:
+def jz_distribution(state: SpectralDecomp) -> JzDistribution:
     """Diagonal of rho in the Dicke basis: counting statistics of J_z."""
-    space = space_for_dim(rho.shape[0])
-    return JzDistribution(space, np.real(np.diag(rho)))
+    p, v = state
+    return JzDistribution(space_for_dim(v.shape[0]), _bin_probabilities(p, v))
 
 
 def statistical_uncertainty(dist: JzDistribution) -> float:
@@ -172,53 +183,42 @@ def cat_split(dist: JzDistribution) -> CatSplit:
     return CatSplit(mu, p_l, p_r, n_l, n_r, abs(mean_r - mean_l), width_l, width_r, False)
 
 
-def qfi(rho: np.ndarray, generator: np.ndarray) -> float:
-    """Quantum Fisher information of rho for phase encoding by the generator.
-
-    Spectral formula over the eigenpairs of rho; pairs with combined weight
-    below 1e-12 are skipped.  Equals 4 Var(generator) for pure states.
-    """
-    if rho.shape != generator.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {generator.shape}")
-    dec = state_eigensystem(rho)
-    g = dec.vectors.conj().T @ generator @ dec.vectors
-    return float(2.0 * np.sum(_qfi_weights(dec.values) * np.abs(g) ** 2))
+def qfi(state: SpectralDecomp, generator: np.ndarray) -> float:
+    """Quantum Fisher information for encoding by the generator; 4 Var(G) for pure states."""
+    return float(_qfi_form(state, [generator])[0, 0])
 
 
-def _qfi_weights(p: np.ndarray) -> np.ndarray:
-    """(p_l - p_l')^2 / (p_l + p_l') over eigenvalue pairs, 0 where the sum is below cutoff."""
-    num = (p[:, None] - p[None, :]) ** 2
-    den = p[:, None] + p[None, :]
-    weights = np.zeros_like(num)
-    mask = den > WEIGHT_CUTOFF
-    weights[mask] = num[mask] / den[mask]
-    return weights
+def _qfi_form(state: SpectralDecomp, generators: list[np.ndarray]) -> np.ndarray:
+    """F_ab over generator pairs, from the support identity in the module docstring."""
+    p, v = state
+    pair = (p[:, None] - p[None, :]) ** 2 / (p[:, None] + p[None, :])
+    gv = np.stack([g @ v for g in generators])
+    inside = v.conj().T @ gv  # G_ll' on the support
+    outside = gv - v @ inside  # (1 - P_S) G |l>
+    coherent = np.einsum("lm,alm,blm->ab", pair, inside, inside.conj())
+    local = np.einsum("l,ail,bil->ab", p, outside.conj(), outside)
+    return 2.0 * coherent.real + 4.0 * local.real
 
 
-def _readout_frame_diag(mat: np.ndarray, u_r: np.ndarray) -> np.ndarray:
-    """Diagonal of U_r^dag M U_r, i.e. <r| M |r> over the read-out basis."""
-    return np.einsum("im,ij,jm->m", u_r.conj(), mat, u_r, optimize=True)
-
-
-def cfi_commutator(rho: np.ndarray, generator: np.ndarray, readout: ReadoutSpec) -> float:
+def cfi_commutator(state: SpectralDecomp, generator: np.ndarray, readout: ReadoutSpec) -> float:
     """Classical Fisher information at psi = 0 from the exact derivative.
 
-    d p_r / d psi = <r| i [generator, rho] |r>, so no finite phase step is
-    needed; bins with p_r below 1e-12 are skipped.
+    d p_r / d psi = <r| i [generator, rho] |r> = -2 Im sum_k p_k b_rk conj(a_rk)
+    with a = U_r^dag V and b = U_r^dag G V, so no finite phase step is
+    needed; bins with p_r below WEIGHT_CUTOFF are skipped.
     """
-    if rho.shape != generator.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {generator.shape}")
-    space = space_for_dim(rho.shape[0])
-    u_r = readout.unitary(space)
-    p = np.real(_readout_frame_diag(rho, u_r))
-    drho = 1j * (generator @ rho - rho @ generator)
-    dp = np.real(_readout_frame_diag(drho, u_r))
-    mask = p > WEIGHT_CUTOFF
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    p, v = state
+    u_r_dag = readout.unitary(space_for_dim(v.shape[0])).conj().T
+    a = u_r_dag @ v
+    b = u_r_dag @ (generator @ v)
+    probs = _bin_probabilities(p, a)
+    dp = -2.0 * (b * a.conj()).imag @ p
+    mask = probs > WEIGHT_CUTOFF
+    return float(np.sum(dp[mask] ** 2 / probs[mask]))
 
 
 def cfi_finite_difference(
-    rho: np.ndarray,
+    state: SpectralDecomp,
     encoding_axis: SpinAxis,
     readout: ReadoutSpec,
     delta: float = 1e-4,
@@ -230,9 +230,9 @@ def cfi_finite_difference(
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be > 0, got {delta}")
-    p_plus = protocol_distribution(rho, +delta, encoding_axis, readout).probs
-    p_minus = protocol_distribution(rho, -delta, encoding_axis, readout).probs
-    p_zero = protocol_distribution(rho, 0.0, encoding_axis, readout).probs
+    p_plus = protocol_distribution(state, +delta, encoding_axis, readout).probs
+    p_minus = protocol_distribution(state, -delta, encoding_axis, readout).probs
+    p_zero = protocol_distribution(state, 0.0, encoding_axis, readout).probs
     dp = (p_plus - p_minus) / (2.0 * delta)
     mask = p_zero > WEIGHT_CUTOFF
     return float(np.sum(dp[mask] ** 2 / p_zero[mask]))
@@ -275,16 +275,16 @@ class MetrologyReport:
             raise NumericalInvariantError(f"F_c = {self.f_c} exceeds F_q = {self.f_q}")
 
 
-def metrology_report(rho: np.ndarray, readout: ReadoutSpec | None = None) -> MetrologyReport:
+def metrology_report(state: SpectralDecomp, readout: ReadoutSpec | None = None) -> MetrologyReport:
     """Assemble the J_z indefiniteness report; the default read-out measures J_y."""
-    space = space_for_dim(rho.shape[0])
+    space = space_for_dim(state.vectors.shape[0])
     if readout is None:
         readout = ReadoutSpec()
-    dist = jz_distribution(rho)
+    dist = jz_distribution(state)
     delta_s = statistical_uncertainty(dist)
     split = cat_split(dist)
-    f_q = qfi(rho, space.jz)
-    f_c = cfi_commutator(rho, space.jz, readout)
+    f_q = qfi(state, space.jz)
+    f_c = cfi_commutator(state, space.jz, readout)
     delta_q = 0.5 * np.sqrt(f_q)
     n_eff_bound = f_q / (4.0 * space.n_particles)
     if delta_s == 0.0:
@@ -311,37 +311,29 @@ class AxisMap:
     max_value: float
 
 
-def qfi_quadratic_form(rho: np.ndarray) -> np.ndarray:
+def qfi_quadratic_form(state: SpectralDecomp) -> np.ndarray:
     """3x3 real symmetric M with F_q(rho, J(u)) = u^T M u, u = (z, x, y) axis.
 
     Because the QFI is quadratic in the generator and J(theta, phi) is a
-    fixed linear combination of (J_z, J_x, J_y), one eigendecomposition of
-    rho determines the whole axis map exactly.
+    fixed linear combination of (J_z, J_x, J_y), the QFI kernel over the
+    three pairs determines the whole axis map exactly.
     """
-    space = space_for_dim(rho.shape[0])
-    dec = state_eigensystem(rho)
-    comps = [dec.vectors.conj().T @ g @ dec.vectors for g in (space.jz, space.jx, space.jy)]
-    weights = _qfi_weights(dec.values)
-    m_form = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            val = 2.0 * float(np.sum(weights * (comps[a] * comps[b].conj())).real)
-            m_form[a, b] = m_form[b, a] = val
-    return m_form
+    space = space_for_dim(state.vectors.shape[0])
+    return _qfi_form(state, [space.jz, space.jx, space.jy])
 
 
 def qfi_axis_map(
-    rho: np.ndarray,
+    state: SpectralDecomp,
     theta_grid: np.ndarray,
     phi_grid: np.ndarray,
 ) -> AxisMap:
-    """Evaluate F_q / (4N) over the axis grid, reusing one spectral decomposition."""
+    """Evaluate F_q / (4N) over the axis grid from one quadratic form."""
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = np.asarray(phi_grid, dtype=float)
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("axis grids must be non-empty")
-    space = space_for_dim(rho.shape[0])
-    m_form = qfi_quadratic_form(rho)
+    space = space_for_dim(state.vectors.shape[0])
+    m_form = qfi_quadratic_form(state)
     th = theta_grid[:, None]
     ph = phi_grid[None, :]
     u = np.stack(
@@ -364,14 +356,14 @@ def default_axis_grids(n_theta: int = 64, n_phi: int = 128) -> tuple[np.ndarray,
     return np.linspace(0.0, np.pi, n_theta), np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
 
 
-def n_eff(rho: np.ndarray) -> tuple[float, SpinAxis]:
+def n_eff(state: SpectralDecomp) -> tuple[float, SpinAxis]:
     """Macroscopicity max_axis F_q / (4N) with the maximizing axis.
 
     F_q(J(u)) = u^T M u over unit vectors u, so the exact maximum is the top
     eigenvalue of the quadratic form M and the axis is its eigenvector.
     """
-    space = space_for_dim(rho.shape[0])
-    w, v = np.linalg.eigh(qfi_quadratic_form(rho))
+    space = space_for_dim(state.vectors.shape[0])
+    w, v = np.linalg.eigh(qfi_quadratic_form(state))
     nz, nx, ny = v[:, -1]
     axis = SpinAxis(float(np.arccos(np.clip(nz, -1.0, 1.0))), float(np.arctan2(ny, nx)))
     return float(w[-1] / (4.0 * space.n_particles)), axis

@@ -20,6 +20,10 @@ Conventions fixed in this module:
 All matrix functions (exponentials, thermal weights) go through an exact
 eigendecomposition rather than series truncation; at dim ~ 10^3 this is
 cheap and leaves no convergence knob.
+
+A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
+weights that underflow to exactly 0 add nothing to any read-out, so only
+the columns with p > 0 are kept and nothing is truncated.
 """
 
 from __future__ import annotations
@@ -41,14 +45,10 @@ class NumericalInvariantError(RuntimeError):
 
 
 class SpectralDecomp(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigensystem of a Hermitian matrix, or of a state on its support."""
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def apply(self, fn) -> np.ndarray:
-        """Assemble V f(w) V^dag for a scalar function fn of the eigenvalues."""
-        return (self.vectors * fn(self.values)) @ self.vectors.conj().T
 
 
 def spectral_decomp(a: np.ndarray) -> SpectralDecomp:
@@ -167,8 +167,8 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis) -> np.ndarray:
     """Rotation U = exp(-i alpha J(theta, phi)), built spectrally."""
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    dec = spectral_decomp(axis_op(space, axis))
-    u = dec.apply(lambda w: np.exp(-1j * alpha * w))
+    w, v = spectral_decomp(axis_op(space, axis))
+    u = (v * np.exp(-1j * alpha * w)) @ v.conj().T
     assert_unitary(u)
     return u
 
@@ -183,26 +183,22 @@ def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
     return vec
 
 
-def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) -> np.ndarray:
+def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) -> SpectralDecomp:
     """Thermal state exp(beta * J(acos z, phi)) / Z of the condensation Hamiltonian.
 
     beta_scaled is beta * eps_tau, the only temperature parameter exposed.
     The positive exponent means beta -> inf concentrates the state onto the
-    spin coherent state at phase-space point (z, phi).
+    spin coherent state at phase-space point (z, phi).  Returned as its
+    checked eigensystem on the J(axis) eigenbasis.
     """
     if not np.isfinite(beta_scaled) or beta_scaled < 0:
         raise ValueError(f"beta_scaled must be >= 0, got {beta_scaled}")
     if abs(z) > 1:
         raise ValueError(f"imbalance z must lie in [-1, 1], got {z}")
     axis = SpinAxis(float(np.arccos(z)), phi)
-    dec = spectral_decomp(axis_op(space, axis))
-    logw = beta_scaled * dec.values
-    logw -= logw.max()
-    p = np.exp(logw)
-    p /= p.sum()
-    # weights p >= 0 summing to 1 on an orthonormal eigenbasis make a density
-    # matrix by construction; it is checked where its spectrum is taken
-    return (dec.vectors * p) @ dec.vectors.conj().T
+    w, v = spectral_decomp(axis_op(space, axis))
+    p = np.exp(beta_scaled * (w - w.max()))
+    return state_factor(p / p.sum(), v)
 
 
 def expectation(rho: np.ndarray, a: np.ndarray) -> float:
@@ -236,27 +232,38 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
 
 
 def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    """Check U^dag U = I, i.e. orthonormal columns (U may be N x r)."""
+    dev = np.abs(u.conj().T @ u - np.eye(u.shape[1])).max()
     if dev > tol:
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-def state_eigensystem(rho: np.ndarray) -> SpectralDecomp:
-    """The one density-matrix check, made where the spectrum is taken.
+def state_factor(p: np.ndarray, vectors: np.ndarray) -> SpectralDecomp:
+    """The one state check: weights p on columns V, kept where p > 0.
 
-    rho must be Hermitian, have unit trace and no eigenvalue below the
-    round-off floor.  Returns its eigensystem with round-off negatives
-    clamped to 0.
+    p >= 0 summing to 1 on orthonormal columns is a density matrix; a
+    unitary keeps all three, so evolved states are not checked again.
     """
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NumericalInvariantError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    dec = spectral_decomp(rho)
-    if dec.values.min() < EIGENVALUE_FLOOR:
-        raise NumericalInvariantError(
-            f"negative eigenvalue {dec.values.min():.3e} below round-off floor"
-        )
-    return SpectralDecomp(np.clip(dec.values, 0.0, None), dec.vectors)
+    if p.min() < 0:
+        raise NumericalInvariantError(f"negative state weight {p.min():.3e}")
+    if abs(p.sum() - 1.0) > TRACE_TOL:
+        raise NumericalInvariantError(f"trace deviates from 1 by {abs(p.sum() - 1.0):.3e}")
+    keep = p > 0
+    v = vectors[:, keep]
+    assert_unitary(v)
+    return SpectralDecomp(p[keep], v)
+
+
+def state_eigensystem(rho: np.ndarray) -> SpectralDecomp:
+    """Checked eigensystem of a dense density matrix: where a matrix from outside enters.
+
+    rho must be Hermitian with no eigenvalue below the round-off floor;
+    round-off negatives are clamped to 0 before state_factor.
+    """
+    w, v = spectral_decomp(rho)
+    if w.min() < EIGENVALUE_FLOOR:
+        raise NumericalInvariantError(f"negative eigenvalue {w.min():.3e} below round-off floor")
+    return state_factor(np.clip(w, 0.0, None), v)
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import NumericalInvariantError
+from .spin import NumericalInvariantError, SpectralDecomp
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -40,10 +40,12 @@ class WignerGrid:
         return self.values.mean(axis=1)
 
 
-def wigner(rho: np.ndarray, phi_points: int = 256) -> WignerGrid:
-    """Evaluate the quasi-probability of rho on the (z, phi) cylinder."""
+def wigner(state: SpectralDecomp, phi_points: int = 256) -> WignerGrid:
+    """Evaluate the quasi-probability of a state (p, V) on the (z, phi) cylinder."""
     if phi_points < 4:
         raise ValueError(f"phi_points must be >= 4, got {phi_points}")
+    # the anti-diagonals span all of rho: the one read-out that forms it
+    rho = (state.vectors * state.values) @ state.vectors.conj().T
     dim = rho.shape[0]
     n_particles = dim - 1
     j = n_particles / 2

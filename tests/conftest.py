@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from catlab import SpinSpace, StateLabel, TwistTurnParams, prepare_and_evolve
+
+# the same examples on every run, and no per-example deadline: a numerical
+# example's run time depends on the machine, not on the code under test
+settings.register_profile("catlab", derandomize=True, deadline=None)
+settings.load_profile("catlab")
 
 PURE_BETA = 50.0
 
@@ -45,3 +51,9 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def dense(state) -> np.ndarray:
+    """rho = V diag(p) V^dag of a state given as its eigensystem (p, V)."""
+    p, v = state
+    return (v * p) @ v.conj().T

@@ -41,9 +41,9 @@ from catlab import (
 from catlab.catqubit import analytic_qfi
 from catlab.harness import run_command
 from catlab.metrology import default_axis_grids
-from catlab.spin import variance
+from catlab.spin import state_eigensystem, variance
 
-from conftest import PURE_BETA, random_density, random_pure
+from conftest import PURE_BETA, dense, random_density, random_pure
 
 N_REF = 200
 
@@ -64,14 +64,14 @@ def crossover_sweep(params200):
         rows = []
         for beta_inv in grid:
             state = next(prepare_and_evolve(label, 1.0 / beta_inv, [factor], params200))
-            rep = metrology_report(state.rho)
+            rep = metrology_report(state.state)
             rows.append(rep)
         out[label] = rows
     return grid, out
 
 
 def test_criterion_01_cat_creation(cold_zero_cat):
-    dist = jz_distribution(cold_zero_cat.rho)
+    dist = jz_distribution(cold_zero_cat.state)
     split = cat_split(dist)
     failures = []
     if not 65 * 0.9 <= split.extensive_difference <= 65 * 1.1:
@@ -85,7 +85,7 @@ def test_criterion_01_cat_creation(cold_zero_cat):
 
 
 def test_criterion_02_hot_double_peak(hot_zero_cat):
-    rep = metrology_report(hot_zero_cat.rho)
+    rep = metrology_report(hot_zero_cat.state)
     failures = []
     if not abs(rep.lam - N_REF / 3) <= 0.15 * (N_REF / 3):
         failures.append(f"Lambda = {rep.lam:.2f} outside N/3 +- 15%")
@@ -95,7 +95,7 @@ def test_criterion_02_hot_double_peak(hot_zero_cat):
 
 
 def test_criterion_03_quality_bound(cold_zero_cat):
-    rep = metrology_report(cold_zero_cat.rho)
+    rep = metrology_report(cold_zero_cat.state)
     failures = []
     if not abs(rep.r_c - 0.75) <= 0.05:
         failures.append(f"r_c = {rep.r_c:.4f} outside 0.75 +- 0.05")
@@ -149,7 +149,7 @@ def test_criterion_05_n_scaling():
         space = SpinSpace(int(n))
         params = TwistTurnParams(space, t_hop=1.0, u_int=20.0 / n)
         state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
-        lams.append(cat_split(jz_distribution(state.rho)).extensive_difference)
+        lams.append(cat_split(jz_distribution(state.state)).extensive_difference)
     lams = np.array(lams)
     slope = float((ns * lams).sum() / (ns * ns).sum())
     c = 1.0 / slope
@@ -167,19 +167,19 @@ def test_criterion_06_fisher_chain():
     checked = 0
     pure_checked = 0
 
-    def check_state(rho, space, pure):
+    def check_state(state, space, pure):
         nonlocal checked, pure_checked
-        f_q = qfi(rho, space.jz)
-        f_c = cfi_commutator(rho, space.jz, readout)
+        f_q = qfi(state, space.jz)
+        f_c = cfi_commutator(state, space.jz, readout)
         if f_c > f_q * (1 + 1e-9) + 1e-12:
             failures.append(f"F_c = {f_c:.6g} exceeds F_q = {f_q:.6g}")
-        fd = cfi_finite_difference(rho, Z_AXIS, readout, delta=1e-4)
+        fd = cfi_finite_difference(state, Z_AXIS, readout, delta=1e-4)
         tol = 1e-4 * f_c + 1e-9 * max(f_q, 1.0)
         if abs(fd - f_c) > tol:
             failures.append(f"finite-difference CFI off: {fd:.8g} vs {f_c:.8g}")
         if pure:
             pure_checked += 1
-            target = 4.0 * variance(rho, space.jz)
+            target = 4.0 * variance(dense(state), space.jz)
             if abs(f_q - target) > 1e-6 * max(target, 1e-12):
                 failures.append(f"pure F_q = {f_q:.8g} vs 4 Var = {target:.8g}")
         checked += 1
@@ -187,7 +187,7 @@ def test_criterion_06_fisher_chain():
     sp30 = SpinSpace(30)
     for _ in range(40):
         psi = random_pure(rng, sp30.dim)
-        check_state(np.outer(psi, psi.conj()), sp30, pure=True)
+        check_state(state_eigensystem(np.outer(psi, psi.conj())), sp30, pure=True)
     for _ in range(40):
         beta = rng.uniform(0.05, 4.0)
         z = rng.uniform(-0.9, 0.9)
@@ -200,7 +200,7 @@ def test_criterion_06_fisher_chain():
         factor = rng.uniform(0.0, 2.0)
         label = StateLabel.PI if rng.random() < 0.5 else StateLabel.ZERO
         state = next(prepare_and_evolve(label, float(beta), [float(factor)], params))
-        check_state(state.rho, sp60, pure=beta == PURE_BETA)
+        check_state(state.state, sp60, pure=beta == PURE_BETA)
 
     assert checked >= 100 and pure_checked >= 40
     report(6, f"Fisher chain on {checked} states ({pure_checked} pure)", failures)
@@ -211,7 +211,7 @@ def test_criterion_07_axis_map(cold_pi_cat, cold_zero_cat, crossover_sweep):
     cell = thetas[1] - thetas[0]
     failures = []
     for name, state in (("pi", cold_pi_cat), ("zero", cold_zero_cat)):
-        amap = qfi_axis_map(state.rho, thetas, phis)
+        amap = qfi_axis_map(state.state, thetas, phis)
         off = abs(amap.argmax_axis.theta - np.pi / 2)
         if off > cell + 1e-12:
             failures.append(
@@ -272,13 +272,13 @@ def test_criterion_09_cat_qubit_closed_forms():
     if abs(model0.peak_width**2 + model0.lam**2 - 4 * second) > 1e-8:
         failures.append("triangle identity beyond 1e-8")
     for eta in (0.0, np.pi / 6, np.pi / 4, np.pi / 3, 5 * np.pi / 12, np.pi / 2):
-        rho = reduced_density(cat, eta)
-        spectral = qfi(rho, space.jz)
+        state = reduced_density(cat, eta)
+        spectral = qfi(state, space.jz)
         closed = analytic_qfi(cat.model(eta))
         if abs(spectral - closed) > 1e-6 * closed:
             failures.append(f"QFI mismatch at eta = {eta:.3f}: "
                             f"{spectral:.8g} vs {closed:.8g}")
-        w = np.sort(np.linalg.eigvalsh(rho))[::-1]
+        w = np.sort(np.linalg.eigvalsh(dense(state)))[::-1]
         expect = np.array([(1 + np.cos(eta)) / 2, (1 - np.cos(eta)) / 2])
         if abs(w[0] - expect.max()) > 1e-9 or abs(w[1] - expect.min()) > 1e-9:
             failures.append(f"reduced eigenvalues off at eta = {eta:.3f}")
@@ -303,7 +303,7 @@ def test_criterion_11_wigner():
     failures = []
     for _ in range(6):
         rho = random_density(rng, space.dim)
-        grid = wigner(rho, phi_points=64)
+        grid = wigner(state_eigensystem(rho), phi_points=64)
         marg_err = np.abs(grid.phi_average() - np.real(np.diag(rho))).max()
         if marg_err > 1e-8:
             failures.append(f"marginal error {marg_err:.2e} > 1e-8")

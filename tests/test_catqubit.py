@@ -14,6 +14,8 @@ from catlab import (
     reduced_extdiff,
 )
 
+from conftest import dense
+
 ETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 3, 5 * np.pi / 12, np.pi / 2]
 
 
@@ -67,7 +69,7 @@ def test_cross_term_identity(cat, space):
 
 def test_reduced_density_eigenvalues(cat):
     for eta in ETAS:
-        rho = reduced_density(cat, eta)
+        rho = dense(reduced_density(cat, eta))
         w = np.sort(np.linalg.eigvalsh(rho))[::-1]
         expected = sorted([(1 + np.cos(eta)) / 2, (1 - np.cos(eta)) / 2], reverse=True)
         assert w[0] == pytest.approx(expected[0], abs=1e-9)
@@ -77,9 +79,9 @@ def test_reduced_density_eigenvalues(cat):
 
 def test_reduced_density_limits(cat):
     symmetric = (cat.alive + cat.dead) / np.sqrt(2)
-    rho0 = reduced_density(cat, 0.0)
+    rho0 = dense(reduced_density(cat, 0.0))
     assert np.abs(rho0 - np.outer(symmetric, symmetric.conj())).max() < 1e-12
-    rho_max = reduced_density(cat, np.pi / 2)
+    rho_max = dense(reduced_density(cat, np.pi / 2))
     incoherent = 0.5 * (
         np.outer(cat.alive, cat.alive.conj()) + np.outer(cat.dead, cat.dead.conj())
     )
@@ -97,8 +99,7 @@ def test_analytic_limits():
 
 def test_analytic_qfi_matches_spectral_oracle(cat, space):
     for eta in ETAS:
-        rho = reduced_density(cat, eta)
-        spectral = qfi(rho, space.jz)
+        spectral = qfi(reduced_density(cat, eta), space.jz)
         closed = analytic_qfi(cat.model(eta))
         assert spectral == pytest.approx(closed, rel=1e-6)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -247,6 +248,19 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_command", boom)
     assert cli.main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 3
+
+
+def test_lapack_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from catlab import cli
+
+    def failed_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failed_eigh)
+    assert cli.main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant failure:")
+    assert "Traceback" not in err
 
 
 def test_installed_entry_point_runs(tmp_path):

@@ -1,0 +1,129 @@
+"""The factored path against a dense oracle.
+
+The oracle builds rho(t) = U rho0 U^dag as a dense matrix, with rho0 and U
+from scipy.linalg.expm, diagonalizes it, and takes the QFI from the
+full-pair spectral formula with no weight cutoff and the CFI from the
+read-out-frame einsum.  The factored path carries (p, V) and never forms
+rho; the two must agree to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from catlab import (
+    ReadoutSpec,
+    RunConfig,
+    SignConvention,
+    SpinAxis,
+    SpinSpace,
+    StateLabel,
+    TwistTurnParams,
+    cat_split,
+    metrology_report,
+    prepare_and_evolve,
+    qfi,
+    t_pi,
+)
+from catlab.dynamics import beta_scaled_of, initial_condition
+from catlab.metrology import JzDistribution, qfi_quadratic_form
+from catlab.spin import axis_op
+
+REL = 1e-12
+
+
+def dense_evolved(label, beta, factor, params):
+    sp = params.space
+    init = initial_condition(label, beta, params)
+    phi = init.phi
+    sigma = -1.0
+    if params.sign_convention is SignConvention.LITERAL_EQ5:
+        phi, sigma = phi + np.pi, 1.0
+    j_axis = axis_op(sp, SpinAxis(float(np.arccos(init.z)), phi))
+    rho = expm(beta * (j_axis - sp.j * np.eye(sp.dim)))  # spectrum shifted to <= 0
+    rho /= np.trace(rho).real
+    h = 2.0 * params.u_int * sp.jz @ sp.jz + sigma * 2.0 * params.t_hop * sp.jx
+    u = expm(-1j * h * factor * t_pi(sp, params.u_int))
+    return u @ rho @ u.conj().T
+
+
+def full_pair_form(rho, generators):
+    """2 sum_{l,l'} (p_l - p_l')^2 / (p_l + p_l') Re(G_a,ll' conj G_b,ll'), every pair."""
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    num = (w[:, None] - w[None, :]) ** 2
+    den = w[:, None] + w[None, :]
+    weights = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    comps = [v.conj().T @ g @ v for g in generators]
+    return np.array(
+        [[2.0 * np.sum(weights * (a * b.conj()).real) for b in comps] for a in comps]
+    )
+
+
+def einsum_cfi(rho, generator, u_r):
+    def frame_diag(mat):
+        return np.einsum("im,ij,jm->m", u_r.conj(), mat, u_r, optimize=True).real
+
+    p = frame_diag(rho)
+    dp = frame_diag(1j * (generator @ rho - rho @ generator))
+    mask = p > 1e-12
+    return float(np.sum(dp[mask] ** 2 / p[mask]))
+
+
+def assert_close(name, value, oracle):
+    assert abs(value - oracle) <= REL * abs(oracle), f"{name}: {value!r} vs {oracle!r}"
+
+
+def check_against_oracle(label, beta, factor, params):
+    sp = params.space
+    rho = dense_evolved(label, beta, factor, params)
+    state = next(prepare_and_evolve(label, beta, [factor], params)).state
+    report = metrology_report(state)
+    dist = JzDistribution(sp, np.real(np.diag(rho)))
+    u_r = expm(-1j * (np.pi / 2) * sp.jx)  # the default read-out
+    form = full_pair_form(rho, [sp.jz, sp.jx, sp.jy])
+    assert_close("Lambda", report.lam, cat_split(dist).extensive_difference)
+    assert_close("Delta_s", report.delta_s, dist.std())
+    assert_close("F_q", report.f_q, form[0, 0])
+    assert_close("F_c", report.f_c, einsum_cfi(rho, sp.jz, u_r))
+    scale = np.abs(form).max()
+    assert np.abs(qfi_quadratic_form(state) - form).max() <= REL * scale
+
+
+def _cases():
+    rng = np.random.default_rng(6)
+    cases = []
+    for label in StateLabel:
+        for convention in SignConvention:
+            for _ in range(2):
+                n = int(rng.choice([40, 100, 200]))
+                beta = float(rng.choice([50.0, 10.0 ** rng.uniform(-2, 1)]))
+                factor = float(rng.uniform(0.0, 2.0))
+                cases.append((label, convention, n, beta, factor))
+    return cases
+
+
+@pytest.mark.parametrize("label,convention,n,beta,factor", _cases())
+def test_factored_path_matches_dense_oracle(label, convention, n, beta, factor):
+    params = TwistTurnParams(SpinSpace(n), sign_convention=convention)
+    check_against_oracle(label, beta, factor, params)
+
+
+def test_factored_path_matches_dense_oracle_n800():
+    params = TwistTurnParams(SpinSpace(800))
+    check_against_oracle(StateLabel.ZERO, 50.0, 1.4, params)
+
+
+def test_qfi_has_no_pair_cutoff_error():
+    # default-grid pi state at beta_inv = 10^0.75: a 1e-12 eigenvalue-pair
+    # cutoff moves F_q by 6e-12 relative here, which is not round-off
+    config = RunConfig()
+    beta_inv = [b for b in config.beta_inv_grid if abs(b - 5.6234) < 1e-3][0]
+    beta = beta_scaled_of(beta_inv)
+    factor = config.effective_time_factor("pi")
+    params = TwistTurnParams(SpinSpace(config.n_particles))
+    rho = dense_evolved(StateLabel.PI, beta, factor, params)
+    state = next(prepare_and_evolve(StateLabel.PI, beta, [factor], params)).state
+    oracle = full_pair_form(rho, [params.space.jz])[0, 0]
+    value = qfi(state, params.space.jz)
+    assert abs(value - oracle) <= 1e-13 * oracle, f"{value!r} vs {oracle!r}"

@@ -17,8 +17,9 @@ from catlab import (
 from catlab.classical import MeanFieldParams, SeparatrixAbsentError
 from catlab.dynamics import propagator
 from catlab.metrology import cat_split
+from catlab.spin import state_eigensystem
 
-from conftest import PURE_BETA, random_density
+from conftest import PURE_BETA, dense, random_density
 
 
 def test_hamiltonian_structure():
@@ -63,9 +64,10 @@ def test_evolve_basics():
     params = TwistTurnParams(sp)
     h = build_hamiltonian(params)
     rho = random_density(rng, sp.dim)
-    assert np.abs(evolve(rho, h, 0.0) - rho).max() == 0
+    state = state_eigensystem(rho)
+    assert evolve(state, h, 0.0) is state
 
-    rho_t = evolve(rho, h, 0.8)
+    rho_t = dense(evolve(state, h, 0.8))
     w0 = np.sort(np.linalg.eigvalsh(rho))
     wt = np.sort(np.linalg.eigvalsh(rho_t))
     assert np.abs(w0 - wt).max() < 1e-8
@@ -80,7 +82,7 @@ def test_evolve_dimension_mismatch():
     other = SpinSpace(8)
     h = build_hamiltonian(TwistTurnParams(sp))
     with pytest.raises(ValueError):
-        evolve(np.eye(other.dim) / other.dim, h, 1.0)
+        evolve(state_eigensystem(np.eye(other.dim) / other.dim), h, 1.0)
 
 
 def test_propagator_memo_is_read_only():
@@ -89,8 +91,9 @@ def test_propagator_memo_is_read_only():
     assert propagator(TwistTurnParams(SpinSpace(10))) is prop
     with pytest.raises(ValueError):
         prop._decomp.vectors[0, 0] = 0.0
-    rho = np.eye(11) / 11
-    assert np.abs(prop.evolve(rho, 0.3) - evolve(rho, build_hamiltonian(params), 0.3)).max() == 0
+    state = state_eigensystem(np.eye(11) / 11)
+    evolved = evolve(state, build_hamiltonian(params), 0.3)
+    assert np.abs(prop.evolve(state, 0.3).vectors - evolved.vectors).max() == 0
 
 
 def test_prepare_and_evolve_yields_each_factor():
@@ -99,7 +102,7 @@ def test_prepare_and_evolve_yields_each_factor():
     states = list(prepare_and_evolve(StateLabel.PI, PURE_BETA, factors, params))
     assert [s.elapsed for s in states] == [f * t_pi(params.space, params.u_int) for f in factors]
     single = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
-    assert np.abs(states[1].rho - single.rho).max() == 0
+    assert np.abs(states[1].state.vectors - single.state.vectors).max() == 0
     with pytest.raises(ValueError):
         prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0, -0.1], params)
 
@@ -107,7 +110,7 @@ def test_prepare_and_evolve_yields_each_factor():
 def test_pi_state_parity_symmetry():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0], params))
-    p = jz_distribution(state.rho).probs
+    p = jz_distribution(state.state).probs
     assert np.abs(p - p[::-1]).max() < 1e-6
 
 
@@ -134,7 +137,7 @@ def count_peaks(p: np.ndarray, floor: float = 1e-6) -> int:
 def test_zero_time_factor_keeps_single_peak():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.0], params))
-    assert count_peaks(jz_distribution(state.rho).probs) == 1
+    assert count_peaks(jz_distribution(state.state).probs) == 1
 
 
 def test_subcritical_coupling_propagates_error():
@@ -143,7 +146,7 @@ def test_subcritical_coupling_propagates_error():
         prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.0], params)
     # the pi state needs no separatrix and still works
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
-    assert state.rho.shape == (41, 41)
+    assert state.state.vectors.shape[0] == 41
 
 
 def test_sign_convention_gauge_equivalence():
@@ -153,18 +156,18 @@ def test_sign_convention_gauge_equivalence():
     for label in (StateLabel.PI, StateLabel.ZERO):
         a = next(prepare_and_evolve(label, 2.0, [1.2], fig))
         b = next(prepare_and_evolve(label, 2.0, [1.2], lit))
-        pa = jz_distribution(a.rho).probs
-        pb = jz_distribution(b.rho).probs
+        pa = jz_distribution(a.state).probs
+        pb = jz_distribution(b.state).probs
         assert np.abs(pa - pb).max() < 1e-8
         assert abs(
-            cat_split(jz_distribution(a.rho)).extensive_difference
-            - cat_split(jz_distribution(b.rho)).extensive_difference
+            cat_split(jz_distribution(a.state)).extensive_difference
+            - cat_split(jz_distribution(b.state)).extensive_difference
         ) < 1e-8
-        assert abs(qfi(a.rho, sp.jz) - qfi(b.rho, sp.jz)) < 1e-8 * max(1.0, qfi(a.rho, sp.jz))
+        assert abs(qfi(a.state, sp.jz) - qfi(b.state, sp.jz)) < 1e-8 * max(1.0, qfi(a.state, sp.jz))
 
 
 def test_evolved_cat_double_peak(cold_zero_cat):
-    dist = jz_distribution(cold_zero_cat.rho)
+    dist = jz_distribution(cold_zero_cat.state)
     split = cat_split(dist)
     assert not split.degenerate
     assert split.n_left > 0.1 and split.n_right > 0.1

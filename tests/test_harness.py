@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catlab import RunConfig, dynamics, metrology
+from catlab import RunConfig, catqubit, dynamics, metrology, spin
 from catlab.harness import parallel_map, run_command
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -146,23 +146,34 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
 
 
 def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
-    """Each swept state is checked by the eigendecomposition its QFI takes, and only there."""
+    """No evolved state is diagonalized: the eigh calls are the sweep's three preparations."""
     checked = []
-    state_eigensystem = metrology.state_eigensystem
+    dims = []
+    eigh, state_eigensystem = np.linalg.eigh, spin.state_eigensystem
 
     def counted(rho):
         checked.append(rho.shape)
         return state_eigensystem(rho)
 
+    def counted_eigh(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("a state was diagonalized only to be checked")
 
-    monkeypatch.setattr(metrology, "state_eigensystem", counted)
+    for module in (spin, catqubit):
+        monkeypatch.setattr(module, "state_eigensystem", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    dynamics.propagator.cache_clear()
+    metrology.ReadoutSpec.unitary.cache_clear()
     cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4], out_dir=str(tmp_path))
     run_command("time-sweep", cfg)
-    assert checked == [(41, 41)] * 3
+    assert checked == []
+    # the thermal state's J(axis), the Hamiltonian and the read-out rotation
+    assert dims == [41] * 3
 
 
 def test_optimized_temp_sweep_prepares_once_per_state_and_beta(tmp_path, build_counts):

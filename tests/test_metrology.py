@@ -28,7 +28,7 @@ from catlab import (
     thermal_state,
 )
 from catlab.metrology import default_axis_grids, qfi_quadratic_form, trivial_readout
-from catlab.spin import axis_op
+from catlab.spin import axis_op, state_eigensystem
 
 from conftest import PURE_BETA, random_density, random_pure
 
@@ -45,7 +45,7 @@ def point_mass(space: SpinSpace, m: int) -> JzDistribution:
 def test_protocol_distribution_trivial_readout_is_diagonal():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 11)
-    dist = protocol_distribution(rho, 0.0, Z_AXIS, trivial_readout())
+    dist = protocol_distribution(state_eigensystem(rho), 0.0, Z_AXIS, trivial_readout())
     assert np.abs(dist.probs - np.real(np.diag(rho))).max() < 1e-12
 
 
@@ -54,11 +54,11 @@ def test_protocol_distribution_phase_cancellation():
     # so the outcome distribution cannot depend on psi
     sp = SpinSpace(14)
     enc = SpinAxis(1.0, 0.4)
-    rho = thermal_state(sp, 1.3, np.cos(1.0), 0.4)
+    state = thermal_state(sp, 1.3, np.cos(1.0), 0.4)
     readout = ReadoutSpec()
-    base = protocol_distribution(rho, 0.0, enc, readout).probs
+    base = protocol_distribution(state, 0.0, enc, readout).probs
     for psi in (0.3, 1.1, -2.0):
-        p = protocol_distribution(rho, psi, enc, readout).probs
+        p = protocol_distribution(state, psi, enc, readout).probs
         assert np.abs(p - base).max() < 1e-10
 
 
@@ -103,19 +103,19 @@ def test_qfi_pure_states_equal_four_variances():
     sp = SpinSpace(18)
     for _ in range(100):
         psi = random_pure(rng, sp.dim)
-        rho = np.outer(psi, psi.conj())
+        state = state_eigensystem(np.outer(psi, psi.conj()))
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
         g = axis_op(sp, ax)
         e1 = np.real(psi.conj() @ g @ psi)
         e2 = np.real(psi.conj() @ g @ g @ psi)
         target = 4.0 * (e2 - e1 * e1)
-        assert qfi(rho, g) == pytest.approx(target, rel=1e-8, abs=1e-10)
+        assert qfi(state, g) == pytest.approx(target, rel=1e-8, abs=1e-10)
 
 
 def test_qfi_maximally_mixed_is_zero():
     sp = SpinSpace(12)
-    rho = np.eye(sp.dim) / sp.dim
-    assert qfi(rho, sp.jz) == pytest.approx(0.0, abs=1e-12)
+    state = state_eigensystem(np.eye(sp.dim) / sp.dim)
+    assert qfi(state, sp.jz) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qfi_unitary_invariance():
@@ -123,11 +123,11 @@ def test_qfi_unitary_invariance():
     sp = SpinSpace(10)
     rho = random_density(rng, sp.dim, rank=4)
     g = axis_op(sp, SpinAxis(0.7, -0.9))
-    base = qfi(rho, g)
+    base = qfi(state_eigensystem(rho), g)
     for _ in range(5):
         h = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim))
         u = expm(1j * (h + h.conj().T) / 2)
-        rotated = qfi(u @ rho @ u.conj().T, u @ g @ u.conj().T)
+        rotated = qfi(state_eigensystem(u @ rho @ u.conj().T), u @ g @ u.conj().T)
         assert rotated == pytest.approx(base, rel=1e-8)
 
 
@@ -169,7 +169,7 @@ def test_qfi_convex_roof_brute_force(dim):
     rho = random_density(rng, dim)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     g = (g + g.conj().T) / 2
-    value = qfi(rho, g)
+    value = qfi(state_eigensystem(rho), g)
 
     w, v = np.linalg.eigh(rho)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
@@ -203,9 +203,9 @@ def test_qfi_convex_roof_brute_force(dim):
 
 def test_cfi_zero_for_commuting_state():
     sp = SpinSpace(16)
-    rho = thermal_state(sp, 1.0, 1.0, 0.0)  # diagonal in the J_z basis
-    assert cfi_commutator(rho, sp.jz, ReadoutSpec()) == pytest.approx(0.0, abs=1e-12)
-    assert cfi_finite_difference(rho, Z_AXIS, ReadoutSpec()) == pytest.approx(0.0, abs=1e-8)
+    state = thermal_state(sp, 1.0, 1.0, 0.0)  # diagonal in the J_z basis
+    assert cfi_commutator(state, sp.jz, ReadoutSpec()) == pytest.approx(0.0, abs=1e-12)
+    assert cfi_finite_difference(state, Z_AXIS, ReadoutSpec()) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_cfi_bounded_by_qfi_random_suite():
@@ -213,9 +213,9 @@ def test_cfi_bounded_by_qfi_random_suite():
     sp = SpinSpace(14)
     readout = ReadoutSpec()
     for _ in range(25):
-        rho = random_density(rng, sp.dim, rank=rng.integers(1, sp.dim))
-        f_c = cfi_commutator(rho, sp.jz, readout)
-        f_q = qfi(rho, sp.jz)
+        state = state_eigensystem(random_density(rng, sp.dim, rank=rng.integers(1, sp.dim)))
+        f_c = cfi_commutator(state, sp.jz, readout)
+        f_q = qfi(state, sp.jz)
         assert f_c <= f_q * (1 + 1e-9) + 1e-12
 
 
@@ -223,26 +223,26 @@ def test_cfi_finite_difference_matches_commutator():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
     readout = ReadoutSpec()
-    exact = cfi_commutator(state.rho, params.space.jz, readout)
-    fd = cfi_finite_difference(state.rho, Z_AXIS, readout, delta=1e-4)
+    exact = cfi_commutator(state.state, params.space.jz, readout)
+    fd = cfi_finite_difference(state.state, Z_AXIS, readout, delta=1e-4)
     assert fd == pytest.approx(exact, rel=1e-4)
     # Richardson consistency: quartering the residual when delta halves
-    fd_half = cfi_finite_difference(state.rho, Z_AXIS, readout, delta=5e-5)
+    fd_half = cfi_finite_difference(state.state, Z_AXIS, readout, delta=5e-5)
     assert abs(fd_half - exact) <= abs(fd - exact) * 0.5 + 1e-10 * exact
 
 
 def test_cfi_finite_difference_rejects_bad_delta():
     sp = SpinSpace(8)
-    rho = np.eye(sp.dim) / sp.dim
+    state = state_eigensystem(np.eye(sp.dim) / sp.dim)
     with pytest.raises(ValueError):
-        cfi_finite_difference(rho, Z_AXIS, ReadoutSpec(), delta=0.0)
+        cfi_finite_difference(state, Z_AXIS, ReadoutSpec(), delta=0.0)
 
 
 # ---------------------------------------------------------------------------
 # the assembled report
 
 def test_report_pure_state_has_unit_quality(cold_zero_cat):
-    report = metrology_report(cold_zero_cat.rho)
+    report = metrology_report(cold_zero_cat.state)
     assert report.r_q == pytest.approx(1.0, abs=1e-6)
     assert 0 < report.r_c <= report.r_q
     assert report.f_c <= report.f_q
@@ -251,7 +251,7 @@ def test_report_pure_state_has_unit_quality(cold_zero_cat):
 def test_report_degenerate_case():
     sp = SpinSpace(12)
     pole = coherent_state(sp, Z_AXIS)
-    report = metrology_report(np.outer(pole, pole.conj()))
+    report = metrology_report(state_eigensystem(np.outer(pole, pole.conj())))
     assert report.degenerate
     assert report.delta_s == pytest.approx(0.0, abs=1e-9)
 
@@ -284,7 +284,7 @@ def test_readout_unitary_reused_and_read_only():
 
 
 def test_report_hot_state(hot_zero_cat):
-    report = metrology_report(hot_zero_cat.rho)
+    report = metrology_report(hot_zero_cat.state)
     assert report.r_c <= 0.10
     assert report.r_c < report.r_q < 0.5
     assert report.lam == pytest.approx(200 / 3, rel=0.15)
@@ -295,13 +295,13 @@ def test_purity_link_both_directions():
     sp = SpinSpace(12)
     for _ in range(10):
         psi = random_pure(rng, sp.dim)
-        report = metrology_report(np.outer(psi, psi.conj()))
+        report = metrology_report(state_eigensystem(np.outer(psi, psi.conj())))
         if report.degenerate:
             continue
         assert report.r_q == pytest.approx(1.0, abs=1e-7)
     for _ in range(10):
         rho = random_density(rng, sp.dim, rank=int(rng.integers(2, 6)))
-        report = metrology_report(rho)
+        report = metrology_report(state_eigensystem(rho))
         purity = float(np.trace(rho @ rho).real)
         assert purity < 0.999
         assert report.r_q < 0.999
@@ -312,7 +312,7 @@ def test_rq_monotone_under_heating():
     values = []
     for beta in (50.0, 5.0, 1.0, 0.5, 0.2, 0.1):
         state = next(prepare_and_evolve(StateLabel.ZERO, beta, [1.4], params))
-        values.append(metrology_report(state.rho).r_q)
+        values.append(metrology_report(state.state).r_q)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -322,13 +322,13 @@ def test_rq_monotone_under_heating():
 def test_axis_map_matches_direct_qfi():
     rng = np.random.default_rng(8)
     sp = SpinSpace(12)
-    rho = random_density(rng, sp.dim, rank=5)
+    state = state_eigensystem(random_density(rng, sp.dim, rank=5))
     thetas = rng.uniform(0, np.pi, size=6)
     phis = rng.uniform(-np.pi, np.pi, size=6)
-    amap = qfi_axis_map(rho, thetas, phis)
+    amap = qfi_axis_map(state, thetas, phis)
     for i, th in enumerate(thetas):
         for k, ph in enumerate(phis):
-            direct = qfi(rho, axis_op(sp, SpinAxis(th, ph)))
+            direct = qfi(state, axis_op(sp, SpinAxis(th, ph)))
             assert amap.values[i, k] * 4 * sp.n_particles == pytest.approx(
                 direct, rel=1e-8, abs=1e-10
             )
@@ -337,8 +337,7 @@ def test_axis_map_matches_direct_qfi():
 def test_axis_map_coherent_state_quarter():
     sp = SpinSpace(80)
     psi = coherent_state(sp, X_AXIS)
-    rho = np.outer(psi, psi.conj())
-    value, axis = n_eff(rho)
+    value, axis = n_eff(state_eigensystem(np.outer(psi, psi.conj())))
     # transverse generators of a coherent state give F_q = 4 Var = N
     assert value == pytest.approx(0.25, rel=1e-6)
     dot = abs(np.dot(axis.unit_vector(), X_AXIS.unit_vector()))
@@ -347,25 +346,25 @@ def test_axis_map_coherent_state_quarter():
 
 def test_axis_map_mixed_state_zero():
     sp = SpinSpace(16)
-    amap = qfi_axis_map(np.eye(sp.dim) / sp.dim, np.linspace(0, np.pi, 8),
+    amap = qfi_axis_map(state_eigensystem(np.eye(sp.dim) / sp.dim), np.linspace(0, np.pi, 8),
                         np.linspace(-np.pi, np.pi, 8))
     assert np.abs(amap.values).max() < 1e-12
 
 
 def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
-    rho = cold_zero_cat.rho
+    state = cold_zero_cat.state
     scale = 4.0 * space200.n_particles
-    value, axis = n_eff(rho)
-    top = np.linalg.eigvalsh(qfi_quadratic_form(rho)).max() / scale
+    value, axis = n_eff(state)
+    top = np.linalg.eigvalsh(qfi_quadratic_form(state)).max() / scale
     assert value == pytest.approx(top, rel=1e-12)
     assert value == pytest.approx(26.7222, abs=1e-4)
     # the spectral QFI along the returned axis is that maximum, and no grid axis beats it
-    assert qfi(rho, axis_op(space200, axis)) / scale == pytest.approx(value, rel=1e-9)
-    assert qfi_axis_map(rho, *default_axis_grids()).max_value <= value * (1 + 1e-12)
+    assert qfi(state, axis_op(space200, axis)) / scale == pytest.approx(value, rel=1e-9)
+    assert qfi_axis_map(state, *default_axis_grids()).max_value <= value * (1 + 1e-12)
 
 
 def test_axis_map_evolved_cat_equatorial(cold_pi_cat, cold_zero_cat):
     for state in (cold_pi_cat, cold_zero_cat):
-        value, axis = n_eff(state.rho)
+        value, axis = n_eff(state.state)
         assert abs(axis.theta - np.pi / 2) < 0.25
         assert value > 10  # strongly macroscopic compared to the coherent 1/4

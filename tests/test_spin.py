@@ -16,14 +16,17 @@ from catlab import (
     thermal_state,
     variance,
 )
+from catlab import spin
 from catlab.spin import (
+    SpectralDecomp,
     assert_density_matrix,
     canonicalize_angles,
     spectral_decomp,
     state_eigensystem,
+    state_factor,
 )
 
-from conftest import random_density
+from conftest import dense, random_density
 
 
 def test_make_space_dimensions():
@@ -111,14 +114,14 @@ def test_readout_rotation_maps_jz_to_jy():
 
 def test_thermal_state_infinite_temperature():
     sp = SpinSpace(10)
-    rho = thermal_state(sp, 0.0, 0.3, 1.0)
+    rho = dense(thermal_state(sp, 0.0, 0.3, 1.0))
     assert np.abs(rho - np.eye(sp.dim) / sp.dim).max() < 1e-12
 
 
 def test_thermal_state_zero_temperature_proxy():
     sp = SpinSpace(40)
     ax = SpinAxis(np.arccos(0.3), -1.2)
-    rho = thermal_state(sp, 50.0, 0.3, -1.2)
+    rho = dense(thermal_state(sp, 50.0, 0.3, -1.2))
     # independent oracle: projector onto the top eigenvector of the axis op
     w, v = np.linalg.eigh(axis_op(sp, ax))
     top = v[:, -1]
@@ -136,7 +139,7 @@ def test_thermal_state_rejects_bad_inputs():
 
 def test_thermal_state_commutes_with_axis_op():
     sp = SpinSpace(16)
-    rho = thermal_state(sp, 0.7, -0.4, 2.0)
+    rho = dense(thermal_state(sp, 0.7, -0.4, 2.0))
     a = axis_op(sp, SpinAxis(np.arccos(-0.4), 2.0))
     comm = rho @ a - a @ rho
     assert np.abs(comm).max() < 1e-9
@@ -153,8 +156,8 @@ def test_thermal_state_rotation_covariance():
         beta = rng.uniform(0.1, 3.0)
         theta = np.arccos(z)
         r = rotation(sp, theta, SpinAxis(np.pi / 2, phi + np.pi / 2))
-        rho_pole = thermal_state(sp, beta, 1.0, 0.0)
-        rho_direct = thermal_state(sp, beta, z, phi)
+        rho_pole = dense(thermal_state(sp, beta, 1.0, 0.0))
+        rho_direct = dense(thermal_state(sp, beta, z, phi))
         assert np.abs(r @ rho_pole @ r.conj().T - rho_direct).max() < 1e-8
 
 
@@ -188,7 +191,7 @@ def test_state_constructors_pass_density_checks():
         z = rng.uniform(-1, 1)
         phi = rng.uniform(-np.pi, np.pi)
         beta = rng.uniform(0, 5)
-        assert_density_matrix(thermal_state(sp, beta, z, phi))
+        assert_density_matrix(dense(thermal_state(sp, beta, z, phi)))
     assert_density_matrix(random_density(rng, sp.dim))
 
 
@@ -207,7 +210,45 @@ def test_density_checks_reject_bad_states(name):
     with pytest.raises(NumericalInvariantError):
         state_eigensystem(rho)
     with pytest.raises(NumericalInvariantError):
-        qfi(rho, np.diag([0.5, -0.5]).astype(complex))
+        qfi(state_eigensystem(rho), np.diag([0.5, -0.5]).astype(complex))
+
+
+BAD_FACTORS = {
+    "negative_weight": ([1.1, -0.1], np.eye(2)),
+    "trace_two": ([1.0, 1.0], np.eye(2)),
+    "not_orthonormal": ([0.5, 0.5], [[1.0, 1e-6], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FACTORS))
+def test_state_factor_rejects_bad_factors(name):
+    p, v = BAD_FACTORS[name]
+    with pytest.raises(NumericalInvariantError):
+        state_factor(np.array(p), np.array(v, dtype=complex))
+
+
+def test_thermal_state_checks_its_factor(monkeypatch):
+    decomp = spin.spectral_decomp
+
+    def skewed(a):
+        w, v = decomp(a)
+        v = v.copy()
+        v[:, -1] += 1e-6 * v[:, -2]
+        return SpectralDecomp(w, v)
+
+    monkeypatch.setattr(spin, "spectral_decomp", skewed)
+    with pytest.raises(NumericalInvariantError, match="not unitary"):
+        thermal_state(SpinSpace(10), 1.0, 0.3, 0.2)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_thermal_state_keeps_its_support(n):
+    # weights that underflow to exactly 0 are dropped, and only those
+    sp = SpinSpace(n)
+    for beta, rank in ((50.0, 15), (10.0, 75), (0.1, n + 1)):
+        p, v = thermal_state(sp, beta, 0.0, np.pi)
+        assert p.size == rank and v.shape == (sp.dim, rank)
+        assert p.min() > 0 and abs(p.sum() - 1.0) < 1e-12
 
 
 def test_spectral_decomp_reconstruction():

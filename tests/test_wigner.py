@@ -11,30 +11,32 @@ from catlab import (
     wigner,
 )
 
+from catlab.spin import state_eigensystem
+
 from conftest import random_density
 
 
 def test_wigner_rejects_tiny_grid():
-    rho = np.eye(5) / 5
+    state = state_eigensystem(np.eye(5) / 5)
     with pytest.raises(ValueError):
-        wigner(rho, phi_points=3)
+        wigner(state, phi_points=3)
 
 
 def test_wigner_real_and_marginal_random_states():
     rng = np.random.default_rng(6)
     sp = SpinSpace(30)
     for _ in range(8):
-        rho = random_density(rng, sp.dim)
-        grid = wigner(rho, phi_points=64)  # 64 > N: discrete marginal is exact
+        state = state_eigensystem(random_density(rng, sp.dim))
+        grid = wigner(state, phi_points=64)  # 64 > N: discrete marginal is exact
         assert grid.values.dtype == float
         marginal = grid.phi_average()
-        assert np.abs(marginal - jz_distribution(rho).probs).max() < 1e-8
+        assert np.abs(marginal - jz_distribution(state).probs).max() < 1e-8
 
 
 def test_wigner_diagonal_state_is_phi_independent():
     sp = SpinSpace(20)
-    rho = thermal_state(sp, 0.8, 1.0, 0.0)  # diagonal in the Dicke basis
-    grid = wigner(rho, phi_points=32)
+    state = thermal_state(sp, 0.8, 1.0, 0.0)  # diagonal in the Dicke basis
+    grid = wigner(state, phi_points=32)
     spread = grid.values.max(axis=1) - grid.values.min(axis=1)
     assert spread.max() < 1e-12
 
@@ -45,7 +47,7 @@ def test_wigner_coherent_state_peaks_at_its_phase_point():
     sp = SpinSpace(40)
     theta0, phi0 = 1.1, 0.9
     psi = coherent_state(sp, SpinAxis(theta0, phi0))
-    grid = wigner(np.outer(psi, psi.conj()), phi_points=128)
+    grid = wigner(state_eigensystem(np.outer(psi, psi.conj())), phi_points=128)
     i = int(np.argmin(np.abs(grid.z_values - np.cos(theta0))))
     k = int(np.argmin(np.abs(grid.phi_values - phi0)))
     neighborhood = grid.values[max(i - 1, 0):i + 2, max(k - 1, 0):k + 2]
@@ -61,11 +63,11 @@ def test_wigner_cat_ridges_spread_in_phase(cold_pi_cat, cold_zero_cat):
     # doubled-angle spread is an order of magnitude beyond a coherent spot
     sp = SpinSpace(200)
     psi = coherent_state(sp, SpinAxis(1.1, 0.3))
-    coherent_grid = wigner(np.outer(psi, psi.conj()), phi_points=256)
+    coherent_grid = wigner(state_eigensystem(np.outer(psi, psi.conj())), phi_points=256)
     _, coherent_spread = ridge_circular_spread(coherent_grid)
     assert coherent_spread < 0.2
     for state in (cold_pi_cat, cold_zero_cat):
-        grid = wigner(state.rho, phi_points=256)
+        grid = wigner(state.state, phi_points=256)
         lower, upper = ridge_circular_spread(grid)
         assert lower > 1.0 and lower > 6 * coherent_spread
         assert upper > 1.0 and upper > 6 * coherent_spread
