@@ -15,12 +15,11 @@ from .spin import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    axis_op,
+    apply_j,
+    axis_eigensystem,
     coherent_state,
-    expectation,
     rotation,
     thermal_state,
-    variance,
 )
 from .dynamics import (
     EvolvedState,

@@ -96,6 +96,14 @@ class RunConfig:
             raise ConfigError(f"state_label must be 'pi' or 'zero', got {self.state_label!r}")
         if self.beta_inv_over_eps < 0:
             raise ConfigError(f"beta_inv_over_eps must be >= 0, got {self.beta_inv_over_eps!r}")
+        # beta_scaled = 1 / beta_inv overflows to inf for subnormal temperatures
+        temps = {
+            "beta_inv_over_eps": [self.beta_inv_over_eps],
+            "beta_inv_grid": self.beta_inv_grid,
+        }
+        for name, values in temps.items():
+            if any(b > 0 and math.isinf(1 / b) for b in values):
+                raise ConfigError(f"{name} entries > 0 need a finite reciprocal, got {values!r}")
         if self.time_factor is not None and self.time_factor < 0:
             raise ConfigError(f"time_factor must be >= 0, got {self.time_factor!r}")
         if self.grid_theta < 2 or self.grid_phi < 2:

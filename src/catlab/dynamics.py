@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
-from .spin import SpectralDecomp, SpinSpace, spectral_decomp, thermal_state
+from .spin import SpectralDecomp, SpinSpace, thermal_state, tridiagonal_eigensystem
 
 #: beta_scaled value standing in for zero temperature.  At N = 200 the weight
 #: outside the top eigenstate is ~ exp(-50), far below every tolerance here.
@@ -78,13 +78,16 @@ class TwistTurnParams:
         return self.u_int * self.space.n_particles / self.t_hop
 
 
-def build_hamiltonian(params: TwistTurnParams) -> np.ndarray:
-    """Dense twist-and-turn Hamiltonian: real symmetric, tridiagonal in the Dicke basis."""
+Bands = tuple[np.ndarray, np.ndarray]
+
+
+def build_hamiltonian(params: TwistTurnParams) -> Bands:
+    """Twist-and-turn H as its real Dicke bands: (2u m^2, sigma 2t <m+1| J_x |m>)."""
     space = params.space
     sigma = -1.0 if params.sign_convention is SignConvention.FIGURE_ONE else 1.0
     return (
-        2.0 * params.u_int * np.diag(space.m_values**2)
-        + sigma * 2.0 * params.t_hop * space.jx.real
+        2.0 * params.u_int * space.m_values**2,
+        sigma * 2.0 * params.t_hop * (0.5 * space.j_band),
     )
 
 
@@ -97,18 +100,16 @@ def t_pi(space: SpinSpace, u_int: float) -> float:
 
 
 class Propagator:
-    """Unitary evolution under a fixed Hamiltonian via one eigendecomposition.
+    """Unitary evolution under a fixed real tridiagonal Hamiltonian via one eigendecomposition.
 
-    The decomposition is computed once and reused for every duration.  A
-    state (p, V) evolves to (p, V_H (e^{-i w tau} * V_H^dag V)): only its r
+    The real eigensystem (w, V_H) of H's bands is computed once and reused for
+    every duration.  A state (p, V) evolves to (p, V_H (e^{-i w tau} * V_H^T V)): only its r
     support columns move, at O(N^2 r) per duration.  Instances are
     immutable and safe to share across workers.
     """
 
-    def __init__(self, hamiltonian: np.ndarray):
-        self._decomp = spectral_decomp(hamiltonian)
-        for arr in self._decomp:
-            arr.flags.writeable = False
+    def __init__(self, hamiltonian: Bands):
+        self._decomp = tridiagonal_eigensystem(*hamiltonian)
 
     def evolve(self, state: SpectralDecomp, duration: float) -> SpectralDecomp:
         w, v_h = self._decomp
@@ -119,7 +120,7 @@ class Propagator:
         if duration == 0:
             return state
         phases = np.exp(-1j * w * duration)[:, None]
-        return SpectralDecomp(state.values, v_h @ (phases * (v_h.conj().T @ state.vectors)))
+        return SpectralDecomp(state.values, v_h @ (phases * (v_h.T @ state.vectors)))
 
 
 @lru_cache(maxsize=1)
@@ -128,8 +129,8 @@ def propagator(params: TwistTurnParams) -> Propagator:
     return Propagator(build_hamiltonian(params))
 
 
-def evolve(state: SpectralDecomp, hamiltonian: np.ndarray, duration: float) -> SpectralDecomp:
-    """Evolve a state by exp(-iH tau) for one arbitrary H."""
+def evolve(state: SpectralDecomp, hamiltonian: Bands, duration: float) -> SpectralDecomp:
+    """Evolve a state by exp(-iH tau) for one real tridiagonal H, given as its bands."""
     return Propagator(hamiltonian).evolve(state, duration)
 
 
@@ -152,7 +153,7 @@ class EvolvedState:
     provenance: InitialCondition
 
     def __post_init__(self):
-        # state is checked where thermal_state makes it (spin.state_factor)
+        # state is checked where thermal_state makes it
         if self.elapsed < 0:
             raise ValueError("elapsed time must be >= 0")
 

@@ -5,7 +5,8 @@ The four-step interferometric protocol is: prepare rho, encode a phase
 (U_r), and measure J_z.  Everything observable here derives from the
 resulting distribution p(r) = <r| rho_psi |r> with |r> = U_r |m>.  A state
 is passed as its eigensystem (p, V) on its support (spin.SpectralDecomp),
-so p(r) = sum_k p_k |<r|v_k>|^2 and rho itself is never formed.
+so p(r) = sum_k p_k |<r|v_k>|^2 and rho itself is never formed.  Generators
+J(axis) and rotations act on the r columns too (spin.apply_j, spin.rotation).
 
 From the distribution of J_z itself we get the statistical uncertainty
 Delta_s and, after splitting at the mean, the extensive difference Lambda
@@ -33,7 +34,6 @@ remove; r_c is its experimentally accessible lower bound from the CFI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .spin import (
     SpinSpace,
     NumericalInvariantError,
     X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    apply_j,
     rotation,
     space_for_dim,
 )
@@ -64,13 +67,6 @@ class ReadoutSpec:
 
     axis: SpinAxis = X_AXIS
     angle: float = np.pi / 2
-
-    @lru_cache(maxsize=1)
-    def unitary(self, space: SpinSpace) -> np.ndarray:
-        """U_r on the given space, read-only; the last one built is reused."""
-        u = rotation(space, self.angle, self.axis)
-        u.flags.writeable = False
-        return u
 
 
 def trivial_readout() -> ReadoutSpec:
@@ -123,8 +119,9 @@ def protocol_distribution(
     p, v = state
     space = space_for_dim(v.shape[0])
     if psi != 0.0:
-        v = rotation(space, psi, encoding_axis).conj().T @ v  # rho -> U^dag rho U
-    return JzDistribution(space, _bin_probabilities(p, readout.unitary(space).conj().T @ v))
+        v = rotation(space, -psi, encoding_axis, v)  # rho -> U^dag rho U
+    v_r = rotation(space, -readout.angle, readout.axis, v)  # U_r^dag V
+    return JzDistribution(space, _bin_probabilities(p, v_r))
 
 
 def jz_distribution(state: SpectralDecomp) -> JzDistribution:
@@ -183,16 +180,16 @@ def cat_split(dist: JzDistribution) -> CatSplit:
     return CatSplit(mu, p_l, p_r, n_l, n_r, abs(mean_r - mean_l), width_l, width_r, False)
 
 
-def qfi(state: SpectralDecomp, generator: np.ndarray) -> float:
-    """Quantum Fisher information for encoding by the generator; 4 Var(G) for pure states."""
-    return float(_qfi_form(state, [generator])[0, 0])
+def qfi(state: SpectralDecomp, axis: SpinAxis) -> float:
+    """Quantum Fisher information for encoding by J(axis); 4 Var(J(axis)) for pure states."""
+    v = state.vectors
+    return float(_qfi_form(state, apply_j(space_for_dim(v.shape[0]), axis, v)[None])[0, 0])
 
 
-def _qfi_form(state: SpectralDecomp, generators: list[np.ndarray]) -> np.ndarray:
-    """F_ab over generator pairs, from the support identity in the module docstring."""
+def _qfi_form(state: SpectralDecomp, gv: np.ndarray) -> np.ndarray:
+    """F_ab from the stacked products gv[a] = G_a V, by the module docstring's support identity."""
     p, v = state
     pair = (p[:, None] - p[None, :]) ** 2 / (p[:, None] + p[None, :])
-    gv = np.stack([g @ v for g in generators])
     inside = v.conj().T @ gv  # G_ll' on the support
     outside = gv - v @ inside  # (1 - P_S) G |l>
     coherent = np.einsum("lm,alm,blm->ab", pair, inside, inside.conj())
@@ -200,17 +197,17 @@ def _qfi_form(state: SpectralDecomp, generators: list[np.ndarray]) -> np.ndarray
     return 2.0 * coherent.real + 4.0 * local.real
 
 
-def cfi_commutator(state: SpectralDecomp, generator: np.ndarray, readout: ReadoutSpec) -> float:
+def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) -> float:
     """Classical Fisher information at psi = 0 from the exact derivative.
 
-    d p_r / d psi = <r| i [generator, rho] |r> = -2 Im sum_k p_k b_rk conj(a_rk)
-    with a = U_r^dag V and b = U_r^dag G V, so no finite phase step is
-    needed; bins with p_r below WEIGHT_CUTOFF are skipped.
+    d p_r / d psi = <r| i [G, rho] |r> = -2 Im sum_k p_k b_rk conj(a_rk) with
+    G = J(axis), a = U_r^dag V and b = U_r^dag G V, so no finite phase step
+    is needed; bins with p_r below WEIGHT_CUTOFF are skipped.
     """
     p, v = state
-    u_r_dag = readout.unitary(space_for_dim(v.shape[0])).conj().T
-    a = u_r_dag @ v
-    b = u_r_dag @ (generator @ v)
+    space = space_for_dim(v.shape[0])
+    both = rotation(space, -readout.angle, readout.axis, np.hstack([v, apply_j(space, axis, v)]))
+    a, b = np.split(both, 2, axis=1)
     probs = _bin_probabilities(p, a)
     dp = -2.0 * (b * a.conj()).imag @ p
     mask = probs > WEIGHT_CUTOFF
@@ -283,8 +280,8 @@ def metrology_report(state: SpectralDecomp, readout: ReadoutSpec | None = None) 
     dist = jz_distribution(state)
     delta_s = statistical_uncertainty(dist)
     split = cat_split(dist)
-    f_q = qfi(state, space.jz)
-    f_c = cfi_commutator(state, space.jz, readout)
+    f_q = qfi(state, Z_AXIS)
+    f_c = cfi_commutator(state, Z_AXIS, readout)
     delta_q = 0.5 * np.sqrt(f_q)
     n_eff_bound = f_q / (4.0 * space.n_particles)
     if delta_s == 0.0:
@@ -319,7 +316,8 @@ def qfi_quadratic_form(state: SpectralDecomp) -> np.ndarray:
     three pairs determines the whole axis map exactly.
     """
     space = space_for_dim(state.vectors.shape[0])
-    return _qfi_form(state, [space.jz, space.jx, space.jy])
+    gv = [apply_j(space, axis, state.vectors) for axis in (Z_AXIS, X_AXIS, Y_AXIS)]
+    return _qfi_form(state, np.stack(gv))
 
 
 def qfi_axis_map(
@@ -334,15 +332,8 @@ def qfi_axis_map(
         raise ValueError("axis grids must be non-empty")
     space = space_for_dim(state.vectors.shape[0])
     m_form = qfi_quadratic_form(state)
-    th = theta_grid[:, None]
-    ph = phi_grid[None, :]
-    u = np.stack(
-        [
-            np.broadcast_to(np.cos(th), (theta_grid.size, phi_grid.size)),
-            np.sin(th) * np.cos(ph),
-            np.sin(th) * np.sin(ph),
-        ]
-    )
+    th, ph = np.meshgrid(theta_grid, phi_grid, indexing="ij")
+    u = np.stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
     f = np.einsum("aij,ab,bij->ij", u, m_form, u, optimize=True)
     values = f / (4.0 * space.n_particles)
     i, k = np.unravel_index(int(values.argmax()), values.shape)

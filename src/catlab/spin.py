@@ -3,14 +3,15 @@
 N particles in two modes map onto a single spin j = N/2 via the Schwinger
 representation: the population difference is n_1 - n_2 = 2 J_z and mode
 exchange (a1^dag a2 + a2^dag a1) = 2 J_x.  The state space is the Dicke
-ladder |m>, m = -j ... +j, stored in ascending m order, so every operator
-here is a dense (N+1) x (N+1) complex matrix.
+ladder |m>, m = -j ... +j, stored in ascending m order.  J_z is diagonal and
+J_+ has one band (SpinSpace.j_band): J is kept as these bands, never dense.
 
 Conventions fixed in this module:
   * hbar = 1; the hopping energy defines the time unit and the
     condensation energy scale eps_tau defines the temperature unit.
   * J(theta, phi) = J_z cos(theta) + J_x sin(theta) cos(phi)
-                  + J_y sin(theta) sin(phi)   (unit-vector decomposition).
+                  + J_y sin(theta) sin(phi)   (unit-vector decomposition)
+                  = D J(theta, 0) D^dag,  D = diag(e^{-i phi m}), J(theta, 0) real.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)).
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
@@ -18,8 +19,8 @@ Conventions fixed in this module:
     pointing along (acos z, phi).  The sign is recorded in run manifests.
 
 All matrix functions (exponentials, thermal weights) go through an exact
-eigendecomposition rather than series truncation; at dim ~ 10^3 this is
-cheap and leaves no convergence knob.
+eigendecomposition of a real tridiagonal matrix rather than series
+truncation; at dim ~ 10^3 this is cheap and leaves no convergence knob.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -90,28 +91,15 @@ class SpinSpace:
         return np.arange(-self.j, self.j + 1)
 
     @cached_property
-    def jz(self) -> np.ndarray:
-        return np.diag(self.m_values).astype(complex)
-
-    @cached_property
-    def jplus(self) -> np.ndarray:
-        # <m+1| J+ |m> = sqrt(j(j+1) - m(m+1)); ascending basis puts the
-        # matrix element one row below the diagonal.
+    def j_band(self) -> np.ndarray:
+        """<m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)) for m = -j ... j-1."""
         m = self.m_values[:-1]
-        return np.diag(np.sqrt(self.j * (self.j + 1) - m * (m + 1)), -1).astype(complex)
-
-    @cached_property
-    def jx(self) -> np.ndarray:
-        return (self.jplus + self.jplus.conj().T) / 2
-
-    @cached_property
-    def jy(self) -> np.ndarray:
-        return (self.jplus - self.jplus.conj().T) / 2j
+        return np.sqrt(self.j * (self.j + 1) - m * (m + 1))
 
 
 @lru_cache(maxsize=16)
 def space_for_dim(dim: int) -> SpinSpace:
-    """The process-wide SpinSpace of dimension N+1, so its operators are built once."""
+    """The process-wide SpinSpace of dimension N+1, so its bands are built once."""
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"dimension {dim} is not an N+1 with even N >= 2")
     return SpinSpace(dim - 1)
@@ -157,26 +145,56 @@ Y_AXIS = SpinAxis(np.pi / 2, np.pi / 2)
 Z_AXIS = SpinAxis(0.0, 0.0)
 
 
-def axis_op(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
-    """Spin projection J(theta, phi) along the given axis."""
-    nz, nx, ny = axis.unit_vector()
-    return nz * space.jz + nx * space.jx + ny * space.jy
+def apply_j(space: SpinSpace, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
+    """J(axis) x = cos(theta) m x + sin(theta)/2 (e^{-i phi} J_+ + e^{i phi} J_-) x at O(N r)."""
+    half = 0.5 * np.sin(axis.theta) * space.j_band[:, None]
+    out = np.asarray(np.cos(axis.theta) * space.m_values[:, None] * x, dtype=complex)
+    out[1:] += np.exp(-1j * axis.phi) * (half * x[:-1])
+    out[:-1] += np.exp(1j * axis.phi) * (half * x[1:])
+    return out
 
 
-def rotation(space: SpinSpace, alpha: float, axis: SpinAxis) -> np.ndarray:
-    """Rotation U = exp(-i alpha J(theta, phi)), built spectrally."""
+def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
+    """Eigensystem of the real symmetric tridiagonal matrix with these bands, read-only."""
+    a = np.diag(diagonal) + np.diag(off_diagonal, -1) + np.diag(off_diagonal, 1)
+    dec = SpectralDecomp(*np.linalg.eigh(a))
+    for arr in dec:
+        arr.flags.writeable = False
+    return dec
+
+
+@lru_cache(maxsize=2)
+def axis_eigensystem(space: SpinSpace, theta: float) -> SpectralDecomp:
+    """Real eigensystem of J(theta, 0), with orthonormal eigenvectors.
+
+    Every azimuth shares it, since J(theta, phi) = D J(theta, 0) D^dag with
+    D = diag(e^{-i phi m}); a sweep uses two polar angles, its state's and
+    its read-out's.
+    """
+    dec = tridiagonal_eigensystem(
+        np.cos(theta) * space.m_values, 0.5 * np.sin(theta) * space.j_band
+    )
+    assert_unitary(dec.vectors)
+    return dec
+
+
+def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
+    """Diagonal of D = diag(e^{-i phi m})."""
+    return np.exp(-1j * phi * space.m_values)
+
+
+def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
+    """U x on a column block x, U = exp(-i alpha J(axis)) = D R e^{-i alpha w} R^T D^dag."""
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    w, v = spectral_decomp(axis_op(space, axis))
-    u = (v * np.exp(-1j * alpha * w)) @ v.conj().T
-    assert_unitary(u)
-    return u
+    w, r = axis_eigensystem(space, axis.theta)
+    d = _gauge(space, axis.phi)[:, None]
+    return d * (r @ (np.exp(-1j * alpha * w)[:, None] * (r.T @ (d.conj() * x))))
 
 
 def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
     """Spin coherent state pointing along the axis (top eigenvector of J(axis))."""
-    dec = spectral_decomp(axis_op(space, axis))
-    vec = dec.vectors[:, -1].copy()
+    vec = _gauge(space, axis.phi) * axis_eigensystem(space, axis.theta).vectors[:, -1]
     # fix the overall phase so results do not depend on LAPACK sign choices
     k = int(np.argmax(np.abs(vec)))
     vec *= np.exp(-1j * np.angle(vec[k]))
@@ -189,37 +207,17 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     beta_scaled is beta * eps_tau, the only temperature parameter exposed.
     The positive exponent means beta -> inf concentrates the state onto the
     spin coherent state at phase-space point (z, phi).  Returned as its
-    checked eigensystem on the J(axis) eigenbasis.
+    checked eigensystem on the J(axis) eigenbasis D R (see axis_eigensystem).
     """
     if not np.isfinite(beta_scaled) or beta_scaled < 0:
         raise ValueError(f"beta_scaled must be >= 0, got {beta_scaled}")
     if abs(z) > 1:
         raise ValueError(f"imbalance z must lie in [-1, 1], got {z}")
     axis = SpinAxis(float(np.arccos(z)), phi)
-    w, v = spectral_decomp(axis_op(space, axis))
+    w, v = axis_eigensystem(space, axis.theta)
     p = np.exp(beta_scaled * (w - w.max()))
-    return state_factor(p / p.sum(), v)
-
-
-def expectation(rho: np.ndarray, a: np.ndarray) -> float:
-    """Tr[A rho], checked to be real up to a 1e-9 imaginary residue."""
-    if rho.shape != a.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {a.shape}")
-    val = np.trace(a @ rho)
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-9 * scale:
-        raise NumericalInvariantError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def variance(rho: np.ndarray, a: np.ndarray) -> float:
-    """Var(A) = Tr[A^2 rho] - Tr[A rho]^2, clamped at zero."""
-    mean = expectation(rho, a)
-    second = expectation(rho, a @ a)
-    var = second - mean * mean
-    if var < -1e-9 * max(1.0, abs(second)):
-        raise NumericalInvariantError(f"variance came out negative: {var:.3e}")
-    return max(var, 0.0)
+    p, v = state_factor(p / p.sum(), v, orthonormal=True)  # checked in axis_eigensystem
+    return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * v)
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -238,11 +236,12 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-def state_factor(p: np.ndarray, vectors: np.ndarray) -> SpectralDecomp:
+def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) -> SpectralDecomp:
     """The one state check: weights p on columns V, kept where p > 0.
 
     p >= 0 summing to 1 on orthonormal columns is a density matrix; a
     unitary keeps all three, so evolved states are not checked again.
+    orthonormal=True skips the column check, for columns checked where built.
     """
     if p.min() < 0:
         raise NumericalInvariantError(f"negative state weight {p.min():.3e}")
@@ -250,7 +249,8 @@ def state_factor(p: np.ndarray, vectors: np.ndarray) -> SpectralDecomp:
         raise NumericalInvariantError(f"trace deviates from 1 by {abs(p.sum() - 1.0):.3e}")
     keep = p > 0
     v = vectors[:, keep]
-    assert_unitary(v)
+    if not orthonormal:
+        assert_unitary(v)
     return SpectralDecomp(p[keep], v)
 
 

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -57,3 +60,46 @@ def dense(state) -> np.ndarray:
     """rho = V diag(p) V^dag of a state given as its eigensystem (p, V)."""
     p, v = state
     return (v * p) @ v.conj().T
+
+
+class SpinMatrices(NamedTuple):
+    jz: np.ndarray
+    jplus: np.ndarray
+    jx: np.ndarray
+    jy: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def spin_matrices(n: int) -> SpinMatrices:
+    """Textbook dense J_z, J_+, J_x, J_y of spin j = n/2, ascending Dicke basis.
+
+    Built entry by entry from <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)) and
+    <m-1| J_- |m> = sqrt(j(j+1) - m(m-1)), independently of SpinSpace.j_band.
+    """
+    j = n / 2
+    jz = np.zeros((n + 1, n + 1), dtype=complex)
+    jplus = np.zeros_like(jz)
+    jminus = np.zeros_like(jz)
+    for k in range(n + 1):
+        m = k - j
+        jz[k, k] = m
+        if k < n:
+            jplus[k + 1, k] = np.sqrt(j * (j + 1) - m * (m + 1))
+        if k > 0:
+            jminus[k - 1, k] = np.sqrt(j * (j + 1) - m * (m - 1))
+    mats = SpinMatrices(jz, jplus, (jplus + jminus) / 2, (jplus - jminus) / 2j)
+    for a in mats:
+        a.flags.writeable = False
+    return mats
+
+
+def dense_j(n: int, axis) -> np.ndarray:
+    """J(theta, phi) = n . (J_z, J_x, J_y) from the textbook matrices."""
+    nz, nx, ny = axis.unit_vector()
+    mats = spin_matrices(n)
+    return nz * mats.jz + nx * mats.jx + ny * mats.jy
+
+
+def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix with these two bands."""
+    return np.diag(diagonal) + np.diag(off_diagonal, -1) + np.diag(off_diagonal, 1)

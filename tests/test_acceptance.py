@@ -41,9 +41,9 @@ from catlab import (
 from catlab.catqubit import analytic_qfi
 from catlab.harness import run_command
 from catlab.metrology import default_axis_grids
-from catlab.spin import state_eigensystem, variance
+from catlab.spin import state_eigensystem
 
-from conftest import PURE_BETA, dense, random_density, random_pure
+from conftest import PURE_BETA, dense, random_density, random_pure, spin_matrices
 
 N_REF = 200
 
@@ -169,8 +169,8 @@ def test_criterion_06_fisher_chain():
 
     def check_state(state, space, pure):
         nonlocal checked, pure_checked
-        f_q = qfi(state, space.jz)
-        f_c = cfi_commutator(state, space.jz, readout)
+        f_q = qfi(state, Z_AXIS)
+        f_c = cfi_commutator(state, Z_AXIS, readout)
         if f_c > f_q * (1 + 1e-9) + 1e-12:
             failures.append(f"F_c = {f_c:.6g} exceeds F_q = {f_q:.6g}")
         fd = cfi_finite_difference(state, Z_AXIS, readout, delta=1e-4)
@@ -179,7 +179,8 @@ def test_criterion_06_fisher_chain():
             failures.append(f"finite-difference CFI off: {fd:.8g} vs {f_c:.8g}")
         if pure:
             pure_checked += 1
-            target = 4.0 * variance(dense(state), space.jz)
+            rho, jz = dense(state), spin_matrices(space.n_particles).jz
+            target = 4.0 * (np.trace(jz @ jz @ rho) - np.trace(jz @ rho) ** 2).real
             if abs(f_q - target) > 1e-6 * max(target, 1e-12):
                 failures.append(f"pure F_q = {f_q:.8g} vs 4 Var = {target:.8g}")
         checked += 1
@@ -273,7 +274,7 @@ def test_criterion_09_cat_qubit_closed_forms():
         failures.append("triangle identity beyond 1e-8")
     for eta in (0.0, np.pi / 6, np.pi / 4, np.pi / 3, 5 * np.pi / 12, np.pi / 2):
         state = reduced_density(cat, eta)
-        spectral = qfi(state, space.jz)
+        spectral = qfi(state, Z_AXIS)
         closed = analytic_qfi(cat.model(eta))
         if abs(spectral - closed) > 1e-6 * closed:
             failures.append(f"QFI mismatch at eta = {eta:.3f}: "

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catlab import (
+    Z_AXIS,
     CatQubitModel,
     SpinSpace,
     analytic_qfi,
@@ -99,7 +100,7 @@ def test_analytic_limits():
 
 def test_analytic_qfi_matches_spectral_oracle(cat, space):
     for eta in ETAS:
-        spectral = qfi(reduced_density(cat, eta), space.jz)
+        spectral = qfi(reduced_density(cat, eta), Z_AXIS)
         closed = analytic_qfi(cat.model(eta))
         assert spectral == pytest.approx(closed, rel=1e-6)
 

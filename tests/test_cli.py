@@ -78,6 +78,29 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["distribution", "--n", "20", "--beta-inv", "1e-320"], "beta_inv_over_eps"),
+        (["temp-sweep", "--n", "20", "--betas", "1", "1e-320"], "beta_inv_grid"),
+    ],
+)
+def test_cli_rejects_subnormal_temperatures(tmp_path, capsys, argv, field):
+    # 1 / 1e-320 overflows to inf, so no beta_scaled exists for it
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.linalg alone costs more than all of catlab.cli
+    code = "import sys, catlab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("command", ["distribution", "wigner", "time-sweep"])
 def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
     # the 0 state sits on the separatrix, which needs lambda_cl = u N / t > 1

@@ -19,6 +19,7 @@ from catlab import (
     SpinSpace,
     StateLabel,
     TwistTurnParams,
+    Z_AXIS,
     cat_split,
     metrology_report,
     prepare_and_evolve,
@@ -27,7 +28,8 @@ from catlab import (
 )
 from catlab.dynamics import beta_scaled_of, initial_condition
 from catlab.metrology import JzDistribution, qfi_quadratic_form
-from catlab.spin import axis_op
+
+from conftest import dense_j, spin_matrices
 
 REL = 1e-12
 
@@ -39,10 +41,11 @@ def dense_evolved(label, beta, factor, params):
     sigma = -1.0
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         phi, sigma = phi + np.pi, 1.0
-    j_axis = axis_op(sp, SpinAxis(float(np.arccos(init.z)), phi))
+    j_axis = dense_j(sp.n_particles, SpinAxis(float(np.arccos(init.z)), phi))
     rho = expm(beta * (j_axis - sp.j * np.eye(sp.dim)))  # spectrum shifted to <= 0
     rho /= np.trace(rho).real
-    h = 2.0 * params.u_int * sp.jz @ sp.jz + sigma * 2.0 * params.t_hop * sp.jx
+    mats = spin_matrices(sp.n_particles)
+    h = 2.0 * params.u_int * mats.jz @ mats.jz + sigma * 2.0 * params.t_hop * mats.jx
     u = expm(-1j * h * factor * t_pi(sp, params.u_int))
     return u @ rho @ u.conj().T
 
@@ -76,16 +79,17 @@ def assert_close(name, value, oracle):
 
 def check_against_oracle(label, beta, factor, params):
     sp = params.space
+    mats = spin_matrices(sp.n_particles)
     rho = dense_evolved(label, beta, factor, params)
     state = next(prepare_and_evolve(label, beta, [factor], params)).state
     report = metrology_report(state)
     dist = JzDistribution(sp, np.real(np.diag(rho)))
-    u_r = expm(-1j * (np.pi / 2) * sp.jx)  # the default read-out
-    form = full_pair_form(rho, [sp.jz, sp.jx, sp.jy])
+    u_r = expm(-1j * (np.pi / 2) * mats.jx)  # the default read-out
+    form = full_pair_form(rho, [mats.jz, mats.jx, mats.jy])
     assert_close("Lambda", report.lam, cat_split(dist).extensive_difference)
     assert_close("Delta_s", report.delta_s, dist.std())
     assert_close("F_q", report.f_q, form[0, 0])
-    assert_close("F_c", report.f_c, einsum_cfi(rho, sp.jz, u_r))
+    assert_close("F_c", report.f_c, einsum_cfi(rho, mats.jz, u_r))
     scale = np.abs(form).max()
     assert np.abs(qfi_quadratic_form(state) - form).max() <= REL * scale
 
@@ -124,6 +128,6 @@ def test_qfi_has_no_pair_cutoff_error():
     params = TwistTurnParams(SpinSpace(config.n_particles))
     rho = dense_evolved(StateLabel.PI, beta, factor, params)
     state = next(prepare_and_evolve(StateLabel.PI, beta, [factor], params)).state
-    oracle = full_pair_form(rho, [params.space.jz])[0, 0]
-    value = qfi(state, params.space.jz)
+    oracle = full_pair_form(rho, [spin_matrices(config.n_particles).jz])[0, 0]
+    value = qfi(state, Z_AXIS)
     assert abs(value - oracle) <= 1e-13 * oracle, f"{value!r} vs {oracle!r}"

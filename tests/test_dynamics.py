@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catlab import (
+    Z_AXIS,
     SignConvention,
     SpinSpace,
     StateLabel,
@@ -19,22 +20,33 @@ from catlab.dynamics import propagator
 from catlab.metrology import cat_split
 from catlab.spin import state_eigensystem
 
-from conftest import PURE_BETA, dense, random_density
+from conftest import PURE_BETA, dense, random_density, spin_matrices, tridiagonal
 
 
 def test_hamiltonian_structure():
     sp = SpinSpace(20)
     params = TwistTurnParams(sp, t_hop=1.0, u_int=0.1)
-    h = build_hamiltonian(params)
+    h = tridiagonal(*build_hamiltonian(params))
     # tridiagonal in the Dicke basis
     off = np.triu(np.abs(h), 2)
     assert off.max() == 0
     # diagonal carries the interaction: (u/2) (n1 - n2)^2 = 2 u m^2
     assert np.abs(np.diag(h).real - 2 * params.u_int * sp.m_values**2).max() < 1e-12
     # hopping block: the free spectrum is the single-particle splitting 2t
-    free = build_hamiltonian(TwistTurnParams(sp, t_hop=0.7, u_int=0.0))
+    free = tridiagonal(*build_hamiltonian(TwistTurnParams(sp, t_hop=0.7, u_int=0.0)))
     w = np.linalg.eigvalsh(free)
     assert np.abs(w - 2 * 0.7 * sp.m_values).max() < 1e-9
+
+
+@pytest.mark.parametrize("convention", list(SignConvention))
+def test_hamiltonian_bands_form_the_dense_h(convention):
+    # the bands, laid out densely, are bit for bit 2u Jz^2 + sigma 2t Jx
+    sp = SpinSpace(40)
+    params = TwistTurnParams(sp, t_hop=0.7, u_int=0.3, sign_convention=convention)
+    sigma = -1.0 if convention is SignConvention.FIGURE_ONE else 1.0
+    jx = spin_matrices(40).jx.real
+    h = 2.0 * params.u_int * np.diag(sp.m_values**2) + sigma * 2.0 * params.t_hop * jx
+    assert np.array_equal(tridiagonal(*build_hamiltonian(params)), h)
 
 
 def test_params_validation():
@@ -63,6 +75,7 @@ def test_evolve_basics():
     sp = SpinSpace(16)
     params = TwistTurnParams(sp)
     h = build_hamiltonian(params)
+    h_dense = tridiagonal(*h)
     rho = random_density(rng, sp.dim)
     state = state_eigensystem(rho)
     assert evolve(state, h, 0.0) is state
@@ -73,8 +86,8 @@ def test_evolve_basics():
     assert np.abs(w0 - wt).max() < 1e-8
     # purity and energy conserved
     assert abs(np.trace(rho @ rho).real - np.trace(rho_t @ rho_t).real) < 1e-8
-    h_norm = np.abs(np.linalg.eigvalsh(h)).max()
-    assert abs(np.trace(h @ rho).real - np.trace(h @ rho_t).real) < 1e-8 * h_norm
+    h_norm = np.abs(np.linalg.eigvalsh(h_dense)).max()
+    assert abs(np.trace(h_dense @ rho).real - np.trace(h_dense @ rho_t).real) < 1e-8 * h_norm
 
 
 def test_evolve_dimension_mismatch():
@@ -163,7 +176,8 @@ def test_sign_convention_gauge_equivalence():
             cat_split(jz_distribution(a.state)).extensive_difference
             - cat_split(jz_distribution(b.state)).extensive_difference
         ) < 1e-8
-        assert abs(qfi(a.state, sp.jz) - qfi(b.state, sp.jz)) < 1e-8 * max(1.0, qfi(a.state, sp.jz))
+        f_q = qfi(a.state, Z_AXIS)
+        assert abs(f_q - qfi(b.state, Z_AXIS)) < 1e-8 * max(1.0, f_q)
 
 
 def test_evolved_cat_double_peak(cold_zero_cat):

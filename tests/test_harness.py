@@ -168,12 +168,34 @@ def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     dynamics.propagator.cache_clear()
-    metrology.ReadoutSpec.unitary.cache_clear()
+    spin.axis_eigensystem.cache_clear()
     cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4], out_dir=str(tmp_path))
     run_command("time-sweep", cfg)
     assert checked == []
     # the thermal state's J(axis), the Hamiltonian and the read-out rotation
     assert dims == [41] * 3
+
+
+def test_temp_sweep_diagonalizes_three_matrices(tmp_path, monkeypatch):
+    """H, the 0 state's J(axis), and theta = pi/2, shared by the pi state and the read-out."""
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    dynamics.propagator.cache_clear()
+    spin.axis_eigensystem.cache_clear()
+    run_command("temp-sweep", RunConfig(out_dir=str(tmp_path)))
+    assert dims == [201] * 3
+    info = spin.axis_eigensystem.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    shared = spin.axis_eigensystem(spin.space_for_dim(201), np.pi / 2)
+    assert spin.axis_eigensystem.cache_info().hits == info.hits + 1
+    assert not any(arr.flags.writeable for arr in shared)
 
 
 def test_optimized_temp_sweep_prepares_once_per_state_and_beta(tmp_path, build_counts):

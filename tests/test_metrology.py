@@ -27,10 +27,15 @@ from catlab import (
     statistical_uncertainty,
     thermal_state,
 )
-from catlab.metrology import default_axis_grids, qfi_quadratic_form, trivial_readout
-from catlab.spin import axis_op, state_eigensystem
+from catlab.metrology import _qfi_form, default_axis_grids, qfi_quadratic_form, trivial_readout
+from catlab.spin import axis_eigensystem, state_eigensystem
 
-from conftest import PURE_BETA, random_density, random_pure
+from conftest import PURE_BETA, dense_j, random_density, random_pure
+
+
+def qfi_dense(state, g: np.ndarray) -> float:
+    """The QFI kernel for a general Hermitian generator g, from the products g V."""
+    return float(_qfi_form(state, (g @ state.vectors)[None])[0, 0])
 
 
 def point_mass(space: SpinSpace, m: int) -> JzDistribution:
@@ -105,29 +110,30 @@ def test_qfi_pure_states_equal_four_variances():
         psi = random_pure(rng, sp.dim)
         state = state_eigensystem(np.outer(psi, psi.conj()))
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
-        g = axis_op(sp, ax)
+        g = dense_j(18, ax)
         e1 = np.real(psi.conj() @ g @ psi)
         e2 = np.real(psi.conj() @ g @ g @ psi)
         target = 4.0 * (e2 - e1 * e1)
-        assert qfi(state, g) == pytest.approx(target, rel=1e-8, abs=1e-10)
+        assert qfi(state, ax) == pytest.approx(target, rel=1e-8, abs=1e-10)
 
 
 def test_qfi_maximally_mixed_is_zero():
     sp = SpinSpace(12)
     state = state_eigensystem(np.eye(sp.dim) / sp.dim)
-    assert qfi(state, sp.jz) == pytest.approx(0.0, abs=1e-12)
+    assert qfi(state, Z_AXIS) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qfi_unitary_invariance():
     rng = np.random.default_rng(33)
     sp = SpinSpace(10)
     rho = random_density(rng, sp.dim, rank=4)
-    g = axis_op(sp, SpinAxis(0.7, -0.9))
-    base = qfi(state_eigensystem(rho), g)
+    axis = SpinAxis(0.7, -0.9)
+    g = dense_j(10, axis)
+    base = qfi(state_eigensystem(rho), axis)
     for _ in range(5):
         h = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim))
         u = expm(1j * (h + h.conj().T) / 2)
-        rotated = qfi(state_eigensystem(u @ rho @ u.conj().T), u @ g @ u.conj().T)
+        rotated = qfi_dense(state_eigensystem(u @ rho @ u.conj().T), u @ g @ u.conj().T)
         assert rotated == pytest.approx(base, rel=1e-8)
 
 
@@ -169,7 +175,7 @@ def test_qfi_convex_roof_brute_force(dim):
     rho = random_density(rng, dim)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     g = (g + g.conj().T) / 2
-    value = qfi(state_eigensystem(rho), g)
+    value = qfi_dense(state_eigensystem(rho), g)
 
     w, v = np.linalg.eigh(rho)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
@@ -204,7 +210,7 @@ def test_qfi_convex_roof_brute_force(dim):
 def test_cfi_zero_for_commuting_state():
     sp = SpinSpace(16)
     state = thermal_state(sp, 1.0, 1.0, 0.0)  # diagonal in the J_z basis
-    assert cfi_commutator(state, sp.jz, ReadoutSpec()) == pytest.approx(0.0, abs=1e-12)
+    assert cfi_commutator(state, Z_AXIS, ReadoutSpec()) == pytest.approx(0.0, abs=1e-12)
     assert cfi_finite_difference(state, Z_AXIS, ReadoutSpec()) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -214,8 +220,8 @@ def test_cfi_bounded_by_qfi_random_suite():
     readout = ReadoutSpec()
     for _ in range(25):
         state = state_eigensystem(random_density(rng, sp.dim, rank=rng.integers(1, sp.dim)))
-        f_c = cfi_commutator(state, sp.jz, readout)
-        f_q = qfi(state, sp.jz)
+        f_c = cfi_commutator(state, Z_AXIS, readout)
+        f_q = qfi(state, Z_AXIS)
         assert f_c <= f_q * (1 + 1e-9) + 1e-12
 
 
@@ -223,7 +229,7 @@ def test_cfi_finite_difference_matches_commutator():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
     readout = ReadoutSpec()
-    exact = cfi_commutator(state.state, params.space.jz, readout)
+    exact = cfi_commutator(state.state, Z_AXIS, readout)
     fd = cfi_finite_difference(state.state, Z_AXIS, readout, delta=1e-4)
     assert fd == pytest.approx(exact, rel=1e-4)
     # Richardson consistency: quartering the residual when delta halves
@@ -274,13 +280,17 @@ def test_report_fisher_chain_slack():
         fisher_report(400.0, 100.0, delta_s=9.0)  # r_q = 10/9 > 1
 
 
-def test_readout_unitary_reused_and_read_only():
+def test_readout_eigensystem_reused_and_read_only():
     sp = SpinSpace(10)
     readout = ReadoutSpec()
-    u = readout.unitary(sp)
-    assert ReadoutSpec().unitary(SpinSpace(10)) is u
-    with pytest.raises(ValueError):
-        u[0, 0] = 0.0
+    axis_eigensystem.cache_clear()
+    protocol_distribution(state_eigensystem(np.eye(sp.dim) / sp.dim), 0.0, Z_AXIS, readout)
+    assert axis_eigensystem.cache_info().currsize == 1
+    dec = axis_eigensystem(SpinSpace(10), readout.axis.theta)
+    assert axis_eigensystem.cache_info().hits == 1
+    for arr in dec:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_report_hot_state(hot_zero_cat):
@@ -328,7 +338,7 @@ def test_axis_map_matches_direct_qfi():
     amap = qfi_axis_map(state, thetas, phis)
     for i, th in enumerate(thetas):
         for k, ph in enumerate(phis):
-            direct = qfi(state, axis_op(sp, SpinAxis(th, ph)))
+            direct = qfi(state, SpinAxis(th, ph))
             assert amap.values[i, k] * 4 * sp.n_particles == pytest.approx(
                 direct, rel=1e-8, abs=1e-10
             )
@@ -359,7 +369,7 @@ def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
     assert value == pytest.approx(top, rel=1e-12)
     assert value == pytest.approx(26.7222, abs=1e-4)
     # the spectral QFI along the returned axis is that maximum, and no grid axis beats it
-    assert qfi(state, axis_op(space200, axis)) / scale == pytest.approx(value, rel=1e-9)
+    assert qfi(state, axis) / scale == pytest.approx(value, rel=1e-9)
     assert qfi_axis_map(state, *default_axis_grids()).max_value <= value * (1 + 1e-12)
 
 

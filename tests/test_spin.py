@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from catlab import (
     NumericalInvariantError,
@@ -8,15 +11,14 @@ from catlab import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    axis_op,
+    apply_j,
+    axis_eigensystem,
     coherent_state,
-    expectation,
-    qfi,
     rotation,
     thermal_state,
-    variance,
 )
 from catlab import spin
+from catlab.metrology import _qfi_form
 from catlab.spin import (
     SpectralDecomp,
     assert_density_matrix,
@@ -26,7 +28,7 @@ from catlab.spin import (
     state_factor,
 )
 
-from conftest import dense, random_density
+from conftest import dense, dense_j, random_density, spin_matrices
 
 
 def test_make_space_dimensions():
@@ -46,16 +48,23 @@ def test_make_space_rejects_bad_n(bad):
 
 def test_cartesian_ops_spin_one():
     sp = SpinSpace(2)
-    jz, jx, jy = sp.jz, sp.jx, sp.jy
+    mats = spin_matrices(2)
+    jz = apply_j(sp, Z_AXIS, np.eye(sp.dim))
     assert np.allclose(np.diag(jz), [-1, 0, 1])
     # <0| J+ |-1> = sqrt(2) sits one row below the diagonal in ascending order
-    assert abs(sp.jplus[1, 0] - np.sqrt(2)) < 1e-12
+    assert abs(sp.j_band[0] - np.sqrt(2)) < 1e-12
+    assert abs(mats.jplus[1, 0] - np.sqrt(2)) < 1e-12
+
+
+def j_matrices(sp):
+    """(J_z, J_x, J_y) from the band product, one column of I at a time."""
+    return [apply_j(sp, axis, np.eye(sp.dim)) for axis in (Z_AXIS, X_AXIS, Y_AXIS)]
 
 
 @pytest.mark.parametrize("n", [2, 6, 20, 200])
 def test_su2_algebra(n):
     sp = SpinSpace(n)
-    jz, jx, jy = sp.jz, sp.jx, sp.jy
+    jz, jx, jy = j_matrices(sp)
     for a, b, c in [(jx, jy, jz), (jy, jz, jx), (jz, jx, jy)]:
         comm = a @ b - b @ a - 1j * c
         assert np.abs(comm).max() < 1e-9
@@ -63,20 +72,23 @@ def test_su2_algebra(n):
     assert np.abs(casimir - sp.j * (sp.j + 1) * np.eye(sp.dim)).max() < 1e-8
 
 
-def test_axis_op_special_directions():
+def test_apply_j_special_directions():
     sp = SpinSpace(8)
-    assert np.abs(axis_op(sp, SpinAxis(0.0, 0.7)) - sp.jz).max() < 1e-12
-    assert np.abs(axis_op(sp, X_AXIS) - sp.jx).max() < 1e-12
-    assert np.abs(axis_op(sp, Y_AXIS) - sp.jy).max() < 1e-12
+    mats = spin_matrices(8)
+    eye = np.eye(sp.dim)
+    assert np.abs(apply_j(sp, SpinAxis(0.0, 0.7), eye) - mats.jz).max() < 1e-12
+    assert np.abs(apply_j(sp, X_AXIS, eye) - mats.jx).max() < 1e-12
+    assert np.abs(apply_j(sp, Y_AXIS, eye) - mats.jy).max() < 1e-12
 
 
-def test_axis_op_spectrum_is_jz_ladder():
+def test_axis_spectrum_is_jz_ladder():
     sp = SpinSpace(20)
     rng = np.random.default_rng(3)
     for _ in range(10):
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
-        w = np.linalg.eigvalsh(axis_op(sp, ax))
+        w = np.linalg.eigvalsh(apply_j(sp, ax, np.eye(sp.dim)))
         assert np.abs(w - sp.m_values).max() < 1e-8
+        assert np.abs(axis_eigensystem(sp, ax.theta).values - sp.m_values).max() < 1e-8
 
 
 def test_canonicalize_angles_ranges_and_direction():
@@ -97,19 +109,68 @@ def test_canonicalize_angles_ranges_and_direction():
         assert np.abs(SpinAxis(th_raw, ph_raw).unit_vector() - raw_vec).max() < 1e-12
 
 
+def random_axes(seed: int, count: int = 4):
+    rng = np.random.default_rng(seed)
+    return [SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_apply_j_matches_textbook_operator(n):
+    sp = SpinSpace(n)
+    for axis in random_axes(n):
+        assert np.abs(apply_j(sp, axis, np.eye(sp.dim)) - dense_j(n, axis)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_rotation_matches_expm(n):
+    sp = SpinSpace(n)
+    rng = np.random.default_rng(n + 1)
+    for axis in random_axes(n + 1):
+        alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
+        oracle = expm(-1j * alpha * dense_j(n, axis))
+        assert np.abs(rotation(sp, alpha, axis, np.eye(sp.dim)) - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_axis_operator_is_gauged_real_tridiagonal(n):
+    # J(theta, phi) = D J(theta, 0) D^dag with D = diag(e^{-i phi m})
+    sp = SpinSpace(n)
+    for axis in random_axes(n + 2):
+        d = np.exp(-1j * axis.phi * sp.m_values)
+        real = dense_j(n, SpinAxis(axis.theta, 0.0))
+        assert np.abs(real.imag).max() == 0
+        gauged = d[:, None] * real * d.conj()[None, :]
+        assert np.abs(gauged - dense_j(n, axis)).max() < 1e-12
+
+
+def test_apply_j_memory_is_linear_in_n():
+    # one dense complex J at N = 10^4 would take 1.6 GB
+    sp = SpinSpace(10_000)
+    x = np.ones((sp.dim, 2), dtype=complex)
+    tracemalloc.start()
+    try:
+        apply_j(sp, SpinAxis(0.7, 0.3), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_rotation_identities():
     sp = SpinSpace(6)
-    assert np.abs(rotation(sp, 0.0, X_AXIS) - np.eye(sp.dim)).max() < 1e-12
+    eye = np.eye(sp.dim)
+    assert np.abs(rotation(sp, 0.0, X_AXIS, eye) - eye).max() < 1e-12
     # integer spin: a full turn about any axis is the identity
     ax = SpinAxis(1.1, -2.0)
-    assert np.abs(rotation(sp, 2 * np.pi, ax) - np.eye(sp.dim)).max() < 1e-8
+    assert np.abs(rotation(sp, 2 * np.pi, ax, eye) - eye).max() < 1e-8
 
 
 def test_readout_rotation_maps_jz_to_jy():
     sp = SpinSpace(10)
-    u = rotation(sp, np.pi / 2, X_AXIS)
-    conjugated = u.conj().T @ sp.jz @ u
-    assert np.abs(conjugated - sp.jy).max() < 1e-9
+    mats = spin_matrices(10)
+    u = rotation(sp, np.pi / 2, X_AXIS, np.eye(sp.dim))
+    conjugated = u.conj().T @ mats.jz @ u
+    assert np.abs(conjugated - mats.jy).max() < 1e-9
 
 
 def test_thermal_state_infinite_temperature():
@@ -123,7 +184,7 @@ def test_thermal_state_zero_temperature_proxy():
     ax = SpinAxis(np.arccos(0.3), -1.2)
     rho = dense(thermal_state(sp, 50.0, 0.3, -1.2))
     # independent oracle: projector onto the top eigenvector of the axis op
-    w, v = np.linalg.eigh(axis_op(sp, ax))
+    w, v = np.linalg.eigh(dense_j(40, ax))
     top = v[:, -1]
     fidelity = np.real(top.conj() @ rho @ top)
     assert fidelity > 0.999
@@ -140,7 +201,7 @@ def test_thermal_state_rejects_bad_inputs():
 def test_thermal_state_commutes_with_axis_op():
     sp = SpinSpace(16)
     rho = dense(thermal_state(sp, 0.7, -0.4, 2.0))
-    a = axis_op(sp, SpinAxis(np.arccos(-0.4), 2.0))
+    a = dense_j(16, SpinAxis(np.arccos(-0.4), 2.0))
     comm = rho @ a - a @ rho
     assert np.abs(comm).max() < 1e-9
 
@@ -155,7 +216,7 @@ def test_thermal_state_rotation_covariance():
         phi = rng.uniform(-np.pi, np.pi)
         beta = rng.uniform(0.1, 3.0)
         theta = np.arccos(z)
-        r = rotation(sp, theta, SpinAxis(np.pi / 2, phi + np.pi / 2))
+        r = rotation(sp, theta, SpinAxis(np.pi / 2, phi + np.pi / 2), np.eye(sp.dim))
         rho_pole = dense(thermal_state(sp, beta, 1.0, 0.0))
         rho_direct = dense(thermal_state(sp, beta, z, phi))
         assert np.abs(r @ rho_pole @ r.conj().T - rho_direct).max() < 1e-8
@@ -163,25 +224,26 @@ def test_thermal_state_rotation_covariance():
 
 def test_expectation_and_variance():
     sp = SpinSpace(100)
+    jz = spin_matrices(100).jz
+
+    def expectation(rho, a):
+        return np.trace(a @ rho).real
+
+    def variance(rho, a):
+        return expectation(rho, a @ a) - expectation(rho, a) ** 2
+
     rho_mixed = np.eye(sp.dim) / sp.dim
-    assert abs(expectation(rho_mixed, sp.jz)) < 1e-12
+    assert abs(expectation(rho_mixed, jz)) < 1e-12
 
     pole = coherent_state(sp, Z_AXIS)
     rho_pole = np.outer(pole, pole.conj())
-    assert abs(expectation(rho_pole, sp.jz) - sp.j) < 1e-8
-    assert variance(rho_pole, sp.jz) < 1e-8
+    assert abs(expectation(rho_pole, jz) - sp.j) < 1e-8
+    assert variance(rho_pole, jz) < 1e-8
 
     # transverse coherent state has the standard projection noise j/2
     side = coherent_state(sp, X_AXIS)
     rho_side = np.outer(side, side.conj())
-    assert abs(variance(rho_side, sp.jz) - sp.j / 2) < 1e-8
-
-
-def test_expectation_dimension_mismatch():
-    a = SpinSpace(4)
-    b = SpinSpace(6)
-    with pytest.raises(ValueError):
-        expectation(np.eye(a.dim) / a.dim, b.jz)
+    assert abs(variance(rho_side, jz) - sp.j / 2) < 1e-8
 
 
 def test_state_constructors_pass_density_checks():
@@ -210,7 +272,8 @@ def test_density_checks_reject_bad_states(name):
     with pytest.raises(NumericalInvariantError):
         state_eigensystem(rho)
     with pytest.raises(NumericalInvariantError):
-        qfi(state_eigensystem(rho), np.diag([0.5, -0.5]).astype(complex))
+        state = state_eigensystem(rho)
+        _qfi_form(state, (np.diag([0.5, -0.5]) @ state.vectors)[None])
 
 
 BAD_FACTORS = {
@@ -228,17 +291,24 @@ def test_state_factor_rejects_bad_factors(name):
 
 
 def test_thermal_state_checks_its_factor(monkeypatch):
-    decomp = spin.spectral_decomp
+    decomp = spin.tridiagonal_eigensystem
 
-    def skewed(a):
-        w, v = decomp(a)
+    def skewed(diagonal, off_diagonal):
+        w, v = decomp(diagonal, off_diagonal)
         v = v.copy()
         v[:, -1] += 1e-6 * v[:, -2]
         return SpectralDecomp(w, v)
 
-    monkeypatch.setattr(spin, "spectral_decomp", skewed)
-    with pytest.raises(NumericalInvariantError, match="not unitary"):
-        thermal_state(SpinSpace(10), 1.0, 0.3, 0.2)
+    monkeypatch.setattr(spin, "tridiagonal_eigensystem", skewed)
+    axis_eigensystem.cache_clear()
+    try:
+        with pytest.raises(NumericalInvariantError, match="not unitary"):
+            thermal_state(SpinSpace(10), 1.0, 0.3, 0.2)
+        # a rotation has no state check behind it: the eigensystem's own check is the one
+        with pytest.raises(NumericalInvariantError, match="not unitary"):
+            rotation(SpinSpace(10), 0.4, X_AXIS, np.eye(11))
+    finally:
+        axis_eigensystem.cache_clear()
 
 
 @pytest.mark.parametrize("n", [200, 800])
