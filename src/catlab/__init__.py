@@ -16,8 +16,8 @@ from .spin import (
     Y_AXIS,
     Z_AXIS,
     apply_j,
-    axis_eigensystem,
     coherent_state,
+    jx_eigensystem,
     rotation,
     thermal_state,
 )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin import NumericalInvariantError
 
 #: bisection stops once the bracket on z_c(phi) is narrower than this
 SEPARATRIX_TOL = 1e-12
@@ -153,12 +154,18 @@ def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
 
     Always contains (0, 0) and (0, pi).  Above lambda_cl = 1 the point at
     phi = pi becomes a saddle and two self-trapped centers appear at
-    z = +/- sqrt(1 - 1/lambda_cl^2).
+    z = +/- sqrt(1 - 1/lambda_cl^2); once they round onto the pole (lambda_cl
+    above about 1e8) NumericalInvariantError is raised, as the flow is singular there.
     """
     lam = params.lambda_cl
     pts = [_classify(0.0, 0.0, lam), _classify(0.0, np.pi, lam)]
     if lam > 1.0:
-        z_st = np.sqrt(1.0 - 1.0 / lam**2)
+        z_st = np.sqrt(1.0 - (1.0 / lam) ** 2)
+        if z_st == 1.0:
+            raise NumericalInvariantError(
+                f"self-trapped centers round onto the pole |z| = 1, where the flow is "
+                f"singular, at lambda_cl = {lam:.6g}"
+            )
         pts.append(_classify(+z_st, np.pi, lam))
         pts.append(_classify(-z_st, np.pi, lam))
     return pts
@@ -241,14 +248,16 @@ def _integrate(
                 if abs(z) < 1.0 and abs(e - energies[k - 1, i]) <= step_budget:
                     break
             else:
-                raise RuntimeError(
+                raise NumericalInvariantError(
                     f"integration failed near |z| = 1 at t = {times[k - 1]:.6g} "
                     "after 2^10 refinements"
                 )
             zs[k, i], phis[k, i], energies[k, i] = z, phi, e
     drifts = np.abs(energies - energies[0]).max(axis=0)
     if drifts.max() > ENERGY_DRIFT_TOL:
-        raise RuntimeError(f"energy drift {drifts.max():.3e} exceeds {ENERGY_DRIFT_TOL}")
+        raise NumericalInvariantError(
+            f"energy drift {drifts.max():.3e} exceeds {ENERGY_DRIFT_TOL}"
+        )
     # trapped: the phase winds past 2 pi while z keeps the sign of its first nonzero value
     signs = np.sign(zs)
     first = signs[(signs != 0).argmax(axis=0), np.arange(len(starts))]

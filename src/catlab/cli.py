@@ -88,9 +88,13 @@ _FLAG_FIELDS = {
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        data = RunConfig.from_json(path.read_text(encoding="utf-8")).to_dict()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except IsADirectoryError:
+            raise ConfigError(f"config path is a directory: {path}") from None
+        data = RunConfig.from_json(text).to_dict()
     else:
         data = RunConfig().to_dict()
     for flag, field_name in _FLAG_FIELDS.items():

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
-from .spin import SpectralDecomp, SpinSpace, thermal_state, tridiagonal_eigensystem
+from .spin import SpectralDecomp, SpinSpace, real_matmul, thermal_state, tridiagonal_eigensystem
 
 #: beta_scaled value standing in for zero temperature.  At N = 200 the weight
 #: outside the top eigenstate is ~ exp(-50), far below every tolerance here.
@@ -102,6 +102,8 @@ def t_pi(space: SpinSpace, u_int: float) -> float:
 class Propagator:
     """Unitary evolution under a fixed real tridiagonal Hamiltonian via one eigendecomposition.
 
+    H's bands must be mirror-symmetric (H commutes with |m> -> |-m>, as every
+    build_hamiltonian result does), so its parity blocks are diagonalized apart.
     The real eigensystem (w, V_H) of H's bands is computed once and reused for
     every duration.  A state (p, V) evolves to (p, V_H (e^{-i w tau} * V_H^T V)): only its r
     support columns move, at O(N^2 r) per duration.  Instances are
@@ -120,7 +122,9 @@ class Propagator:
         if duration == 0:
             return state
         phases = np.exp(-1j * w * duration)[:, None]
-        return SpectralDecomp(state.values, v_h @ (phases * (v_h.T @ state.vectors)))
+        return SpectralDecomp(
+            state.values, real_matmul(v_h, phases * real_matmul(v_h.T, state.vectors))
+        )
 
 
 @lru_cache(maxsize=1)
@@ -130,7 +134,7 @@ def propagator(params: TwistTurnParams) -> Propagator:
 
 
 def evolve(state: SpectralDecomp, hamiltonian: Bands, duration: float) -> SpectralDecomp:
-    """Evolve a state by exp(-iH tau) for one real tridiagonal H, given as its bands."""
+    """Evolve a state by exp(-iH tau) for a mirror-symmetric tridiagonal H, given as its bands."""
     return Propagator(hamiltonian).evolve(state, duration)
 
 

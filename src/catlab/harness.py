@@ -355,6 +355,13 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
     return path
 
 
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def run_command(command: str, config: RunConfig) -> list[Path]:
     """Execute one command (or all-figures) and write its manifest."""
     out_root = Path(config.out_dir)
@@ -362,7 +369,7 @@ def run_command(command: str, config: RunConfig) -> list[Path]:
         all_outputs: list[Path] = []
         for name in COMMANDS:
             sub = out_root / name.replace("-", "_")
-            sub.mkdir(parents=True, exist_ok=True)
+            _make_out_dir(sub)
             outputs = COMMANDS[name](config, sub)
             all_outputs.extend(outputs)
             all_outputs.append(write_manifest(config, name, sub, outputs))
@@ -370,7 +377,7 @@ def run_command(command: str, config: RunConfig) -> list[Path]:
         return all_outputs + [top]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    out_root.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_root)
     outputs = COMMANDS[command](config, out_root)
     manifest = write_manifest(config, command, out_root, outputs)
     return outputs + [manifest]

@@ -11,7 +11,11 @@ Conventions fixed in this module:
     condensation energy scale eps_tau defines the temperature unit.
   * J(theta, phi) = J_z cos(theta) + J_x sin(theta) cos(phi)
                   + J_y sin(theta) sin(phi)   (unit-vector decomposition)
-                  = D J(theta, 0) D^dag,  D = diag(e^{-i phi m}), J(theta, 0) real.
+                  = D J(theta, 0) D^dag,  D = D(phi) = diag(e^{-i phi m}), J(theta, 0) real.
+  * Every frame comes from the one real eigensystem of J_x (jx_eigensystem):
+    J_y = D(pi/2) J_x D(pi/2)^dag, the tilt T(zeta) = e^{-i zeta J_y} takes
+    J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
+    T is real, so the eigenvectors T(theta - pi/2) R of J(theta, 0) are too.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)).
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
@@ -19,8 +23,11 @@ Conventions fixed in this module:
     pointing along (acos z, phi).  The sign is recorded in run manifests.
 
 All matrix functions (exponentials, thermal weights) go through an exact
-eigendecomposition of a real tridiagonal matrix rather than series
-truncation; at dim ~ 10^3 this is cheap and leaves no convergence knob.
+eigendecomposition rather than series truncation, which leaves no
+convergence knob.  The only matrices diagonalized are J_x and H: both are
+real, tridiagonal and commute with the parity |m> -> |-m>, so each splits
+into two half-size blocks (tridiagonal_eigensystem).  A real eigenvector
+matrix meets complex columns only through real_matmul.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -154,51 +161,107 @@ def apply_j(space: SpinSpace, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense_tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    return np.diag(diagonal) + np.diag(off_diagonal, -1) + np.diag(off_diagonal, 1)
+
+
 def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
-    """Eigensystem of the real symmetric tridiagonal matrix with these bands, read-only."""
-    a = np.diag(diagonal) + np.diag(off_diagonal, -1) + np.diag(off_diagonal, 1)
-    dec = SpectralDecomp(*np.linalg.eigh(a))
+    """Eigensystem of a mirror-symmetric real tridiagonal matrix of odd size, read-only.
+
+    Such a matrix (J_x, H) commutes with the parity |m> -> |-m>, so with c = N/2
+    it splits into an even block on (|m> + |-m>)/sqrt2 and |0> (bands d[:c+1]
+    and e[:c-1], sqrt2 e[c-1]) and an odd block on (|m> - |-m>)/sqrt2 (bands
+    d[:c], e[:c-1]); each is diagonalized alone, a quarter of the dense work.
+    The values are the even block's, ascending, then the odd block's.
+    """
+    n = diagonal.size
+    if not (
+        n >= 3
+        and n % 2 == 1
+        and off_diagonal.size == n - 1
+        and np.array_equal(diagonal, diagonal[::-1])
+        and np.array_equal(off_diagonal, off_diagonal[::-1])
+    ):
+        raise ValueError("tridiagonal_eigensystem needs mirror-symmetric bands of odd size >= 3")
+    c = n // 2
+    even_off = np.append(off_diagonal[: c - 1], np.sqrt(2.0) * off_diagonal[c - 1])
+    w_even, u_even = np.linalg.eigh(_dense_tridiagonal(diagonal[: c + 1], even_off))
+    w_odd, u_odd = np.linalg.eigh(_dense_tridiagonal(diagonal[:c], off_diagonal[: c - 1]))
+    v = np.zeros((n, n))
+    v[:c, : c + 1] = np.sqrt(0.5) * u_even[:c]
+    v[c, : c + 1] = u_even[c]
+    v[:c:-1, : c + 1] = v[:c, : c + 1]
+    v[:c, c + 1 :] = np.sqrt(0.5) * u_odd
+    v[:c:-1, c + 1 :] = -v[:c, c + 1 :]
+    dec = SpectralDecomp(np.concatenate([w_even, w_odd]), v)
     for arr in dec:
         arr.flags.writeable = False
     return dec
 
 
-@lru_cache(maxsize=2)
-def axis_eigensystem(space: SpinSpace, theta: float) -> SpectralDecomp:
-    """Real eigensystem of J(theta, 0), with orthonormal eigenvectors.
+@lru_cache(maxsize=1)
+def jx_eigensystem(space: SpinSpace) -> SpectralDecomp:
+    """Real eigensystem (w, R) of J_x, with orthonormal eigenvectors: every frame's basis.
 
-    Every azimuth shares it, since J(theta, phi) = D J(theta, 0) D^dag with
-    D = diag(e^{-i phi m}); a sweep uses two polar angles, its state's and
-    its read-out's.
+    J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
+    about J_y by theta - pi/2 and gauged by D(phi), so one diagonalization
+    serves every axis; a run has one N.
     """
-    dec = tridiagonal_eigensystem(
-        np.cos(theta) * space.m_values, 0.5 * np.sin(theta) * space.j_band
-    )
+    dec = tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band)
     assert_unitary(dec.vectors)
     return dec
 
 
+def real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """r @ z for a real matrix r and complex columns z, as one real GEMM on z's (re, im) view.
+
+    numpy's own r @ z casts all of r to complex on every product.
+    """
+    return (r @ np.ascontiguousarray(z, dtype=complex).view(np.float64)).view(complex)
+
+
 def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
-    """Diagonal of D = diag(e^{-i phi m})."""
+    """Diagonal of D(phi) = diag(e^{-i phi m})."""
     return np.exp(-1j * phi * space.m_values)
 
 
+def _tilt(space: SpinSpace, zeta: float, x: np.ndarray) -> np.ndarray:
+    """e^{-i zeta J_y} x, a rotation about the equatorial y axis; x itself at zeta = 0."""
+    return x if zeta == 0 else rotation(space, zeta, Y_AXIS, x)
+
+
+@lru_cache(maxsize=1)
+def _tilted_frame(space: SpinSpace, theta: float) -> np.ndarray:
+    """Eigenvectors T R of J(theta, 0), T = e^{-i (theta - pi/2) J_y}, read-only.
+
+    -i J_y is real, so T R is real: one tilt of R per off-equator axis, which a
+    run has one of (its read-out).
+    """
+    v = np.ascontiguousarray(_tilt(space, theta - np.pi / 2, jx_eigensystem(space).vectors).real)
+    v.flags.writeable = False
+    return v
+
+
 def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
-    """U x on a column block x, U = exp(-i alpha J(axis)) = D R e^{-i alpha w} R^T D^dag."""
+    """U x on a column block x, U = exp(-i alpha J(axis)) = D V e^{-i alpha w} V^T D^dag.
+
+    D = D(phi) and V the real eigenvectors of J(theta, 0): R on the equator,
+    else _tilted_frame.  Two real GEMMs for any axis.
+    """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    w, r = axis_eigensystem(space, axis.theta)
+    w, r = jx_eigensystem(space)
+    v = r if axis.theta == np.pi / 2 else _tilted_frame(space, axis.theta)
     d = _gauge(space, axis.phi)[:, None]
-    return d * (r @ (np.exp(-1j * alpha * w)[:, None] * (r.T @ (d.conj() * x))))
+    y = np.exp(-1j * alpha * w)[:, None] * real_matmul(v.T, d.conj() * x)
+    return d * real_matmul(v, y)
 
 
 def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
-    """Spin coherent state pointing along the axis (top eigenvector of J(axis))."""
-    vec = _gauge(space, axis.phi) * axis_eigensystem(space, axis.theta).vectors[:, -1]
-    # fix the overall phase so results do not depend on LAPACK sign choices
-    k = int(np.argmax(np.abs(vec)))
-    vec *= np.exp(-1j * np.angle(vec[k]))
-    return vec
+    """Spin coherent state D(phi) e^{-i theta J_y} |m = j> pointing along the axis."""
+    top = np.zeros((space.dim, 1))
+    top[-1] = 1.0
+    return _gauge(space, axis.phi) * _tilt(space, axis.theta, top)[:, 0]
 
 
 def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) -> SpectralDecomp:
@@ -207,17 +270,20 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     beta_scaled is beta * eps_tau, the only temperature parameter exposed.
     The positive exponent means beta -> inf concentrates the state onto the
     spin coherent state at phase-space point (z, phi).  Returned as its
-    checked eigensystem on the J(axis) eigenbasis D R (see axis_eigensystem).
+    checked eigensystem: weights e^{beta (m - j)} on the Dicke states, tilted
+    by theta = acos z and gauged by D(phi), so the pole z = 1 stays exact.
     """
     if not np.isfinite(beta_scaled) or beta_scaled < 0:
         raise ValueError(f"beta_scaled must be >= 0, got {beta_scaled}")
     if abs(z) > 1:
         raise ValueError(f"imbalance z must lie in [-1, 1], got {z}")
     axis = SpinAxis(float(np.arccos(z)), phi)
-    w, v = axis_eigensystem(space, axis.theta)
-    p = np.exp(beta_scaled * (w - w.max()))
-    p, v = state_factor(p / p.sum(), v, orthonormal=True)  # checked in axis_eigensystem
-    return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * v)
+    p = np.exp(beta_scaled * (space.m_values - space.j))
+    p = p / p.sum()
+    r = np.count_nonzero(p)  # p grows with m: its support is the top r Dicke states
+    # tilted Dicke columns are orthonormal as R is, checked in jx_eigensystem
+    p, dicke = state_factor(p[-r:], np.eye(space.dim, r, r - space.dim), orthonormal=True)
+    return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * _tilt(space, axis.theta, dicke))
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:

@@ -131,6 +131,37 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "config_is_a_directory"])
+def test_cli_unusable_paths_are_config_errors(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    bad, argv = {
+        "out_is_a_file": (a_file, ["--out", str(a_file)]),
+        "out_under_a_file": (a_file / "out", ["--out", str(a_file / "out")]),
+        "config_is_a_directory": (a_dir, ["--config", str(a_dir), "--out", str(tmp_path / "o")]),
+    }[case]
+    assert main(["catqubit", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "lambda_cl, cause",
+    [
+        ("1e7", "integration failed near |z| = 1"),  # RK4 at the portrait's step
+        ("1e300", "self-trapped centers round onto the pole"),  # 1 / lambda^2 underflows
+    ],
+)
+def test_cli_unintegrable_coupling_is_a_numerical_failure(tmp_path, capsys, lambda_cl, cause):
+    assert main(["classical", "--lambda-cl", lambda_cl, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant failure: " + cause)
+    assert "Traceback" not in err
+
+
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _NUMBER = st.integers() | _FLOAT
 _JSON_KINDS = {

@@ -146,7 +146,7 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
 
 
 def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
-    """No evolved state is diagonalized: the eigh calls are the sweep's three preparations."""
+    """No evolved state is diagonalized: the eigh calls are the sweep's two preparations."""
     checked = []
     dims = []
     eigh, state_eigensystem = np.linalg.eigh, spin.state_eigensystem
@@ -168,16 +168,17 @@ def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     dynamics.propagator.cache_clear()
-    spin.axis_eigensystem.cache_clear()
+    spin.jx_eigensystem.cache_clear()
     cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4], out_dir=str(tmp_path))
     run_command("time-sweep", cfg)
     assert checked == []
-    # the thermal state's J(axis), the Hamiltonian and the read-out rotation
-    assert dims == [41] * 3
+    # J_x, which tilts the thermal state and turns the read-out, then the Hamiltonian;
+    # each as its even and odd parity blocks
+    assert dims == [21, 20] * 2
 
 
-def test_temp_sweep_diagonalizes_three_matrices(tmp_path, monkeypatch):
-    """H, the 0 state's J(axis), and theta = pi/2, shared by the pi state and the read-out."""
+def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
+    """H, and J_x, which both states and the read-out share: four half-size eigh calls."""
     dims = []
     eigh = np.linalg.eigh
 
@@ -188,13 +189,13 @@ def test_temp_sweep_diagonalizes_three_matrices(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     dynamics.propagator.cache_clear()
-    spin.axis_eigensystem.cache_clear()
+    spin.jx_eigensystem.cache_clear()
     run_command("temp-sweep", RunConfig(out_dir=str(tmp_path)))
-    assert dims == [201] * 3
-    info = spin.axis_eigensystem.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    shared = spin.axis_eigensystem(spin.space_for_dim(201), np.pi / 2)
-    assert spin.axis_eigensystem.cache_info().hits == info.hits + 1
+    assert dims == [101, 100] * 2
+    info = spin.jx_eigensystem.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    shared = spin.jx_eigensystem(spin.space_for_dim(201))
+    assert spin.jx_eigensystem.cache_info().hits == info.hits + 1
     assert not any(arr.flags.writeable for arr in shared)
 
 

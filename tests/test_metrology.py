@@ -28,7 +28,7 @@ from catlab import (
     thermal_state,
 )
 from catlab.metrology import _qfi_form, default_axis_grids, qfi_quadratic_form, trivial_readout
-from catlab.spin import axis_eigensystem, state_eigensystem
+from catlab.spin import jx_eigensystem, state_eigensystem
 
 from conftest import PURE_BETA, dense_j, random_density, random_pure
 
@@ -283,11 +283,11 @@ def test_report_fisher_chain_slack():
 def test_readout_eigensystem_reused_and_read_only():
     sp = SpinSpace(10)
     readout = ReadoutSpec()
-    axis_eigensystem.cache_clear()
+    jx_eigensystem.cache_clear()
     protocol_distribution(state_eigensystem(np.eye(sp.dim) / sp.dim), 0.0, Z_AXIS, readout)
-    assert axis_eigensystem.cache_info().currsize == 1
-    dec = axis_eigensystem(SpinSpace(10), readout.axis.theta)
-    assert axis_eigensystem.cache_info().hits == 1
+    assert jx_eigensystem.cache_info().currsize == 1
+    dec = jx_eigensystem(SpinSpace(10))
+    assert jx_eigensystem.cache_info().hits == 1
     for arr in dec:
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -11,9 +11,12 @@ from catlab import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    SignConvention,
+    TwistTurnParams,
     apply_j,
-    axis_eigensystem,
+    build_hamiltonian,
     coherent_state,
+    jx_eigensystem,
     rotation,
     thermal_state,
 )
@@ -23,12 +26,13 @@ from catlab.spin import (
     SpectralDecomp,
     assert_density_matrix,
     canonicalize_angles,
+    real_matmul,
     spectral_decomp,
     state_eigensystem,
     state_factor,
 )
 
-from conftest import dense, dense_j, random_density, spin_matrices
+from conftest import dense, dense_j, random_density, spin_matrices, tridiagonal
 
 
 def test_make_space_dimensions():
@@ -88,7 +92,7 @@ def test_axis_spectrum_is_jz_ladder():
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
         w = np.linalg.eigvalsh(apply_j(sp, ax, np.eye(sp.dim)))
         assert np.abs(w - sp.m_values).max() < 1e-8
-        assert np.abs(axis_eigensystem(sp, ax.theta).values - sp.m_values).max() < 1e-8
+    assert np.abs(np.sort(jx_eigensystem(sp).values) - sp.m_values).max() < 1e-8
 
 
 def test_canonicalize_angles_ranges_and_direction():
@@ -141,6 +145,88 @@ def test_axis_operator_is_gauged_real_tridiagonal(n):
         assert np.abs(real.imag).max() == 0
         gauged = d[:, None] * real * d.conj()[None, :]
         assert np.abs(gauged - dense_j(n, axis)).max() < 1e-12
+
+
+def parity_bands(n: int) -> dict:
+    """The mirror-symmetric bands diagonalized in a run: H in both conventions, and J_x."""
+    bands = {
+        c.value: build_hamiltonian(TwistTurnParams(SpinSpace(n), sign_convention=c))
+        for c in SignConvention
+    }
+    bands["jx"] = (np.zeros(n + 1), 0.5 * SpinSpace(n).j_band)
+    return bands
+
+
+@pytest.mark.parametrize("n", [2, 10, 200, 800])
+def test_parity_split_eigensystem_matches_dense(n):
+    for name, (d, e) in parity_bands(n).items():
+        t = tridiagonal(d, e)
+        w, v = spin.tridiagonal_eigensystem(d, e)
+        norm = np.abs(np.linalg.eigvalsh(t)).max()
+        assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13, name
+        assert np.abs(t @ v - v * w).max() <= 1e-13 * norm, name
+        assert np.abs(np.sort(w) - np.linalg.eigvalsh(t)).max() <= 1e-13 * norm, name
+
+
+@pytest.mark.parametrize(
+    "d, e",
+    [
+        (np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0])),  # diagonal not mirrored
+        (np.zeros(3), np.array([1.0, 2.0])),  # off-diagonal not mirrored
+        (np.zeros(4), np.ones(3)),  # even size
+        (np.zeros(3), np.ones(3)),  # bands of mismatched length
+        (np.zeros(1), np.zeros(0)),  # no parity blocks to split
+    ],
+)
+def test_tridiagonal_eigensystem_rejects_bands_without_parity(d, e):
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        spin.tridiagonal_eigensystem(d, e)
+
+
+def test_coherent_state_at_pole_is_top_dicke_vector():
+    top = np.zeros(11)
+    top[-1] = 1.0
+    assert np.array_equal(coherent_state(SpinSpace(10), Z_AXIS), top)
+
+
+def test_real_matmul_matches_complex_matmul():
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10))
+    # a C-ordered r and a transposed view, as R and R^T are passed
+    for r in (rng.normal(size=(9, 7)), rng.normal(size=(7, 9)).T):
+        for cols in (z, z[:, ::3], z[::-1, 1:4], np.asfortranarray(z)):
+            assert np.abs(real_matmul(r, cols) - r @ cols).max() <= 1e-14
+
+
+def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
+    sp = SpinSpace(10)
+    tilted = SpinAxis(1.1, 0.4)
+    x = np.ones((sp.dim, 3), dtype=complex)
+    rotation(sp, 0.3, tilted, x)  # builds the tilted axis's frame
+    shapes = []
+    product = spin.real_matmul
+    monkeypatch.setattr(spin, "real_matmul", lambda r, z: shapes.append(r.shape) or product(r, z))
+    rotation(sp, 0.3, tilted, x)
+    rotation(sp, 0.3, X_AXIS, x)
+    assert shapes == [(sp.dim, sp.dim)] * 4
+    frame = spin._tilted_frame(sp, tilted.theta)
+    assert frame.dtype == np.float64 and not frame.flags.writeable
+    assert spin._tilted_frame.cache_info().hits >= 1
+
+
+def test_rotation_memory_below_one_dense_complex_matrix():
+    # a complex copy of R, as numpy's own R @ Z makes, is 801^2 * 16 B = 10.3 MB
+    sp = SpinSpace(800)
+    x = np.ones((sp.dim, 30), dtype=complex)
+    axis = SpinAxis(1.1, 0.4)
+    rotation(sp, 0.3, axis, x)  # R once per N and the axis's frame, outside the budget
+    tracemalloc.start()
+    try:
+        rotation(sp, 0.3, axis, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sp.dim**2 * 16
 
 
 def test_apply_j_memory_is_linear_in_n():
@@ -300,7 +386,7 @@ def test_thermal_state_checks_its_factor(monkeypatch):
         return SpectralDecomp(w, v)
 
     monkeypatch.setattr(spin, "tridiagonal_eigensystem", skewed)
-    axis_eigensystem.cache_clear()
+    jx_eigensystem.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError, match="not unitary"):
             thermal_state(SpinSpace(10), 1.0, 0.3, 0.2)
@@ -308,7 +394,7 @@ def test_thermal_state_checks_its_factor(monkeypatch):
         with pytest.raises(NumericalInvariantError, match="not unitary"):
             rotation(SpinSpace(10), 0.4, X_AXIS, np.eye(11))
     finally:
-        axis_eigensystem.cache_clear()
+        jx_eigensystem.cache_clear()
 
 
 @pytest.mark.parametrize("n", [200, 800])
