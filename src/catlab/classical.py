@@ -24,6 +24,8 @@ closed-form coupling threshold.
 from __future__ import annotations
 
 import enum
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,26 +98,35 @@ class PhasePortrait:
 
 
 def _energy(z, phi, lam):
-    """H_cl(z, phi) on scalars or arrays.
+    """H_cl(z, phi) on scalars or arrays; `_step_energy` is its float twin.
 
-    Keep the operand order: `0.5 * lam * z * z` differs in the last bit, and
-    the integrator's accept decisions at its energy budget follow that bit.
+    Keep the operand order in both: `0.5 * lam * z * z` differs in the last
+    bit, and the integrator's accept decisions at its energy budget follow it.
     """
     return 0.5 * lam * z**2 - np.sqrt(np.maximum(1.0 - z**2, 0.0)) * np.cos(phi)
 
 
-def _flow(z, phi, lam, floor=None):
-    """Canonical flow (dz/dtau, dphi/dtau) on scalars or arrays.
+def _step_energy(z, phi, lam):
+    """_energy on Python floats, bit for bit as numpy gives it on arrays.
 
-    Unless 1 - z^2 is floored, the rates turn non-finite at |z| >= 1.
+    numpy squares z**2 on an array; on a float, z**2 would call libm pow.
+    """
+    return 0.5 * lam * (z * z) - math.sqrt(max(1.0 - z * z, 0.0)) * math.cos(phi)
+
+
+def _flow(z, phi, lam, floor=None):
+    """Canonical flow (dz/dtau, dphi/dtau) at one point, on Python floats.
+
+    Unless 1 - z^2 is floored, |z| > 1 raises ValueError and |z| = 1 raises
+    ZeroDivisionError: the flow is singular at the poles.
     """
     gap = 1.0 - z * z
-    root = np.sqrt(gap if floor is None else np.maximum(gap, floor))
-    return -root * np.sin(phi), lam * z + z * np.cos(phi) / root
+    root = math.sqrt(gap if floor is None else max(gap, floor))
+    return -root * math.sin(phi), lam * z + z * math.cos(phi) / root
 
 
 def _rk4(z, phi, lam, dt, floor=None):
-    """One classical RK4 step of the flow."""
+    """One classical RK4 step of the flow, on Python floats."""
     k1z, k1p = _flow(z, phi, lam, floor)
     k2z, k2p = _flow(z + 0.5 * dt * k1z, phi + 0.5 * dt * k1p, lam, floor)
     k3z, k3p = _flow(z + 0.5 * dt * k2z, phi + 0.5 * dt * k2p, lam, floor)
@@ -207,52 +218,52 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
     return float(z_c)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a step reaching |z| >= 1 turns non-finite
 def _integrate(
     starts: list[PhasePoint], params: MeanFieldParams, t_final: float, dt: float
 ) -> list[Trajectory]:
-    """Fixed-step RK4 integration of every start at once.
+    """Fixed-step RK4 integration of every start, in lock-step.
 
-    All orbits take each step together.  An orbit whose step leaves |z| < 1
-    (the flow is singular at the poles) or overspends its share of the energy
-    budget retries that step on its own as 2^k substeps, k <= 10, before the
-    run gives up.  Each orbit's energy drift must stay below ENERGY_DRIFT_TOL.
+    Step k advances every orbit, in start order, before step k + 1.  An orbit
+    whose step leaves |z| < 1 (the flow is singular at the poles) or
+    overspends its share of the energy budget retries that step as 2^k
+    substeps, k <= 10, before the run gives up at the earliest step any orbit
+    fails.  Each orbit's energy drift must stay below ENERGY_DRIFT_TOL.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not starts:
         return []
     lam = params.lambda_cl
+    n = len(starts)
     n_steps = max(1, int(round(t_final / dt)))
     times = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])
-    zs = np.empty((n_steps + 1, len(starts)))
-    phis = np.empty_like(zs)
-    energies = np.empty_like(zs)
-    zs[0] = [p.z for p in starts]
-    phis[0] = [p.phi for p in starts]
-    energies[0] = [classical_energy(p, params) for p in starts]
+    # row-major (step, orbit) in flat float64 storage; entries read back as floats
+    zs, phis, energies = (array("d", bytes(8 * (n_steps + 1) * n)) for _ in range(3))
+    for i, p in enumerate(starts):
+        zs[i], phis[i], energies[i] = p.z, p.phi, classical_energy(p, params)
     # per-step energy budget; summed over the run it stays below 5e-7 < 1e-6
     step_budget = 5e-7 * dt / max(t_final, dt)
+    refinements = [(2**r, dt / 2**r) for r in range(11)]
     for k in range(1, n_steps + 1):
-        zs[k], phis[k] = _rk4(zs[k - 1], phis[k - 1], lam, dt)
-        energies[k] = _energy(zs[k], phis[k], lam)
-        ok = (np.abs(zs[k]) < 1.0) & (np.abs(energies[k] - energies[k - 1]) <= step_budget)
-        if ok.all():
-            continue
-        for i in np.flatnonzero(~ok):
-            for attempt in range(1, 11):
-                z, phi = zs[k - 1, i], phis[k - 1, i]
-                for _ in range(2**attempt):
-                    z, phi = _rk4(z, phi, lam, dt / 2**attempt)
-                e = _energy(z, phi, lam)
-                if abs(z) < 1.0 and abs(e - energies[k - 1, i]) <= step_budget:
+        for i in range(k * n, (k + 1) * n):
+            z0, phi0, e0 = zs[i - n], phis[i - n], energies[i - n]
+            for substeps, h in refinements:
+                z, phi = z0, phi0
+                try:
+                    for _ in range(substeps):
+                        z, phi = _rk4(z, phi, lam, h)
+                    e = _step_energy(z, phi, lam)
+                except (ValueError, ZeroDivisionError):
+                    continue  # a stage reached |z| >= 1
+                if abs(z) < 1.0 and abs(e - e0) <= step_budget:
                     break
             else:
                 raise NumericalInvariantError(
                     f"integration failed near |z| = 1 at t = {times[k - 1]:.6g} "
                     "after 2^10 refinements"
                 )
-            zs[k, i], phis[k, i], energies[k, i] = z, phi, e
+            zs[i], phis[i], energies[i] = z, phi, e
+    zs, phis, energies = (np.frombuffer(a).reshape(n_steps + 1, n) for a in (zs, phis, energies))
     drifts = np.abs(energies - energies[0]).max(axis=0)
     if drifts.max() > ENERGY_DRIFT_TOL:
         raise NumericalInvariantError(
@@ -283,8 +294,8 @@ def integrate_trajectory(
     """Fixed-step RK4 integration of one orbit with pole-refinement and energy guard.
 
     Near the poles |z| = 1 the flow is singular; a failing step is retried
-    with a halved dt up to 2^10 refinements before giving up.  The total
-    energy drift over the run must stay below ENERGY_DRIFT_TOL.
+    as 2^k substeps, k <= 10, before giving up.  The total energy drift over
+    the run must stay below ENERGY_DRIFT_TOL.
     """
     [trajectory] = _integrate([p0], params, t_final, dt)
     return trajectory
@@ -296,40 +307,32 @@ def classify_batch(
     t_max: float = 200.0,
     dt: float = 2e-3,
 ) -> list[TrajectoryClass]:
-    """Classify many initial points at once with early exit per point.
+    """Classify many initial points, each with its own early exit.
 
-    All points are stepped together with vectorized RK4; a point is frozen
-    as FREE_OSCILLATION the moment its z changes sign and as SELF_TRAPPING
-    the moment its phase has wound by more than 2 pi without a sign change.
-    Orbits hugging the separatrix take a time ~ log(1/distance) to commit,
-    which is why the default horizon is long; undecided points at t_max
-    (stationary or critically slowed) fall back to FREE_OSCILLATION.
+    Each point is stepped with the floored RK4 kernel, z clipped to [-1, 1];
+    it is classed FREE_OSCILLATION the moment its z changes sign and
+    SELF_TRAPPING the moment its phase has wound by more than 2 pi without a
+    sign change.  Orbits hugging the separatrix take a time ~ log(1/distance)
+    to commit, which is why the default horizon is long; undecided points at
+    t_max (stationary or critically slowed) fall back to FREE_OSCILLATION.
     """
     lam = params.lambda_cl
-    z = np.array([p.z for p in points], dtype=float)
-    phi = np.array([p.phi for p in points], dtype=float)
-    phi0 = phi.copy()
-    sign0 = np.sign(z)
-    trapped = np.zeros(z.size, dtype=bool)
-    free = np.zeros(z.size, dtype=bool)
-    active = np.ones(z.size, dtype=bool)
-
     n_steps = int(round(t_max / dt))
-    for _ in range(n_steps):
-        if not active.any():
-            break
-        z_new, p_new = _rk4(z[active], phi[active], lam, dt, floor=1e-18)
-        z[active] = np.clip(z_new, -1.0, 1.0)
-        phi[active] = p_new
-        flipped = active & (np.sign(z) != sign0) & (np.sign(z) != 0) & (sign0 != 0)
-        wound = active & (np.abs(phi - phi0) > 2 * np.pi)
-        free |= flipped
-        trapped |= wound & ~flipped
-        active &= ~(flipped | wound)
-    return [
-        TrajectoryClass.SELF_TRAPPING if trapped[i] else TrajectoryClass.FREE_OSCILLATION
-        for i in range(z.size)
-    ]
+    classes = []
+    for p in points:
+        z0, phi0 = float(p.z), float(p.phi)
+        z, phi = z0, phi0
+        cls = TrajectoryClass.FREE_OSCILLATION
+        for _ in range(n_steps):
+            z, phi = _rk4(z, phi, lam, dt, floor=1e-18)
+            z = min(max(z, -1.0), 1.0)
+            if z < 0.0 < z0 or z0 < 0.0 < z:
+                break
+            if abs(phi - phi0) > 2 * np.pi:
+                cls = TrajectoryClass.SELF_TRAPPING
+                break
+        classes.append(cls)
+    return classes
 
 
 def phase_portrait(

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from catlab import (
     MeanFieldParams,
+    NumericalInvariantError,
     PhasePoint,
     SeparatrixAbsentError,
     Stability,
@@ -161,6 +162,32 @@ def test_trajectory_refines_steps_near_the_pole(monkeypatch):
     assert traj.classification is TrajectoryClass.SELF_TRAPPING
     assert traj.energy_drift < 1e-6
     assert np.abs(traj.points[:, 0]).max() < 1.0
+
+
+def test_default_portrait_steps_python_floats(monkeypatch):
+    # float64 numpy scalars reaching the kernel make each _rk4 call about 2x slower
+    rk4 = classical._rk4
+    float_args = []
+
+    def checking_rk4(z, phi, lam, dt, floor=None):
+        float_args.append(type(z) is float and type(phi) is float)
+        return rk4(z, phi, lam, dt, floor)
+
+    monkeypatch.setattr(classical, "_rk4", checking_rk4)
+    phase_portrait(MeanFieldParams(20.0))
+    assert len(float_args) == 7 * 12_000
+    assert all(float_args)
+
+
+def test_integration_fails_at_the_earliest_failing_step():
+    # at lambda_cl = 0 an orbit along phi = -pi/2 runs into the pole, where no
+    # refinement can step it: from z = 0.99 at t = 0.14, from z = 0.999 at t = 0.04
+    mf = MeanFieldParams(0.0)
+    late, early = PhasePoint(0.99, -np.pi / 2), PhasePoint(0.999, -np.pi / 2)
+    with pytest.raises(NumericalInvariantError, match=r"at t = 0\.14 "):
+        classical._integrate([late], mf, 0.5, 0.01)
+    with pytest.raises(NumericalInvariantError, match=r"at t = 0\.04 "):
+        classical._integrate([late, early], mf, 0.5, 0.01)
 
 
 def test_trajectory_stationary_at_fixed_point():
