@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import NumericalInvariantError
-
-#: bisection stops once the bracket on z_c(phi) is narrower than this
-SEPARATRIX_TOL = 1e-12
-#: largest energy drift |H_cl(t) - H_cl(0)| a trajectory may accumulate
-ENERGY_DRIFT_TOL = 1e-6
+from .spin import TOLERANCES, NumericalInvariantError
 
 
 class SeparatrixAbsentError(ValueError):
@@ -185,9 +180,9 @@ def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
 def separatrix(phi: float, params: MeanFieldParams) -> float:
     """Separatrix height z_c(phi) >= 0, the smallest root of H_cl(z, phi) = 1.
 
-    Solved by bracketed bisection to SEPARATRIX_TOL.  Raises SeparatrixAbsentError when
-    lambda_cl <= 1 (no saddle) or when the separatrix does not extend to the
-    requested azimuth (possible for 1 < lambda_cl < 2).
+    Solved by bracketed bisection to TOLERANCES["separatrix_bisection"].  Raises
+    SeparatrixAbsentError when lambda_cl <= 1 (no saddle) or when the separatrix
+    does not extend to the requested azimuth (possible for 1 < lambda_cl < 2).
     """
     lam = params.lambda_cl
     if lam <= 1.0:
@@ -212,7 +207,7 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < SEPARATRIX_TOL:
+        if hi - lo < TOLERANCES["separatrix_bisection"]:
             break
     z_c = 0.5 * (lo + hi)
     return float(z_c)
@@ -227,7 +222,7 @@ def _integrate(
     whose step leaves |z| < 1 (the flow is singular at the poles) or
     overspends its share of the energy budget retries that step as 2^k
     substeps, k <= 10, before the run gives up at the earliest step any orbit
-    fails.  Each orbit's energy drift must stay below ENERGY_DRIFT_TOL.
+    fails.  Each orbit's energy drift must stay below TOLERANCES["energy_drift"].
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -241,8 +236,8 @@ def _integrate(
     zs, phis, energies = (array("d", bytes(8 * (n_steps + 1) * n)) for _ in range(3))
     for i, p in enumerate(starts):
         zs[i], phis[i], energies[i] = p.z, p.phi, classical_energy(p, params)
-    # per-step energy budget; summed over the run it stays below 5e-7 < 1e-6
-    step_budget = 5e-7 * dt / max(t_final, dt)
+    # per-step energy budget; summed over the run it stays below half the drift tolerance
+    step_budget = 0.5 * TOLERANCES["energy_drift"] * dt / max(t_final, dt)
     refinements = [(2**r, dt / 2**r) for r in range(11)]
     for k in range(1, n_steps + 1):
         for i in range(k * n, (k + 1) * n):
@@ -265,9 +260,9 @@ def _integrate(
             zs[i], phis[i], energies[i] = z, phi, e
     zs, phis, energies = (np.frombuffer(a).reshape(n_steps + 1, n) for a in (zs, phis, energies))
     drifts = np.abs(energies - energies[0]).max(axis=0)
-    if drifts.max() > ENERGY_DRIFT_TOL:
+    if drifts.max() > TOLERANCES["energy_drift"]:
         raise NumericalInvariantError(
-            f"energy drift {drifts.max():.3e} exceeds {ENERGY_DRIFT_TOL}"
+            f"energy drift {drifts.max():.3e} exceeds {TOLERANCES['energy_drift']}"
         )
     # trapped: the phase winds past 2 pi while z keeps the sign of its first nonzero value
     signs = np.sign(zs)
@@ -295,7 +290,7 @@ def integrate_trajectory(
 
     Near the poles |z| = 1 the flow is singular; a failing step is retried
     as 2^k substeps, k <= 10, before giving up.  The total energy drift over
-    the run must stay below ENERGY_DRIFT_TOL.
+    the run must stay below TOLERANCES["energy_drift"].
     """
     [trajectory] = _integrate([p0], params, t_final, dt)
     return trajectory

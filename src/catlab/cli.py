@@ -7,7 +7,8 @@ classical | catqubit | all-figures.  Each run writes figure-ready CSV files
 plus a manifest.json with config echo and per-file checksums.
 
 Exit codes: 0 success, 2 configuration error (including a requested state
-that does not exist for the couplings), 3 numerical-invariant or LAPACK
+that does not exist for the couplings, and a run estimated to need more
+memory than MemAvailable), 3 numerical-invariant or LAPACK
 failure (numpy.linalg.LinAlgError).  The CATLAB_WORKERS environment
 variable overrides the configured worker count.
 """
@@ -30,6 +31,7 @@ EXIT_NUMERICAL = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; each override flag stores into the RunConfig field named by its dest."""
     parser = argparse.ArgumentParser(
         prog="catlab",
         description="Two-mode interferometer cat-state simulator and metrology sweeps.",
@@ -38,54 +40,36 @@ def build_parser() -> argparse.ArgumentParser:
     for name in list(COMMANDS) + ["all-figures"]:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--n", type=int, default=None, help="particle number N (even)")
-        p.add_argument("--u", type=float, default=None, help="interaction energy u")
-        p.add_argument("--t-hop", type=float, default=None, help="hopping energy t")
-        p.add_argument("--state", choices=["pi", "zero"], default=None)
+        p.add_argument("--n", dest="n_particles", type=int, help="particle number N (even)")
+        p.add_argument("--u", dest="u_int", type=float, help="interaction energy u")
+        p.add_argument("--t-hop", type=float, help="hopping energy t")
+        p.add_argument("--state", dest="state_label", choices=["pi", "zero"])
         p.add_argument(
-            "--beta-inv", type=float, default=None,
+            "--beta-inv", dest="beta_inv_over_eps", type=float,
             help="initial temperature in units of eps_tau (0 = pure state)",
         )
-        p.add_argument("--time-factor", type=float, default=None, help="multiple of T_pi")
-        p.add_argument("--grid-theta", type=int, default=None)
-        p.add_argument("--grid-phi", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--factors", type=float, nargs="+", default=None,
+        p.add_argument("--time-factor", type=float, help="multiple of T_pi")
+        p.add_argument("--grid-theta", type=int)
+        p.add_argument("--grid-phi", type=int)
+        p.add_argument("--out", dest="out_dir", type=str, help="output directory")
+        p.add_argument("--workers", type=int)
+        p.add_argument("--factors", dest="time_factors", type=float, nargs="+",
                        help="time-sweep factors (multiples of T_pi)")
-        p.add_argument("--betas", type=float, nargs="+", default=None,
+        p.add_argument("--betas", dest="beta_inv_grid", type=float, nargs="+",
                        help="temperature-sweep grid (beta_inv values)")
-        p.add_argument("--alpha", type=float, default=None,
+        p.add_argument("--alpha", dest="cat_alpha", type=float,
                        help="cat-qubit ratio Lambda / PW")
-        p.add_argument("--lambda-cl", type=float, default=None,
+        p.add_argument("--lambda-cl", type=float,
                        help="classical-portrait coupling override")
-        p.add_argument("--sign-convention", choices=["figure_one", "literal_eq5"],
-                       default=None)
-        p.add_argument("--optimize-time", action="store_true",
+        p.add_argument("--sign-convention", choices=["figure_one", "literal_eq5"])
+        p.add_argument("--optimize-time", dest="optimize_time_factor", action="store_const",
+                       const=True,
                        help="pick the extensive-difference maximizing time per sweep point")
     return parser
 
 
-_FLAG_FIELDS = {
-    "n": "n_particles",
-    "u": "u_int",
-    "t_hop": "t_hop",
-    "state": "state_label",
-    "beta_inv": "beta_inv_over_eps",
-    "time_factor": "time_factor",
-    "grid_theta": "grid_theta",
-    "grid_phi": "grid_phi",
-    "out": "out_dir",
-    "workers": "workers",
-    "factors": "time_factors",
-    "betas": "beta_inv_grid",
-    "alpha": "cat_alpha",
-    "lambda_cl": "lambda_cl",
-    "sign_convention": "sign_convention",
-}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The --config file (or the defaults), with every flag given on top."""
     if args.config is not None:
         path = Path(args.config)
         try:
@@ -97,12 +81,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         data = RunConfig.from_json(text).to_dict()
     else:
         data = RunConfig().to_dict()
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[field_name] = value
-    if getattr(args, "optimize_time", False):
-        data["optimize_time_factor"] = True
+    data.update((k, v) for k, v in vars(args).items() if k in data and v is not None)
     return RunConfig.from_dict(data)
 
 

@@ -1,11 +1,14 @@
 """Batch computations behind the CLI: sweeps, CSV output, run manifests.
 
-Every command produces one or more CSV files plus a manifest.json recording
-the config echo, the conventions and tolerances in force, derived quantities
+Each command computes one table, (file name, header, rows); run_command
+writes it as a CSV file next to a manifest.json recording the config echo,
+the conventions and the whole spin.TOLERANCES table, derived quantities
 (T_pi, lambda_cl, z_c(0)), and a sha256 checksum for each output file.
 Floats are serialized with 17 significant digits so repeated runs are
 byte-identical regardless of worker count: sweep points are distributed to
 a process pool but assembled in deterministic key order before writing.
+A run whose estimated memory exceeds MemAvailable is refused before it
+allocates.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classical, metrology, spin
+from . import __version__, spin
 from .classical import (
     MeanFieldParams,
     SeparatrixAbsentError,
@@ -37,6 +40,7 @@ from .dynamics import (
 )
 from .metrology import (
     ReadoutSpec,
+    default_axis_grids,
     jz_distribution,
     metrology_report,
     qfi_axis_map,
@@ -44,32 +48,18 @@ from .metrology import (
 from .spin import SpinAxis, space_for_dim
 from .wigner import wigner
 
-TOLERANCES = {
-    "hermiticity": spin.HERMITICITY_TOL,
-    "unitarity": spin.UNITARITY_TOL,
-    "trace": spin.TRACE_TOL,
-    "eigenvalue_floor": spin.EIGENVALUE_FLOOR,
-    "fisher_weight_cutoff": metrology.WEIGHT_CUTOFF,
-    "probability_floor": metrology.PROB_FLOOR,
-    "energy_drift": classical.ENERGY_DRIFT_TOL,
-    "separatrix_bisection": classical.SEPARATRIX_TOL,
-}
-
-
-def fmt(x: float) -> str:
-    """Serialize a float with 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
+#: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
+#: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
+#: (the hot qfi-map needs about 17), and bytes per qfi-map or Wigner grid row
+REAL_MATRICES, COMPLEX_BLOCKS, GRID_ROW_BYTES = 4, 18, 400
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write rows with floats at 17 significant digits, which round-trip exactly."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def sha256_of(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def resolve_workers(config: RunConfig) -> int:
@@ -102,13 +92,6 @@ def _params_from_config(config: RunConfig) -> TwistTurnParams:
     )
 
 
-def _readout_from_config(config: RunConfig) -> ReadoutSpec:
-    return ReadoutSpec(
-        axis=SpinAxis(config.readout_theta, config.readout_phi),
-        angle=config.readout_angle,
-    )
-
-
 def _evolved_states(config: RunConfig, state_label: str, factors: list[float], beta_inv: float):
     return prepare_and_evolve(
         StateLabel(state_label), beta_scaled_of(beta_inv), factors, _params_from_config(config)
@@ -127,15 +110,21 @@ def _wigner_phi_points(config: RunConfig) -> int:
     return max(config.wigner_phi_points, config.n_particles + 1)
 
 
+def _lambda_cl(config: RunConfig) -> float:
+    """The classical-portrait coupling: the configured override, else u N / t."""
+    if config.lambda_cl is not None:
+        return config.lambda_cl
+    return _params_from_config(config).lambda_cl
+
+
 def derived_quantities(config: RunConfig) -> dict:
-    params = _params_from_config(config)
-    lam_cl = config.lambda_cl if config.lambda_cl is not None else params.lambda_cl
+    lam_cl = _lambda_cl(config)
     try:
         z_c0 = separatrix(0.0, MeanFieldParams(lam_cl))
     except SeparatrixAbsentError:
         z_c0 = None
     return {
-        "t_pi": t_pi(params.space, config.u_int),
+        "t_pi": t_pi(space_for_dim(config.n_particles + 1), config.u_int),
         "lambda_cl": lam_cl,
         "z_c0": z_c0,
         "wigner_phi_points": _wigner_phi_points(config),
@@ -145,85 +134,59 @@ def derived_quantities(config: RunConfig) -> dict:
 # ----------------------------------------------------------------------------
 # sweep workers (top level so they pickle cleanly into the process pool)
 
+def _reports(config: RunConfig, state_label: str, beta_inv: float, factors: list[float]):
+    """(factor, metrology report) per time factor, all evolved from one prepared state."""
+    readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
+    for factor, evolved in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
+        yield factor, metrology_report(evolved.state, readout=readout)
+
+
 def _time_sweep_point(args: tuple) -> list[tuple]:
-    """One row per time factor of a chunk, all evolved from one prepared state."""
+    """One row per time factor of a chunk."""
     config_dict, factors = args
     config = RunConfig.from_dict(config_dict)
-    readout = _readout_from_config(config)
-    rows = []
-    states = _evolved_states(config, config.state_label, factors, config.beta_inv_over_eps)
-    for factor, evolved in zip(factors, states):
-        report = metrology_report(evolved.state, readout=readout)
-        rows.append((
-            factor,
-            report.lam,
-            report.delta_s,
-            report.r_c,
-            report.r_q,
-            report.reduced_lambda_c,
-            report.reduced_lambda_q,
-        ))
-    return rows
+    return [
+        (factor, r.lam, r.delta_s, r.r_c, r.r_q, r.reduced_lambda_c, r.reduced_lambda_q)
+        for factor, r in _reports(config, config.state_label, config.beta_inv_over_eps, factors)
+    ]
 
 
 def _temp_sweep_point(args: tuple) -> tuple:
+    """The row of one (state, temperature): at the time factor of largest Lambda (the first)."""
     config_dict, state_label, beta_inv = args
     config = RunConfig.from_dict(config_dict)
-    factors = (
-        config.time_factors
-        if config.optimize_time_factor
-        else [config.effective_time_factor(state_label)]
-    )
-    readout = _readout_from_config(config)
-    best = None
-    for factor, evolved in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
-        report = metrology_report(evolved.state, readout=readout)
-        if best is None or report.lam > best[1].lam:
-            best = (factor, report)
-    factor, report = best
-    return (
-        state_label,
-        beta_inv,
-        report.lam,
-        report.r_q,
-        report.r_c,
-        report.reduced_lambda_q,
-        report.reduced_lambda_c,
-        report.f_q,
-        report.f_c,
-        report.n_eff_bound,
-        factor,
-    )
+    scheduled = [config.effective_time_factor(state_label)]
+    factors = config.time_factors if config.optimize_time_factor else scheduled
+    factor, r = max(_reports(config, state_label, beta_inv, factors), key=lambda fr: fr[1].lam)
+    return (state_label, beta_inv, r.lam, r.r_q, r.r_c, r.reduced_lambda_q, r.reduced_lambda_c,
+            r.f_q, r.f_c, r.n_eff_bound, factor)
 
 
 # ----------------------------------------------------------------------------
 # commands
 
-def cmd_distribution(config: RunConfig, out_dir: Path) -> list[Path]:
+def _grid_rows(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """One (x, y, value) row per grid cell, x outermost."""
+    return [(x, y, values[i, k]) for i, x in enumerate(xs) for k, y in enumerate(ys)]
+
+
+def cmd_distribution(config: RunConfig) -> tuple:
     dist = jz_distribution(_evolved_state(config))
-    rows = [(m, p) for m, p in zip(dist.m_values, dist.probs)]
-    path = out_dir / "jz_distribution.csv"
-    write_csv(path, ["m", "p"], rows)
-    return [path]
+    return "jz_distribution.csv", ["m", "p"], list(zip(dist.m_values, dist.probs))
 
 
-def cmd_time_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_time_sweep(config: RunConfig) -> tuple:
     factors = sorted(config.time_factors)
     n_workers = min(resolve_workers(config), len(factors))
     # one chunk of factors per worker, so each prepares its state once
     items = [(config.to_dict(), factors[k::n_workers]) for k in range(n_workers)]
     chunks = parallel_map(_time_sweep_point, items, n_workers)
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
-    path = out_dir / "lambda_r_vs_time.csv"
-    write_csv(
-        path,
-        ["time_factor", "lambda", "delta_s", "r_c", "r_q", "lambda_r_c", "lambda_r_q"],
-        rows,
-    )
-    return [path]
+    header = ["time_factor", "lambda", "delta_s", "r_c", "r_q", "lambda_r_c", "lambda_r_q"]
+    return "lambda_r_vs_time.csv", header, rows
 
 
-def cmd_temp_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_temp_sweep(config: RunConfig) -> tuple:
     items = [
         (config.to_dict(), state, beta_inv)
         for state in ("pi", "zero")
@@ -231,52 +194,26 @@ def cmd_temp_sweep(config: RunConfig, out_dir: Path) -> list[Path]:
     ]
     rows = parallel_map(_temp_sweep_point, items, resolve_workers(config))
     rows.sort(key=lambda r: (r[0], r[1]))
-    path = out_dir / "crossover.csv"
-    write_csv(
-        path,
-        [
-            "state", "beta_inv", "lambda", "r_q", "r_c", "lambda_r_q", "lambda_r_c",
-            "f_q", "f_c", "n_eff_bound", "time_factor",
-        ],
-        rows,
-    )
-    return [path]
-
-
-def cmd_qfi_map(config: RunConfig, out_dir: Path) -> list[Path]:
-    state = _evolved_state(config)
-    thetas = np.linspace(0.0, np.pi, config.grid_theta)
-    phis = np.linspace(-np.pi, np.pi, config.grid_phi, endpoint=False)
-    amap = qfi_axis_map(state, thetas, phis)
-    rows = [
-        (th, ph, amap.values[i, k])
-        for i, th in enumerate(thetas)
-        for k, ph in enumerate(phis)
+    header = [
+        "state", "beta_inv", "lambda", "r_q", "r_c", "lambda_r_q", "lambda_r_c",
+        "f_q", "f_c", "n_eff_bound", "time_factor",
     ]
-    path = out_dir / "neff_map.csv"
-    write_csv(path, ["theta", "phi", "value"], rows)
-    return [path]
+    return "crossover.csv", header, rows
 
 
-def cmd_wigner(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_qfi_map(config: RunConfig) -> tuple:
+    thetas, phis = default_axis_grids(config.grid_theta, config.grid_phi)
+    amap = qfi_axis_map(_evolved_state(config), thetas, phis)
+    return "neff_map.csv", ["theta", "phi", "value"], _grid_rows(thetas, phis, amap.values)
+
+
+def cmd_wigner(config: RunConfig) -> tuple:
     grid = wigner(_evolved_state(config), _wigner_phi_points(config))
-    rows = [
-        (z, ph, grid.values[i, k])
-        for i, z in enumerate(grid.z_values)
-        for k, ph in enumerate(grid.phi_values)
-    ]
-    path = out_dir / "wigner.csv"
-    write_csv(path, ["z", "phi", "w"], rows)
-    return [path]
+    return "wigner.csv", ["z", "phi", "w"], _grid_rows(grid.z_values, grid.phi_values, grid.values)
 
 
-def cmd_classical(config: RunConfig, out_dir: Path) -> list[Path]:
-    lam = (
-        config.lambda_cl
-        if config.lambda_cl is not None
-        else _params_from_config(config).lambda_cl
-    )
-    portrait = phase_portrait(MeanFieldParams(lam))
+def cmd_classical(config: RunConfig) -> tuple:
+    portrait = phase_portrait(MeanFieldParams(_lambda_cl(config)))
     rows: list[tuple] = []
     for i, fp in enumerate(portrait.fixed_points):
         rows.append((f"fixed_point_{i}", 0, fp.point.z, fp.point.phi, fp.stability.value))
@@ -290,12 +227,10 @@ def cmd_classical(config: RunConfig, out_dir: Path) -> list[Path]:
                 (f"trajectory_{i}", k, traj.points[k, 0], traj.points[k, 1],
                  traj.classification.value)
             )
-    path = out_dir / "portrait.csv"
-    write_csv(path, ["trajectory_id", "step", "z", "phi", "class"], rows)
-    return [path]
+    return "portrait.csv", ["trajectory_id", "step", "z", "phi", "class"], rows
 
 
-def cmd_catqubit(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_catqubit(config: RunConfig) -> tuple:
     peak_width = 2.0 * config.cat_width
     lam = config.cat_alpha * peak_width
     rows = []
@@ -305,9 +240,7 @@ def cmd_catqubit(config: RunConfig, out_dir: Path) -> list[Path]:
             (eta, analytic_qfi(model), analytic_rq(model), reduced_extdiff(model),
              lg_violation(eta))
         )
-    path = out_dir / "catqubit.csv"
-    write_csv(path, ["eta", "f_q", "r_q", "lambda_rq", "lg_violation"], rows)
-    return [path]
+    return "catqubit.csv", ["eta", "f_q", "r_q", "lambda_rq", "lg_violation"], rows
 
 
 COMMANDS = {
@@ -341,13 +274,14 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
         "config": config.to_dict(),
         "sign_convention": config.sign_convention,
         "thermal_exponent_sign": "+1 (beta -> inf selects the top eigenstate)",
-        "tolerances": TOLERANCES,
+        "tolerances": spin.TOLERANCES,
         "derived": derived_quantities(config),
         "time_factor_pi": config.effective_time_factor("pi"),
         "time_factor_zero": config.effective_time_factor("zero"),
         "notes": notes,
         "outputs": {
-            p.relative_to(out_dir).as_posix(): sha256_of(p) for p in sorted(outputs)
+            p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outputs)
         },
     }
     path = out_dir / "manifest.json"
@@ -355,29 +289,63 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
     return path
 
 
-def _make_out_dir(path: Path) -> None:
+def memory_estimate(command: str, config: RunConfig) -> int:
+    """Bytes a command holds at its peak, from N, the state's rank and its grid rows."""
+    if command in ("classical", "catqubit"):
+        return 0  # no spin state
+    dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
+    temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
+    # the hottest state keeps each column whose weight e^(-beta k) is a nonzero double
+    rank = min(dim, int(745 / min(map(beta_scaled_of, temps))) + 1)
+    grids = [config.grid_theta * config.grid_phi, dim * _wigner_phi_points(config)]
+    rows = {"qfi-map": grids[0], "wigner": grids[1], "all-figures": max(grids)}.get(command, 0)
+    # each pool worker holds its own state and eigenvectors
+    workers = 1 if command in ("distribution", "qfi-map", "wigner") else resolve_workers(config)
+    state_bytes = 8 * dim * (REAL_MATRICES * dim + 2 * COMPLEX_BLOCKS * rank)
+    return workers * state_bytes + GRID_ROW_BYTES * rows
+
+
+def _mem_available() -> int | None:
+    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
+
+
+def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]:
+    """Run one command into out_dir: its CSV, then its manifest."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    name, header, rows = COMMANDS[command](config)
+    path = out_dir / name
+    write_csv(path, header, rows)
+    return [path, write_manifest(config, command, out_dir, [path])]
 
 
 def run_command(command: str, config: RunConfig) -> list[Path]:
-    """Execute one command (or all-figures) and write its manifest."""
-    out_root = Path(config.out_dir)
-    if command == "all-figures":
-        all_outputs: list[Path] = []
-        for name in COMMANDS:
-            sub = out_root / name.replace("-", "_")
-            _make_out_dir(sub)
-            outputs = COMMANDS[name](config, sub)
-            all_outputs.extend(outputs)
-            all_outputs.append(write_manifest(config, name, sub, outputs))
-        top = write_manifest(config, "all-figures", out_root, all_outputs)
-        return all_outputs + [top]
-    if command not in COMMANDS:
+    """Execute one command (or all-figures) and write its manifest.
+
+    A run estimated to need more than MemAvailable is refused before it allocates.
+    """
+    if command != "all-figures" and command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    _make_out_dir(out_root)
-    outputs = COMMANDS[command](config, out_root)
-    manifest = write_manifest(config, command, out_root, outputs)
-    return outputs + [manifest]
+    need, available = memory_estimate(command, config), _mem_available()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"{command} at N = {config.n_particles} needs an estimated {need:.3g} bytes, "
+            f"more than the {available:.3g} bytes of MemAvailable"
+        )
+    out_root = Path(config.out_dir)
+    if command != "all-figures":
+        return _write_command(command, config, out_root)
+    outputs = [
+        path
+        for name in COMMANDS
+        for path in _write_command(name, config, out_root / name.replace("-", "_"))
+    ]
+    return outputs + [write_manifest(config, "all-figures", out_root, outputs)]

@@ -42,6 +42,7 @@ from .spin import (
     SpinAxis,
     SpinSpace,
     NumericalInvariantError,
+    TOLERANCES,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -49,12 +50,6 @@ from .spin import (
     rotation,
     space_for_dim,
 )
-
-#: bin cutoff in the CFI: a read-out bin with p_r below it is skipped, which
-#: removes 0/0 terms without touching anything at the 1e-6 acceptance level
-WEIGHT_CUTOFF = 1e-12
-
-PROB_FLOOR = -1e-12
 
 
 @dataclass(frozen=True)
@@ -84,10 +79,10 @@ class JzDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.space.dim,):
             raise ValueError(f"expected {self.space.dim} probabilities, got {p.shape}")
-        if p.min() < PROB_FLOOR:
+        if p.min() < TOLERANCES["probability_floor"]:
             raise NumericalInvariantError(f"probability {p.min():.3e} below round-off floor")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-9:
+        if abs(p.sum() - 1.0) > TOLERANCES["probability_sum"]:
             raise NumericalInvariantError(f"probabilities sum to {p.sum():.12f}, not 1")
         object.__setattr__(self, "probs", p)
 
@@ -202,7 +197,8 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
 
     d p_r / d psi = <r| i [G, rho] |r> = -2 Im sum_k p_k b_rk conj(a_rk) with
     G = J(axis), a = U_r^dag V and b = U_r^dag G V, so no finite phase step
-    is needed; bins with p_r below WEIGHT_CUTOFF are skipped.
+    is needed; bins with p_r below TOLERANCES["fisher_weight_cutoff"] are skipped,
+    which removes 0/0 terms without touching anything at the 1e-6 acceptance level.
     """
     p, v = state
     space = space_for_dim(v.shape[0])
@@ -210,7 +206,7 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
     a, b = np.split(both, 2, axis=1)
     probs = _bin_probabilities(p, a)
     dp = -2.0 * (b * a.conj()).imag @ p
-    mask = probs > WEIGHT_CUTOFF
+    mask = probs > TOLERANCES["fisher_weight_cutoff"]
     return float(np.sum(dp[mask] ** 2 / probs[mask]))
 
 
@@ -231,7 +227,7 @@ def cfi_finite_difference(
     p_minus = protocol_distribution(state, -delta, encoding_axis, readout).probs
     p_zero = protocol_distribution(state, 0.0, encoding_axis, readout).probs
     dp = (p_plus - p_minus) / (2.0 * delta)
-    mask = p_zero > WEIGHT_CUTOFF
+    mask = p_zero > TOLERANCES["fisher_weight_cutoff"]
     return float(np.sum(dp[mask] ** 2 / p_zero[mask]))
 
 
@@ -264,11 +260,12 @@ class MetrologyReport:
             return
         # r_c <= r_q is F_c <= F_q (r_c / r_q = sqrt(F_c / F_q)), checked
         # once, in F, where its round-off slack is stated
-        if not (-1e-9 <= self.r_c and self.r_q <= 1.0 + 1e-9):
+        tol = TOLERANCES
+        if not (-tol["fisher_ratio"] <= self.r_c and self.r_q <= 1.0 + tol["fisher_ratio"]):
             raise NumericalInvariantError(
                 f"Fisher chain violated: r_c = {self.r_c}, r_q = {self.r_q}"
             )
-        if self.f_c > self.f_q * (1.0 + 1e-6) + 1e-12:
+        if self.f_c > self.f_q * (1.0 + tol["fisher_chain_rel"]) + tol["fisher_chain_abs"]:
             raise NumericalInvariantError(f"F_c = {self.f_c} exceeds F_q = {self.f_q}")
 
 

@@ -42,10 +42,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-9
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
+#: every numerical slack in catlab, by name; each run's manifest records the table
+TOLERANCES = {
+    "hermiticity": 1e-10,  # max|A - A^dag|, relative to max|A|
+    "unitarity": 1e-9,  # max|U^dag U - I|
+    "trace": 1e-10,  # |sum p - 1| of a state
+    "eigenvalue_floor": -1e-10,  # lowest eigenvalue a density matrix may round to
+    "probability_floor": -1e-12,  # lowest read-out probability before clamping
+    "probability_sum": 1e-9,  # |sum p - 1| of a read-out distribution
+    "fisher_weight_cutoff": 1e-12,  # CFI bins with p_r below it are skipped (0/0)
+    "fisher_ratio": 1e-9,  # slack on 0 <= r_c and r_q <= 1
+    "fisher_chain_rel": 1e-6,  # F_c <= F_q (1 + rel) + abs
+    "fisher_chain_abs": 1e-12,
+    "wigner_imag_residue": 1e-9,  # max|Im W|
+    "energy_drift": 1e-6,  # max|H_cl(t) - H_cl(0)| of a mean-field orbit
+    "separatrix_bisection": 1e-12,  # width of the final bracket on z_c(phi)
+}
 
 
 class NumericalInvariantError(RuntimeError):
@@ -286,19 +298,19 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * _tilt(space, axis.theta, dicke))
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def assert_hermitian(a: np.ndarray) -> None:
     scale = np.abs(a).max()
     if scale == 0:
         return
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol * scale:
+    if dev > TOLERANCES["hermiticity"] * scale:
         raise NumericalInvariantError(f"matrix not Hermitian: max|A - A^dag| = {dev:.3e}")
 
 
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def assert_unitary(u: np.ndarray) -> None:
     """Check U^dag U = I, i.e. orthonormal columns (U may be N x r)."""
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[1])).max()
-    if dev > tol:
+    if dev > TOLERANCES["unitarity"]:
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
@@ -311,7 +323,7 @@ def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) 
     """
     if p.min() < 0:
         raise NumericalInvariantError(f"negative state weight {p.min():.3e}")
-    if abs(p.sum() - 1.0) > TRACE_TOL:
+    if abs(p.sum() - 1.0) > TOLERANCES["trace"]:
         raise NumericalInvariantError(f"trace deviates from 1 by {abs(p.sum() - 1.0):.3e}")
     keep = p > 0
     v = vectors[:, keep]
@@ -327,7 +339,7 @@ def state_eigensystem(rho: np.ndarray) -> SpectralDecomp:
     round-off negatives are clamped to 0 before state_factor.
     """
     w, v = spectral_decomp(rho)
-    if w.min() < EIGENVALUE_FLOOR:
+    if w.min() < TOLERANCES["eigenvalue_floor"]:
         raise NumericalInvariantError(f"negative eigenvalue {w.min():.3e} below round-off floor")
     return state_factor(np.clip(w, 0.0, None), v)
 

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import NumericalInvariantError, SpectralDecomp
-
-IMAG_RESIDUE_TOL = 1e-9
+from .spin import TOLERANCES, NumericalInvariantError, SpectralDecomp
 
 
 @dataclass(frozen=True)
@@ -50,18 +48,17 @@ def wigner(state: SpectralDecomp, phi_points: int = 256) -> WignerGrid:
     n_particles = dim - 1
     j = n_particles / 2
     phis = -np.pi + 2.0 * np.pi * np.arange(phi_points) / phi_points
-    # coefficient table c[m, n]: the anti-diagonal element <m+n| rho |m-n>
+    # coefficient table c[m, n]: the anti-diagonal element <m+n| rho |m-n>, at flat
+    # index (m+n) dim + (m-n) of rho, and 0 where either index leaves the ladder
     n_max = dim - 1
     offsets = np.arange(-n_max, n_max + 1)
-    coeffs = np.zeros((dim, offsets.size), dtype=complex)
-    for idx in range(dim):
-        reach = min(idx, dim - 1 - idx)
-        ns = np.arange(-reach, reach + 1)
-        coeffs[idx, ns + n_max] = rho[idx + ns, idx - ns]
+    idx = np.arange(dim)[:, None]
+    coeffs = rho.take(idx * (dim + 1) + offsets * (dim - 1), mode="clip")
+    coeffs[np.abs(offsets) > np.minimum(idx, n_max - idx)] = 0
     harmonics = np.exp(1j * 2.0 * np.outer(offsets, phis))
     w = coeffs @ harmonics
     residue = np.abs(w.imag).max()
-    if residue > IMAG_RESIDUE_TOL:
+    if residue > TOLERANCES["wigner_imag_residue"]:
         raise NumericalInvariantError(f"Wigner values have imaginary residue {residue:.3e}")
     z_values = (np.arange(dim) - j) / j
     return WignerGrid(z_values, phis, w.real)

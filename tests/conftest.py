@@ -6,13 +6,12 @@ import pytest
 from hypothesis import settings
 
 from catlab import SpinSpace, StateLabel, TwistTurnParams, prepare_and_evolve
+from catlab.dynamics import PURE_STATE_BETA as PURE_BETA
 
 # the same examples on every run, and no per-example deadline: a numerical
 # example's run time depends on the machine, not on the code under test
 settings.register_profile("catlab", derandomize=True, deadline=None)
 settings.load_profile("catlab")
-
-PURE_BETA = 50.0
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catlab.cli import main
+from catlab import harness
+from catlab.cli import build_parser, config_from_args, main
 from catlab.config import ConfigError, RunConfig
-from catlab.harness import run_command
+from catlab.harness import memory_estimate, run_command
 
 SMALL = dict(
     n_particles=40,
@@ -238,6 +239,100 @@ def test_cli_flag_overrides(tmp_path):
     rows = (out / "jz_distribution.csv").read_text().strip().splitlines()
     assert rows[0] == "m,p"
     assert len(rows) == 22  # header + 21 lattice values
+
+
+@pytest.mark.parametrize(
+    "argv,field,value",
+    [
+        (["--n", "20"], "n_particles", 20),
+        (["--u", "0.25"], "u_int", 0.25),
+        (["--t-hop", "1.5"], "t_hop", 1.5),
+        (["--state", "pi"], "state_label", "pi"),
+        (["--beta-inv", "2.0"], "beta_inv_over_eps", 2.0),
+        (["--time-factor", "0.5"], "time_factor", 0.5),
+        (["--grid-theta", "9"], "grid_theta", 9),
+        (["--grid-phi", "12"], "grid_phi", 12),
+        (["--out", "elsewhere"], "out_dir", "elsewhere"),
+        (["--workers", "3"], "workers", 3),
+        (["--factors", "0.5", "1.5"], "time_factors", [0.5, 1.5]),
+        (["--betas", "1", "10"], "beta_inv_grid", [1.0, 10.0]),
+        (["--alpha", "2.0"], "cat_alpha", 2.0),
+        (["--lambda-cl", "3.0"], "lambda_cl", 3.0),
+        (["--sign-convention", "literal_eq5"], "sign_convention", "literal_eq5"),
+        (["--optimize-time"], "optimize_time_factor", True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_every_flag_lands_in_its_field(argv, field, value):
+    # a flag without its dest would be parsed and then silently dropped
+    assert getattr(RunConfig(), field) != value
+    config = config_from_args(build_parser().parse_args(["catqubit", *argv]))
+    assert config == RunConfig(**{field: value})
+
+
+def test_no_flags_give_the_defaults():
+    assert config_from_args(build_parser().parse_args(["catqubit"])) == RunConfig()
+
+
+def _unreachable(config):
+    raise AssertionError("a refused run reached its command")
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["distribution", "--n", "2000000"], {}),
+        (["wigner"], {"wigner_phi_points": 10**9}),
+        (["qfi-map", "--grid-theta", "100000", "--grid-phi", "100000"], {}),
+        (["all-figures", "--n", "2000000"], {}),
+    ],
+    ids=["distribution", "wigner", "qfi-map", "all-figures"],
+)
+def test_cli_refuses_runs_past_available_memory(tmp_path, capsys, monkeypatch, argv, config):
+    # the reader is stubbed and every command fails if reached, so nothing is allocated
+    monkeypatch.setattr(harness, "_mem_available", lambda: 3 * 10**9)
+    monkeypatch.setattr(harness, "COMMANDS", dict.fromkeys(harness.COMMANDS, _unreachable))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    need = memory_estimate(argv[0], config_from_args(build_parser().parse_args(argv)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"needs an estimated {need:.3g} bytes" in err and "3e+09 bytes of MemAvailable" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_check_passes_small_runs_and_skips_without_a_reading(tmp_path, monkeypatch):
+    # catqubit and classical hold no spin state, so no reading refuses them
+    monkeypatch.setattr(harness, "_mem_available", lambda: 1)
+    assert main(["catqubit", "--n", "2000000", "--out", str(tmp_path / "cq")]) == 0
+    monkeypatch.setattr(harness, "_mem_available", lambda: None)
+    assert main(["distribution", "--n", "20", "--out", str(tmp_path / "d")]) == 0
+
+
+def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    n = 1600
+    cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
+    hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
+    # 4 real (N+1)^2 matrices; the cold state keeps 15 columns, the hot one all N + 1
+    assert cold == 8 * (n + 1) * (4 * (n + 1) + 36 * 15)
+    assert hot == 8 * (n + 1) * (4 * (n + 1) + 36 * (n + 1))
+    assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
+    # the default run stays far below any machine's memory
+    assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
+
+
+def test_mem_available_reads_meminfo_or_gives_none(monkeypatch):
+    available = harness._mem_available()
+    assert available is None or available > 0
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError("no /proc here")
+
+    monkeypatch.setattr(harness, "open", unreadable, raising=False)
+    assert harness._mem_available() is None
 
 
 def test_manifest_lists_outputs_with_checksums(tmp_path):

@@ -26,7 +26,7 @@ from catlab import (
     qfi,
     t_pi,
 )
-from catlab.dynamics import beta_scaled_of, initial_condition
+from catlab.dynamics import PURE_STATE_BETA, beta_scaled_of, initial_condition
 from catlab.metrology import JzDistribution, qfi_quadratic_form
 
 from conftest import dense_j, spin_matrices
@@ -101,7 +101,7 @@ def _cases():
         for convention in SignConvention:
             for _ in range(2):
                 n = int(rng.choice([40, 100, 200]))
-                beta = float(rng.choice([50.0, 10.0 ** rng.uniform(-2, 1)]))
+                beta = float(rng.choice([PURE_STATE_BETA, 10.0 ** rng.uniform(-2, 1)]))
                 factor = float(rng.uniform(0.0, 2.0))
                 cases.append((label, convention, n, beta, factor))
     return cases
@@ -115,7 +115,7 @@ def test_factored_path_matches_dense_oracle(label, convention, n, beta, factor):
 
 def test_factored_path_matches_dense_oracle_n800():
     params = TwistTurnParams(SpinSpace(800))
-    check_against_oracle(StateLabel.ZERO, 50.0, 1.4, params)
+    check_against_oracle(StateLabel.ZERO, PURE_STATE_BETA, 1.4, params)
 
 
 def test_qfi_has_no_pair_cutoff_error():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catlab import RunConfig, catqubit, dynamics, metrology, spin
+from catlab import RunConfig, catqubit, dynamics, metrology, spin, wigner
 from catlab.harness import parallel_map, run_command
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -115,6 +115,40 @@ def test_qfi_map_csv_shape_and_manifest(tmp_path):
     assert manifest["derived"]["lambda_cl"] == pytest.approx(4.0)
     assert manifest["derived"]["z_c0"] == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
     assert manifest["time_factor_zero"] == 1.4
+
+
+def test_manifest_records_the_whole_tolerance_table(tmp_path):
+    run_command("catqubit", RunConfig(out_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["tolerances"] == spin.TOLERANCES
+    checked_inline_before = {
+        "wigner_imag_residue", "probability_sum", "fisher_ratio", "fisher_chain_rel",
+        "fisher_chain_abs",
+    }
+    assert checked_inline_before <= set(manifest["tolerances"])
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("wigner_imag_residue", -1.0),
+        ("probability_sum", -1.0),
+        ("fisher_ratio", -2.0),
+        ("fisher_chain_rel", -2.0),
+        ("fisher_chain_abs", -1e300),
+    ],
+)
+def test_checks_read_the_tolerance_table(monkeypatch, key, value):
+    # a slack no state can meet makes the check that reads it fail
+    state = next(dynamics.prepare_and_evolve(
+        dynamics.StateLabel.PI, 1.0, [0.5], dynamics.TwistTurnParams(spin.SpinSpace(20))
+    )).state
+    monkeypatch.setitem(spin.TOLERANCES, key, value)
+    with pytest.raises(spin.NumericalInvariantError):
+        if key == "wigner_imag_residue":
+            wigner(state, 32)
+        else:
+            metrology.metrology_report(state)
 
 
 @pytest.fixture
