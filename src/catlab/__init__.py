@@ -22,7 +22,6 @@ from .spin import (
     thermal_state,
 )
 from .dynamics import (
-    EvolvedState,
     Propagator,
     SignConvention,
     StateLabel,

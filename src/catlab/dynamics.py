@@ -117,8 +117,8 @@ class Propagator:
         w, v_h = self._decomp
         if state.vectors.shape[0] != w.size:
             raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {w.size}")
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
+        if not (np.isfinite(duration) and duration >= 0):
+            raise ValueError(f"duration must be finite and >= 0, got {duration}")
         if duration == 0:
             return state
         phases = np.exp(-1j * w * duration)[:, None]
@@ -138,44 +138,16 @@ def evolve(state: SpectralDecomp, hamiltonian: Bands, duration: float) -> Spectr
     return Propagator(hamiltonian).evolve(state, duration)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """Phase-space placement and temperature of a prepared thermal state."""
-
-    beta_scaled: float
-    z: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class EvolvedState:
-    """A state, as its eigensystem on the support, together with how it was produced."""
-
-    state: SpectralDecomp
-    elapsed: float
-    params: TwistTurnParams
-    provenance: InitialCondition
-
-    def __post_init__(self):
-        # state is checked where thermal_state makes it
-        if self.elapsed < 0:
-            raise ValueError("elapsed time must be >= 0")
-
-
-def initial_condition(
-    state_label: StateLabel, beta_scaled: float, params: TwistTurnParams
-) -> InitialCondition:
-    """Phase-space start of the canonical states.
+def initial_condition(state_label: StateLabel, params: TwistTurnParams) -> tuple[float, float]:
+    """Phase-space start (z, phi) of the canonical states.
 
     The pi state sits on the unstable fixed point (z = 0, phi = pi).  The 0
     state sits on the separatrix crossing at phi = 0, whose height z_c(0) is
     taken from the mean-field portrait for the same couplings.
     """
     if state_label is StateLabel.PI:
-        return InitialCondition(beta_scaled, 0.0, np.pi)
-    mf = classical.MeanFieldParams(params.lambda_cl)
-    z_c = classical.separatrix(0.0, mf)
-    return InitialCondition(beta_scaled, z_c, 0.0)
+        return 0.0, np.pi
+    return classical.separatrix(0.0, classical.MeanFieldParams(params.lambda_cl)), 0.0
 
 
 def prepare_and_evolve(
@@ -183,7 +155,7 @@ def prepare_and_evolve(
     beta_scaled: float,
     time_factors: Iterable[float],
     params: TwistTurnParams,
-) -> Iterator[EvolvedState]:
+) -> Iterator[SpectralDecomp]:
     """Prepare a pi/0 thermal state and evolve it for each time_factor * T_pi.
 
     The state and H's eigensystem are built here, once, so bad input raises
@@ -192,14 +164,14 @@ def prepare_and_evolve(
     and its evolved eigenvectors, so no evolved state is diagonalized.
     """
     factors = list(time_factors)
-    if not all(np.isfinite(f) and f >= 0 for f in factors):
-        raise ValueError(f"time factors must be finite and >= 0, got {factors}")
-    init = initial_condition(state_label, beta_scaled, params)
-    phi0 = init.phi
+    tpi = t_pi(params.space, params.u_int)
+    for f in factors:
+        if not (f >= 0 and np.isfinite(f * tpi)):
+            raise ValueError(f"time factor {f}: factor * T_pi ({tpi:.6g}) must be finite, >= 0")
+    z, phi = initial_condition(state_label, params)
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
-        phi0 = phi0 + np.pi
-    state = thermal_state(params.space, beta_scaled, init.z, phi0)
+        phi = phi + np.pi
+    state = thermal_state(params.space, beta_scaled, z, phi)
     prop = propagator(params)
-    tpi = t_pi(params.space, params.u_int)
-    return (EvolvedState(prop.evolve(state, f * tpi), f * tpi, params, init) for f in factors)
+    return (prop.evolve(state, f * tpi) for f in factors)

@@ -42,16 +42,16 @@ from .metrology import (
     ReadoutSpec,
     default_axis_grids,
     jz_distribution,
-    metrology_report,
+    metrology_reports,
     qfi_axis_map,
 )
-from .spin import SpinAxis, space_for_dim
+from .spin import SpinAxis, space_for_dim, thermal_weights
 from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
-#: (the hot qfi-map needs about 17), and bytes per qfi-map or Wigner grid row
-REAL_MATRICES, COMPLEX_BLOCKS, GRID_ROW_BYTES = 4, 18, 400
+#: (the hot qfi-map needs about 12), and bytes per qfi-map or Wigner grid row
+REAL_MATRICES, COMPLEX_BLOCKS, GRID_ROW_BYTES = 4, 13, 400
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -92,17 +92,12 @@ def _params_from_config(config: RunConfig) -> TwistTurnParams:
     )
 
 
-def _evolved_states(config: RunConfig, state_label: str, factors: list[float], beta_inv: float):
-    return prepare_and_evolve(
-        StateLabel(state_label), beta_scaled_of(beta_inv), factors, _params_from_config(config)
-    )
-
-
 def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
     """The configured state at its configured time: distribution, qfi-map and wigner."""
-    factor = config.effective_time_factor()
-    [evolved] = _evolved_states(config, config.state_label, [factor], config.beta_inv_over_eps)
-    return evolved.state
+    return next(prepare_and_evolve(
+        StateLabel(config.state_label), beta_scaled_of(config.beta_inv_over_eps),
+        [config.effective_time_factor()], _params_from_config(config),
+    ))
 
 
 def _wigner_phi_points(config: RunConfig) -> int:
@@ -134,11 +129,19 @@ def derived_quantities(config: RunConfig) -> dict:
 # ----------------------------------------------------------------------------
 # sweep workers (top level so they pickle cleanly into the process pool)
 
-def _reports(config: RunConfig, state_label: str, beta_inv: float, factors: list[float]):
-    """(factor, metrology report) per time factor, all evolved from one prepared state."""
+def _reports(config: RunConfig, state_label: str, beta_invs: list[float], factors: list[float]):
+    """(factor, one metrology report per temperature) per time factor.
+
+    The label's thermal states share one tilted Dicke basis: the hottest
+    state's is evolved, and each temperature is its thermal weights on it.
+    """
     readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
-    for factor, evolved in zip(factors, _evolved_states(config, state_label, factors, beta_inv)):
-        yield factor, metrology_report(evolved.state, readout=readout)
+    params = _params_from_config(config)
+    betas = [beta_scaled_of(b) for b in beta_invs]
+    states = prepare_and_evolve(StateLabel(state_label), min(betas), factors, params)
+    for factor, (_, v) in zip(factors, states):
+        weights = [thermal_weights(params.space, beta)[-v.shape[1]:] for beta in betas]
+        yield factor, metrology_reports(v, weights, readout)
 
 
 def _time_sweep_point(args: tuple) -> list[tuple]:
@@ -147,19 +150,23 @@ def _time_sweep_point(args: tuple) -> list[tuple]:
     config = RunConfig.from_dict(config_dict)
     return [
         (factor, r.lam, r.delta_s, r.r_c, r.r_q, r.reduced_lambda_c, r.reduced_lambda_q)
-        for factor, r in _reports(config, config.state_label, config.beta_inv_over_eps, factors)
+        for factor, [r] in _reports(
+            config, config.state_label, [config.beta_inv_over_eps], factors
+        )
     ]
 
 
-def _temp_sweep_point(args: tuple) -> tuple:
-    """The row of one (state, temperature): at the time factor of largest Lambda (the first)."""
-    config_dict, state_label, beta_inv = args
+def _temp_sweep_point(args: tuple) -> list[tuple]:
+    """One state's row per temperature, at the time factor of largest Lambda (the first)."""
+    config_dict, state_label = args
     config = RunConfig.from_dict(config_dict)
+    beta_invs = sorted(config.beta_inv_grid)
     scheduled = [config.effective_time_factor(state_label)]
     factors = config.time_factors if config.optimize_time_factor else scheduled
-    factor, r = max(_reports(config, state_label, beta_inv, factors), key=lambda fr: fr[1].lam)
-    return (state_label, beta_inv, r.lam, r.r_q, r.r_c, r.reduced_lambda_q, r.reduced_lambda_c,
-            r.f_q, r.f_c, r.n_eff_bound, factor)
+    swept = [reports for _, reports in _reports(config, state_label, beta_invs, factors)]
+    best = [max(zip(factors, column), key=lambda fr: fr[1].lam) for column in zip(*swept)]
+    return [(state_label, beta_inv, r.lam, r.r_q, r.r_c, r.reduced_lambda_q, r.reduced_lambda_c,
+             r.f_q, r.f_c, r.n_eff_bound, factor) for beta_inv, (factor, r) in zip(beta_invs, best)]
 
 
 # ----------------------------------------------------------------------------
@@ -187,13 +194,10 @@ def cmd_time_sweep(config: RunConfig) -> tuple:
 
 
 def cmd_temp_sweep(config: RunConfig) -> tuple:
-    items = [
-        (config.to_dict(), state, beta_inv)
-        for state in ("pi", "zero")
-        for beta_inv in sorted(config.beta_inv_grid)
-    ]
-    rows = parallel_map(_temp_sweep_point, items, resolve_workers(config))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    # one item per state: its temperatures share one evolved basis
+    items = [(config.to_dict(), state) for state in ("pi", "zero")]
+    chunks = parallel_map(_temp_sweep_point, items, resolve_workers(config))
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: (r[0], r[1]))
     header = [
         "state", "beta_inv", "lambda", "r_q", "r_c", "lambda_r_q", "lambda_r_c",
         "f_q", "f_c", "n_eff_bound", "time_factor",
@@ -295,14 +299,16 @@ def memory_estimate(command: str, config: RunConfig) -> int:
         return 0  # no spin state
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
-    # the hottest state keeps each column whose weight e^(-beta k) is a nonzero double
-    rank = min(dim, int(745 / min(map(beta_scaled_of, temps))) + 1)
+    # the hottest state's support, on whose basis every colder state is its weights
+    rank = np.count_nonzero(thermal_weights(space_for_dim(dim), min(map(beta_scaled_of, temps))))
     grids = [config.grid_theta * config.grid_phi, dim * _wigner_phi_points(config)]
     rows = {"qfi-map": grids[0], "wigner": grids[1], "all-figures": max(grids)}.get(command, 0)
-    # each pool worker holds its own state and eigenvectors
-    workers = 1 if command in ("distribution", "qfi-map", "wigner") else resolve_workers(config)
+    # a process per pool item at most: a time sweep's chunks of factors, a temp sweep's 2 states
+    items = {"time-sweep": len(config.time_factors), "temp-sweep": 2}
+    items["all-figures"] = max(items.values())
+    processes = min(resolve_workers(config), items.get(command, 1))
     state_bytes = 8 * dim * (REAL_MATRICES * dim + 2 * COMPLEX_BLOCKS * rank)
-    return workers * state_bytes + GRID_ROW_BYTES * rows
+    return processes * state_bytes + GRID_ROW_BYTES * rows
 
 
 def _mem_available() -> int | None:

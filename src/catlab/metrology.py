@@ -18,14 +18,17 @@ information for the chosen read-out and by the quantum Fisher information
     F_q = 2 sum_{l,l'} (p_l - p_l')^2 / (p_l + p_l') |<l| G |l'>|^2,
 
 which for a pure state reduces to 4 Var(G) and in general equals the
-convex-roof of 4 Var over all pure-state decompositions.  Pairs outside the
-support S add 0 or 2 p_l |G_ll'|^2, so F_q closes on S alone (Liu, Yuan,
-Lu & Wang, J. Phys. A 53, 023001 (2020)), with P_S the projector onto S:
+convex-roof of 4 Var over all pure-state decompositions.  A pair of zero
+weights adds 0 and a pair with p_l' = 0 adds 2 p_l |G_ll'|^2, so F_q closes
+on any orthonormal set F that holds the support (Liu, Yuan, Lu & Wang,
+J. Phys. A 53, 023001 (2020)), with P_F the projector onto F:
 
-    F_q = 2 sum_{l,l' in S} (p_l - p_l')^2 / (p_l + p_l') |G_ll'|^2
-          + 4 sum_{l in S} p_l || (1 - P_S) G |l> ||^2.
+    F_q = 2 sum_{l,l' in F} (p_l - p_l')^2 / (p_l + p_l') |G_ll'|^2
+          + 4 sum_{l in F} p_l || (1 - P_F) G |l> ||^2,
 
-Both terms are non-negative and need no weight cutoff.  The quality of
+a pair of zero weights counting 0.  Both terms need no weight cutoff.  Each
+read-out is a basis phase on F and a weight phase on p, so states on one
+basis share the first (metrology_reports).  The quality of
 indefiniteness r_q = (sqrt(F_q)/2) / Delta_s in [0, 1] measures the fraction
 of the observed uncertainty that no amount of classical knowledge could
 remove; r_c is its experimentally accessible lower bound from the CFI.
@@ -79,10 +82,10 @@ class JzDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.space.dim,):
             raise ValueError(f"expected {self.space.dim} probabilities, got {p.shape}")
-        if p.min() < TOLERANCES["probability_floor"]:
+        if not p.min() >= TOLERANCES["probability_floor"]:  # NaN fails both checks
             raise NumericalInvariantError(f"probability {p.min():.3e} below round-off floor")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > TOLERANCES["probability_sum"]:
+        if not abs(p.sum() - 1.0) <= TOLERANCES["probability_sum"]:
             raise NumericalInvariantError(f"probabilities sum to {p.sum():.12f}, not 1")
         object.__setattr__(self, "probs", p)
 
@@ -99,9 +102,9 @@ class JzDistribution:
         return float(np.sqrt(max(var, 0.0)))
 
 
-def _bin_probabilities(p: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """sum_k p_k |a_rk|^2: the read-out distribution from amplitudes a = <r|v_k>."""
-    return (amplitudes.real**2 + amplitudes.imag**2) @ p
+def _squared(amplitudes: np.ndarray) -> np.ndarray:
+    """|a_rk|^2 for amplitudes a = <r|v_k>: the read-out distribution is |a|^2 @ p."""
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
 def protocol_distribution(
@@ -116,13 +119,13 @@ def protocol_distribution(
     if psi != 0.0:
         v = rotation(space, -psi, encoding_axis, v)  # rho -> U^dag rho U
     v_r = rotation(space, -readout.angle, readout.axis, v)  # U_r^dag V
-    return JzDistribution(space, _bin_probabilities(p, v_r))
+    return JzDistribution(space, _squared(v_r) @ p)
 
 
 def jz_distribution(state: SpectralDecomp) -> JzDistribution:
     """Diagonal of rho in the Dicke basis: counting statistics of J_z."""
     p, v = state
-    return JzDistribution(space_for_dim(v.shape[0]), _bin_probabilities(p, v))
+    return JzDistribution(space_for_dim(v.shape[0]), _squared(v) @ p)
 
 
 def statistical_uncertainty(dist: JzDistribution) -> float:
@@ -141,8 +144,6 @@ class CatSplit:
     """
 
     mean: float
-    p_left: np.ndarray
-    p_right: np.ndarray
     n_left: float
     n_right: float
     extensive_difference: float
@@ -164,32 +165,39 @@ def cat_split(dist: JzDistribution) -> CatSplit:
     n_l = float(p[left].sum())
     n_r = float(p[right].sum())
     if n_l <= 0.0 or n_r <= 0.0:
-        zeros = np.zeros_like(p)
-        return CatSplit(mu, zeros, zeros, n_l, n_r, 0.0, 0.0, 0.0, True)
+        return CatSplit(mu, n_l, n_r, 0.0, 0.0, 0.0, True)
     p_l = np.where(left, p, 0.0) / n_l
     p_r = np.where(right, p, 0.0) / n_r
     mean_l = float(np.dot(p_l, m))
     mean_r = float(np.dot(p_r, m))
     width_l = float(np.sqrt(max(np.dot(p_l, (m - mean_l) ** 2), 0.0)))
     width_r = float(np.sqrt(max(np.dot(p_r, (m - mean_r) ** 2), 0.0)))
-    return CatSplit(mu, p_l, p_r, n_l, n_r, abs(mean_r - mean_l), width_l, width_r, False)
+    return CatSplit(mu, n_l, n_r, abs(mean_r - mean_l), width_l, width_r, False)
 
 
 def qfi(state: SpectralDecomp, axis: SpinAxis) -> float:
     """Quantum Fisher information for encoding by J(axis); 4 Var(J(axis)) for pure states."""
-    v = state.vectors
-    return float(_qfi_form(state, apply_j(space_for_dim(v.shape[0]), axis, v)[None])[0, 0])
-
-
-def _qfi_form(state: SpectralDecomp, gv: np.ndarray) -> np.ndarray:
-    """F_ab from the stacked products gv[a] = G_a V, by the module docstring's support identity."""
     p, v = state
-    pair = (p[:, None] - p[None, :]) ** 2 / (p[:, None] + p[None, :])
-    inside = v.conj().T @ gv  # G_ll' on the support
-    outside = gv - v @ inside  # (1 - P_S) G |l>
+    gv = apply_j(space_for_dim(v.shape[0]), axis, v)[None]
+    return float(_qfi_form(p, *_projections(v, gv))[0, 0])
+
+
+def _projections(v: np.ndarray, gv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis phase of F_ab from gv[a] = G_a V: G_a,ll' and, per column l, the
+    Gram Re <o_al|o_bl> of o_al = (1 - P_V) G_a |l>."""
+    inside = v.conj().T @ gv
+    outside = (v @ inside).astype(complex, copy=False)
+    np.subtract(gv, outside, out=outside)
+    parts = outside.view(np.float64).reshape(*outside.shape, 2)  # (re, im) of each entry
+    return inside, np.einsum("ailc,bilc->abl", parts, parts)
+
+
+def _qfi_form(p: np.ndarray, inside: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The weight phase of F_ab: the module docstring's identity for weights p on _projections."""
+    den = p[:, None] + p[None, :]
+    pair = np.divide((p[:, None] - p[None, :]) ** 2, den, out=np.zeros_like(den), where=den > 0)
     coherent = np.einsum("lm,alm,blm->ab", pair, inside, inside.conj())
-    local = np.einsum("l,ail,bil->ab", p, outside.conj(), outside)
-    return 2.0 * coherent.real + 4.0 * local.real
+    return 2.0 * coherent.real + 4.0 * (local @ p)
 
 
 def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) -> float:
@@ -200,12 +208,20 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
     is needed; bins with p_r below TOLERANCES["fisher_weight_cutoff"] are skipped,
     which removes 0/0 terms without touching anything at the 1e-6 acceptance level.
     """
-    p, v = state
+    return _cfi(state.values, *_cfi_terms(state.vectors, axis, readout))
+
+
+def _cfi_terms(v: np.ndarray, axis: SpinAxis, readout: ReadoutSpec) -> tuple[np.ndarray, ...]:
+    """The basis phase of the CFI: |a_rk|^2 and -2 Im(b_rk conj(a_rk)), from one rotation."""
     space = space_for_dim(v.shape[0])
     both = rotation(space, -readout.angle, readout.axis, np.hstack([v, apply_j(space, axis, v)]))
     a, b = np.split(both, 2, axis=1)
-    probs = _bin_probabilities(p, a)
-    dp = -2.0 * (b * a.conj()).imag @ p
+    return _squared(a), -2.0 * (b * a.conj()).imag
+
+
+def _cfi(p: np.ndarray, bins: np.ndarray, slope: np.ndarray) -> float:
+    """The weight phase of the CFI: sum_r (dp_r)^2 / p_r over bins above the weight cutoff."""
+    probs, dp = bins @ p, slope @ p
     mask = probs > TOLERANCES["fisher_weight_cutoff"]
     return float(np.sum(dp[mask] ** 2 / probs[mask]))
 
@@ -271,27 +287,30 @@ class MetrologyReport:
 
 def metrology_report(state: SpectralDecomp, readout: ReadoutSpec | None = None) -> MetrologyReport:
     """Assemble the J_z indefiniteness report; the default read-out measures J_y."""
-    space = space_for_dim(state.vectors.shape[0])
-    if readout is None:
-        readout = ReadoutSpec()
-    dist = jz_distribution(state)
-    delta_s = statistical_uncertainty(dist)
-    split = cat_split(dist)
-    f_q = qfi(state, Z_AXIS)
-    f_c = cfi_commutator(state, Z_AXIS, readout)
-    delta_q = 0.5 * np.sqrt(f_q)
-    n_eff_bound = f_q / (4.0 * space.n_particles)
-    if delta_s == 0.0:
-        return MetrologyReport(
-            delta_s, f_q, delta_q, f_c, np.nan, np.nan, split.extensive_difference,
-            np.nan, np.nan, n_eff_bound, degenerate=True,
-        )
-    r_q = delta_q / delta_s
-    r_c = 0.5 * np.sqrt(f_c) / delta_s
-    lam = split.extensive_difference
-    return MetrologyReport(
-        delta_s, f_q, delta_q, f_c, r_q, r_c, lam, lam * r_q, lam * r_c, n_eff_bound,
-    )
+    return metrology_reports(state.vectors, [state.values], readout)[0]
+
+
+def metrology_reports(v: np.ndarray, weights: list, readout: ReadoutSpec | None = None) -> list:
+    """metrology_report of each state V diag(p) V^dag, p in weights, on orthonormal columns V.
+
+    The basis phase runs once; each p, a state's weights, then costs O(N^2) sums.
+    """
+    space = space_for_dim(v.shape[0])
+    bins, slope = _cfi_terms(v, Z_AXIS, readout or ReadoutSpec())
+    dicke = _squared(v)
+    inside, local = _projections(v, apply_j(space, Z_AXIS, v)[None])
+    reports = []
+    for p in weights:
+        dist = JzDistribution(space, dicke @ p)
+        delta_s, lam = statistical_uncertainty(dist), cat_split(dist).extensive_difference
+        f_q, f_c = float(_qfi_form(p, inside, local)[0, 0]), _cfi(p, bins, slope)
+        delta_q = 0.5 * np.sqrt(f_q)
+        r_q, r_c = (delta_q / delta_s, 0.5 * np.sqrt(f_c) / delta_s) if delta_s else (np.nan,) * 2
+        reports.append(MetrologyReport(
+            delta_s, f_q, delta_q, f_c, r_q, r_c, lam, lam * r_q, lam * r_c,
+            f_q / (4.0 * space.n_particles), degenerate=delta_s == 0.0,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -312,9 +331,10 @@ def qfi_quadratic_form(state: SpectralDecomp) -> np.ndarray:
     fixed linear combination of (J_z, J_x, J_y), the QFI kernel over the
     three pairs determines the whole axis map exactly.
     """
-    space = space_for_dim(state.vectors.shape[0])
-    gv = [apply_j(space, axis, state.vectors) for axis in (Z_AXIS, X_AXIS, Y_AXIS)]
-    return _qfi_form(state, np.stack(gv))
+    p, v = state
+    space = space_for_dim(v.shape[0])
+    gv = np.stack([apply_j(space, axis, v) for axis in (Z_AXIS, X_AXIS, Y_AXIS)])
+    return _qfi_form(p, *_projections(v, gv))
 
 
 def qfi_axis_map(

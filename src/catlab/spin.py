@@ -276,23 +276,29 @@ def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
     return _gauge(space, axis.phi) * _tilt(space, axis.theta, top)[:, 0]
 
 
+def thermal_weights(space: SpinSpace, beta_scaled: float) -> np.ndarray:
+    """Weights e^{beta (m - j)} / Z of exp(beta J) on its Dicke ladder, growing with m:
+    the support is the top count_nonzero states, and holds every colder state's."""
+    if not np.isfinite(beta_scaled) or beta_scaled < 0:
+        raise ValueError(f"beta_scaled must be >= 0, got {beta_scaled}")
+    p = np.exp(beta_scaled * (space.m_values - space.j))
+    return p / p.sum()
+
+
 def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) -> SpectralDecomp:
     """Thermal state exp(beta * J(acos z, phi)) / Z of the condensation Hamiltonian.
 
     beta_scaled is beta * eps_tau, the only temperature parameter exposed.
     The positive exponent means beta -> inf concentrates the state onto the
     spin coherent state at phase-space point (z, phi).  Returned as its
-    checked eigensystem: weights e^{beta (m - j)} on the Dicke states, tilted
-    by theta = acos z and gauged by D(phi), so the pole z = 1 stays exact.
+    checked eigensystem: thermal_weights on the Dicke states, tilted by
+    theta = acos z and gauged by D(phi), so the pole z = 1 stays exact.
     """
-    if not np.isfinite(beta_scaled) or beta_scaled < 0:
-        raise ValueError(f"beta_scaled must be >= 0, got {beta_scaled}")
     if abs(z) > 1:
         raise ValueError(f"imbalance z must lie in [-1, 1], got {z}")
     axis = SpinAxis(float(np.arccos(z)), phi)
-    p = np.exp(beta_scaled * (space.m_values - space.j))
-    p = p / p.sum()
-    r = np.count_nonzero(p)  # p grows with m: its support is the top r Dicke states
+    p = thermal_weights(space, beta_scaled)
+    r = np.count_nonzero(p)  # the support is the top r Dicke states
     # tilted Dicke columns are orthonormal as R is, checked in jx_eigensystem
     p, dicke = state_factor(p[-r:], np.eye(space.dim, r, r - space.dim), orthonormal=True)
     return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * _tilt(space, axis.theta, dicke))
@@ -321,9 +327,9 @@ def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) 
     unitary keeps all three, so evolved states are not checked again.
     orthonormal=True skips the column check, for columns checked where built.
     """
-    if p.min() < 0:
+    if not p.min() >= 0:  # NaN fails both checks
         raise NumericalInvariantError(f"negative state weight {p.min():.3e}")
-    if abs(p.sum() - 1.0) > TOLERANCES["trace"]:
+    if not abs(p.sum() - 1.0) <= TOLERANCES["trace"]:
         raise NumericalInvariantError(f"trace deviates from 1 by {abs(p.sum() - 1.0):.3e}")
     keep = p > 0
     v = vectors[:, keep]

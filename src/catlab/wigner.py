@@ -58,7 +58,7 @@ def wigner(state: SpectralDecomp, phi_points: int = 256) -> WignerGrid:
     harmonics = np.exp(1j * 2.0 * np.outer(offsets, phis))
     w = coeffs @ harmonics
     residue = np.abs(w.imag).max()
-    if residue > TOLERANCES["wigner_imag_residue"]:
+    if not residue <= TOLERANCES["wigner_imag_residue"]:  # NaN fails it
         raise NumericalInvariantError(f"Wigner values have imaginary residue {residue:.3e}")
     z_values = (np.arange(dim) - j) / j
     return WignerGrid(z_values, phis, w.real)

@@ -64,14 +64,14 @@ def crossover_sweep(params200):
         rows = []
         for beta_inv in grid:
             state = next(prepare_and_evolve(label, 1.0 / beta_inv, [factor], params200))
-            rep = metrology_report(state.state)
+            rep = metrology_report(state)
             rows.append(rep)
         out[label] = rows
     return grid, out
 
 
 def test_criterion_01_cat_creation(cold_zero_cat):
-    dist = jz_distribution(cold_zero_cat.state)
+    dist = jz_distribution(cold_zero_cat)
     split = cat_split(dist)
     failures = []
     if not 65 * 0.9 <= split.extensive_difference <= 65 * 1.1:
@@ -85,7 +85,7 @@ def test_criterion_01_cat_creation(cold_zero_cat):
 
 
 def test_criterion_02_hot_double_peak(hot_zero_cat):
-    rep = metrology_report(hot_zero_cat.state)
+    rep = metrology_report(hot_zero_cat)
     failures = []
     if not abs(rep.lam - N_REF / 3) <= 0.15 * (N_REF / 3):
         failures.append(f"Lambda = {rep.lam:.2f} outside N/3 +- 15%")
@@ -95,7 +95,7 @@ def test_criterion_02_hot_double_peak(hot_zero_cat):
 
 
 def test_criterion_03_quality_bound(cold_zero_cat):
-    rep = metrology_report(cold_zero_cat.state)
+    rep = metrology_report(cold_zero_cat)
     failures = []
     if not abs(rep.r_c - 0.75) <= 0.05:
         failures.append(f"r_c = {rep.r_c:.4f} outside 0.75 +- 0.05")
@@ -149,7 +149,7 @@ def test_criterion_05_n_scaling():
         space = SpinSpace(int(n))
         params = TwistTurnParams(space, t_hop=1.0, u_int=20.0 / n)
         state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
-        lams.append(cat_split(jz_distribution(state.state)).extensive_difference)
+        lams.append(cat_split(jz_distribution(state)).extensive_difference)
     lams = np.array(lams)
     slope = float((ns * lams).sum() / (ns * ns).sum())
     c = 1.0 / slope
@@ -201,7 +201,7 @@ def test_criterion_06_fisher_chain():
         factor = rng.uniform(0.0, 2.0)
         label = StateLabel.PI if rng.random() < 0.5 else StateLabel.ZERO
         state = next(prepare_and_evolve(label, float(beta), [float(factor)], params))
-        check_state(state.state, sp60, pure=beta == PURE_BETA)
+        check_state(state, sp60, pure=beta == PURE_BETA)
 
     assert checked >= 100 and pure_checked >= 40
     report(6, f"Fisher chain on {checked} states ({pure_checked} pure)", failures)
@@ -212,7 +212,7 @@ def test_criterion_07_axis_map(cold_pi_cat, cold_zero_cat, crossover_sweep):
     cell = thetas[1] - thetas[0]
     failures = []
     for name, state in (("pi", cold_pi_cat), ("zero", cold_zero_cat)):
-        amap = qfi_axis_map(state.state, thetas, phis)
+        amap = qfi_axis_map(state, thetas, phis)
         off = abs(amap.argmax_axis.theta - np.pi / 2)
         if off > cell + 1e-12:
             failures.append(

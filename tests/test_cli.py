@@ -317,11 +317,47 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
     hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
     # 4 real (N+1)^2 matrices; the cold state keeps 15 columns, the hot one all N + 1
-    assert cold == 8 * (n + 1) * (4 * (n + 1) + 36 * 15)
-    assert hot == 8 * (n + 1) * (4 * (n + 1) + 36 * (n + 1))
+    assert cold == 8 * (n + 1) * (4 * (n + 1) + 26 * 15)
+    assert hot == 8 * (n + 1) * (4 * (n + 1) + 26 * (n + 1))
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
+
+
+def test_memory_estimate_counts_the_processes_the_pool_starts(tmp_path, monkeypatch):
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    # a temperature sweep's pool has one item per state, a time sweep's one per factor
+    small = dict(n_particles=40, time_factors=[1.0, 1.4])
+    for command in ("temp-sweep", "time-sweep"):
+        one = memory_estimate(command, RunConfig(**small))
+        assert memory_estimate(command, RunConfig(**small, workers=8)) == 2 * one
+    # a reading that two processes fit in lets --workers 8 through
+    argv = ["temp-sweep", "--n", "40", "--betas", "1", "--workers", "8", "--out", str(tmp_path)]
+    need = memory_estimate("temp-sweep", config_from_args(build_parser().parse_args(argv)))
+    assert need == 2 * memory_estimate("temp-sweep", RunConfig(n_particles=40, beta_inv_grid=[1.0]))
+    monkeypatch.setattr(harness, "_mem_available", lambda: need)
+    assert main(argv) == 0
+    monkeypatch.setattr(harness, "_mem_available", lambda: need - 1)
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distribution", "--n", "20", "--time-factor", "1e308"],
+        ["wigner", "--n", "20", "--time-factor", "1e308"],
+        ["qfi-map", "--n", "20", "--time-factor", "1e308"],
+        ["temp-sweep", "--n", "20", "--time-factor", "1e308"],
+        ["time-sweep", "--n", "20", "--factors", "1e308"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_an_evolution_time_that_overflows(tmp_path, capsys, argv):
+    # T_pi is about 2.54 at N = 20, so 1e308 T_pi is inf
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: time factor 1e+308")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_mem_available_reads_meminfo_or_gives_none(monkeypatch):

@@ -26,8 +26,16 @@ from catlab import (
     qfi,
     t_pi,
 )
+from catlab import harness
 from catlab.dynamics import PURE_STATE_BETA, beta_scaled_of, initial_condition
-from catlab.metrology import JzDistribution, qfi_quadratic_form
+from catlab.metrology import (
+    JzDistribution,
+    _projections,
+    _qfi_form,
+    metrology_reports,
+    qfi_quadratic_form,
+)
+from catlab.spin import apply_j, thermal_weights, X_AXIS, Y_AXIS
 
 from conftest import dense_j, spin_matrices
 
@@ -36,12 +44,11 @@ REL = 1e-12
 
 def dense_evolved(label, beta, factor, params):
     sp = params.space
-    init = initial_condition(label, beta, params)
-    phi = init.phi
+    z, phi = initial_condition(label, params)
     sigma = -1.0
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         phi, sigma = phi + np.pi, 1.0
-    j_axis = dense_j(sp.n_particles, SpinAxis(float(np.arccos(init.z)), phi))
+    j_axis = dense_j(sp.n_particles, SpinAxis(float(np.arccos(z)), phi))
     rho = expm(beta * (j_axis - sp.j * np.eye(sp.dim)))  # spectrum shifted to <= 0
     rho /= np.trace(rho).real
     mats = spin_matrices(sp.n_particles)
@@ -81,7 +88,7 @@ def check_against_oracle(label, beta, factor, params):
     sp = params.space
     mats = spin_matrices(sp.n_particles)
     rho = dense_evolved(label, beta, factor, params)
-    state = next(prepare_and_evolve(label, beta, [factor], params)).state
+    state = next(prepare_and_evolve(label, beta, [factor], params))
     report = metrology_report(state)
     dist = JzDistribution(sp, np.real(np.diag(rho)))
     u_r = expm(-1j * (np.pi / 2) * mats.jx)  # the default read-out
@@ -127,7 +134,58 @@ def test_qfi_has_no_pair_cutoff_error():
     factor = config.effective_time_factor("pi")
     params = TwistTurnParams(SpinSpace(config.n_particles))
     rho = dense_evolved(StateLabel.PI, beta, factor, params)
-    state = next(prepare_and_evolve(StateLabel.PI, beta, [factor], params)).state
+    state = next(prepare_and_evolve(StateLabel.PI, beta, [factor], params))
     oracle = full_pair_form(rho, [spin_matrices(config.n_particles).jz])[0, 0]
     value = qfi(state, Z_AXIS)
     assert abs(value - oracle) <= 1e-13 * oracle, f"{value!r} vs {oracle!r}"
+
+
+@pytest.mark.parametrize("label", list(StateLabel))
+@pytest.mark.parametrize("convention", list(SignConvention))
+def test_shared_basis_reports_match_per_state_reports(label, convention):
+    """Every temperature from the hottest state's evolved basis, against its own state."""
+    rng = np.random.default_rng([6, len(label.value), len(convention.value)])
+    beta_invs = sorted(float(b) for b in 10.0 ** rng.uniform(-2, 2, size=3)) + [0.0]
+    factors = [float(f) for f in rng.uniform(0.0, 2.0, size=2)]
+    config = RunConfig(n_particles=40, sign_convention=convention.value)
+    params = harness._params_from_config(config)
+    readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
+    swept = list(harness._reports(config, label.value, beta_invs, factors))
+    assert [factor for factor, _ in swept] == factors
+    for factor, reports in swept:
+        for beta_inv, report in zip(beta_invs, reports):
+            [state] = prepare_and_evolve(label, beta_scaled_of(beta_inv), [factor], params)
+            own = metrology_report(state, readout)
+            for name in ("f_q", "f_c", "lam", "r_q", "r_c"):
+                assert_close(name, getattr(report, name), getattr(own, name))
+
+
+def test_zero_padded_weights_match_the_full_pair_form():
+    """A colder state's weights, padded with zeros on a hotter basis, give its dense F_ab."""
+    params = TwistTurnParams(SpinSpace(40))
+    hot, cold, factor = 0.3, 20.0, 1.2
+    [(_, v)] = prepare_and_evolve(StateLabel.ZERO, hot, [factor], params)
+    p = thermal_weights(params.space, cold)[-v.shape[1]:]
+    assert np.count_nonzero(p) < v.shape[1]
+    gv = np.stack([apply_j(params.space, axis, v) for axis in (Z_AXIS, X_AXIS, Y_AXIS)])
+    form = _qfi_form(p, *_projections(v, gv))
+    mats = spin_matrices(params.space.n_particles)
+    oracle = full_pair_form(
+        dense_evolved(StateLabel.ZERO, cold, factor, params), [mats.jz, mats.jx, mats.jy]
+    )
+    assert np.abs(form - oracle).max() <= REL * np.abs(oracle).max()
+
+
+def test_cold_grid_reports_on_the_hottest_support(monkeypatch):
+    """beta_inv 0.05 and 0.1 at N = 200: the basis is beta = 10's 75 columns, not 201."""
+    seen = []
+
+    def recording(v, weights, readout):
+        seen.append((v.shape, [np.count_nonzero(p) for p in weights]))
+        return metrology_reports(v, weights, readout)
+
+    monkeypatch.setattr(harness, "metrology_reports", recording)
+    config = RunConfig(beta_inv_grid=[0.05, 0.1])
+    rows = harness._temp_sweep_point((config.to_dict(), "zero"))
+    assert seen == [((201, 75), [38, 75])]
+    assert [row[1] for row in rows] == [0.05, 0.1]

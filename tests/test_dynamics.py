@@ -14,9 +14,10 @@ from catlab import (
     prepare_and_evolve,
     qfi,
     t_pi,
+    thermal_state,
 )
 from catlab.classical import MeanFieldParams, SeparatrixAbsentError
-from catlab.dynamics import propagator
+from catlab.dynamics import initial_condition, propagator
 from catlab.metrology import cat_split
 from catlab.spin import state_eigensystem
 
@@ -113,9 +114,13 @@ def test_prepare_and_evolve_yields_each_factor():
     params = TwistTurnParams(SpinSpace(20))
     factors = [0.0, 0.5, 1.0]
     states = list(prepare_and_evolve(StateLabel.PI, PURE_BETA, factors, params))
-    assert [s.elapsed for s in states] == [f * t_pi(params.space, params.u_int) for f in factors]
+    # factor 0 yields the prepared state; each factor evolves it by factor * T_pi
+    tpi = t_pi(params.space, params.u_int)
+    for f, state in zip(factors, states):
+        evolved = propagator(params).evolve(states[0], f * tpi)
+        assert np.abs(state.vectors - evolved.vectors).max() == 0
     single = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
-    assert np.abs(states[1].state.vectors - single.state.vectors).max() == 0
+    assert np.abs(states[1].vectors - single.vectors).max() == 0
     with pytest.raises(ValueError):
         prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0, -0.1], params)
 
@@ -123,7 +128,7 @@ def test_prepare_and_evolve_yields_each_factor():
 def test_pi_state_parity_symmetry():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0], params))
-    p = jz_distribution(state.state).probs
+    p = jz_distribution(state).probs
     assert np.abs(p - p[::-1]).max() < 1e-6
 
 
@@ -132,10 +137,11 @@ def test_zero_state_starts_on_separatrix():
 
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [0.0], params))
-    init = state.provenance
-    assert init.phi == 0.0
-    e = classical_energy(PhasePoint(init.z, init.phi), MeanFieldParams(params.lambda_cl))
+    z, phi = initial_condition(StateLabel.ZERO, params)
+    assert phi == 0.0
+    e = classical_energy(PhasePoint(z, phi), MeanFieldParams(params.lambda_cl))
     assert abs(e - 1.0) < 1e-9
+    assert np.abs(state.vectors - thermal_state(params.space, PURE_BETA, z, phi).vectors).max() == 0
 
 
 def count_peaks(p: np.ndarray, floor: float = 1e-6) -> int:
@@ -150,7 +156,7 @@ def count_peaks(p: np.ndarray, floor: float = 1e-6) -> int:
 def test_zero_time_factor_keeps_single_peak():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.0], params))
-    assert count_peaks(jz_distribution(state.state).probs) == 1
+    assert count_peaks(jz_distribution(state).probs) == 1
 
 
 def test_subcritical_coupling_propagates_error():
@@ -159,7 +165,7 @@ def test_subcritical_coupling_propagates_error():
         prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.0], params)
     # the pi state needs no separatrix and still works
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
-    assert state.state.vectors.shape[0] == 41
+    assert state.vectors.shape[0] == 41
 
 
 def test_sign_convention_gauge_equivalence():
@@ -169,19 +175,19 @@ def test_sign_convention_gauge_equivalence():
     for label in (StateLabel.PI, StateLabel.ZERO):
         a = next(prepare_and_evolve(label, 2.0, [1.2], fig))
         b = next(prepare_and_evolve(label, 2.0, [1.2], lit))
-        pa = jz_distribution(a.state).probs
-        pb = jz_distribution(b.state).probs
+        pa = jz_distribution(a).probs
+        pb = jz_distribution(b).probs
         assert np.abs(pa - pb).max() < 1e-8
         assert abs(
-            cat_split(jz_distribution(a.state)).extensive_difference
-            - cat_split(jz_distribution(b.state)).extensive_difference
+            cat_split(jz_distribution(a)).extensive_difference
+            - cat_split(jz_distribution(b)).extensive_difference
         ) < 1e-8
-        f_q = qfi(a.state, Z_AXIS)
-        assert abs(f_q - qfi(b.state, Z_AXIS)) < 1e-8 * max(1.0, f_q)
+        f_q = qfi(a, Z_AXIS)
+        assert abs(f_q - qfi(b, Z_AXIS)) < 1e-8 * max(1.0, f_q)
 
 
 def test_evolved_cat_double_peak(cold_zero_cat):
-    dist = jz_distribution(cold_zero_cat.state)
+    dist = jz_distribution(cold_zero_cat)
     split = cat_split(dist)
     assert not split.degenerate
     assert split.n_left > 0.1 and split.n_right > 0.1

@@ -27,7 +27,13 @@ from catlab import (
     statistical_uncertainty,
     thermal_state,
 )
-from catlab.metrology import _qfi_form, default_axis_grids, qfi_quadratic_form, trivial_readout
+from catlab.metrology import (
+    _projections,
+    _qfi_form,
+    default_axis_grids,
+    qfi_quadratic_form,
+    trivial_readout,
+)
 from catlab.spin import jx_eigensystem, state_eigensystem
 
 from conftest import PURE_BETA, dense_j, random_density, random_pure
@@ -35,7 +41,8 @@ from conftest import PURE_BETA, dense_j, random_density, random_pure
 
 def qfi_dense(state, g: np.ndarray) -> float:
     """The QFI kernel for a general Hermitian generator g, from the products g V."""
-    return float(_qfi_form(state, (g @ state.vectors)[None])[0, 0])
+    p, v = state
+    return float(_qfi_form(p, *_projections(v, (g @ v)[None]))[0, 0])
 
 
 def point_mass(space: SpinSpace, m: int) -> JzDistribution:
@@ -229,11 +236,11 @@ def test_cfi_finite_difference_matches_commutator():
     params = TwistTurnParams(SpinSpace(60))
     state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
     readout = ReadoutSpec()
-    exact = cfi_commutator(state.state, Z_AXIS, readout)
-    fd = cfi_finite_difference(state.state, Z_AXIS, readout, delta=1e-4)
+    exact = cfi_commutator(state, Z_AXIS, readout)
+    fd = cfi_finite_difference(state, Z_AXIS, readout, delta=1e-4)
     assert fd == pytest.approx(exact, rel=1e-4)
     # Richardson consistency: quartering the residual when delta halves
-    fd_half = cfi_finite_difference(state.state, Z_AXIS, readout, delta=5e-5)
+    fd_half = cfi_finite_difference(state, Z_AXIS, readout, delta=5e-5)
     assert abs(fd_half - exact) <= abs(fd - exact) * 0.5 + 1e-10 * exact
 
 
@@ -248,7 +255,7 @@ def test_cfi_finite_difference_rejects_bad_delta():
 # the assembled report
 
 def test_report_pure_state_has_unit_quality(cold_zero_cat):
-    report = metrology_report(cold_zero_cat.state)
+    report = metrology_report(cold_zero_cat)
     assert report.r_q == pytest.approx(1.0, abs=1e-6)
     assert 0 < report.r_c <= report.r_q
     assert report.f_c <= report.f_q
@@ -280,6 +287,15 @@ def test_report_fisher_chain_slack():
         fisher_report(400.0, 100.0, delta_s=9.0)  # r_q = 10/9 > 1
 
 
+@pytest.mark.parametrize("nan_at", [0, 3])
+def test_distribution_rejects_nan(nan_at):
+    # NaN compares False with everything, so only a check that NaN fails catches it
+    p = np.full(5, 0.2)
+    p[nan_at] = np.nan
+    with pytest.raises(NumericalInvariantError):
+        JzDistribution(SpinSpace(4), p)
+
+
 def test_readout_eigensystem_reused_and_read_only():
     sp = SpinSpace(10)
     readout = ReadoutSpec()
@@ -294,7 +310,7 @@ def test_readout_eigensystem_reused_and_read_only():
 
 
 def test_report_hot_state(hot_zero_cat):
-    report = metrology_report(hot_zero_cat.state)
+    report = metrology_report(hot_zero_cat)
     assert report.r_c <= 0.10
     assert report.r_c < report.r_q < 0.5
     assert report.lam == pytest.approx(200 / 3, rel=0.15)
@@ -322,7 +338,7 @@ def test_rq_monotone_under_heating():
     values = []
     for beta in (50.0, 5.0, 1.0, 0.5, 0.2, 0.1):
         state = next(prepare_and_evolve(StateLabel.ZERO, beta, [1.4], params))
-        values.append(metrology_report(state.state).r_q)
+        values.append(metrology_report(state).r_q)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -362,7 +378,7 @@ def test_axis_map_mixed_state_zero():
 
 
 def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
-    state = cold_zero_cat.state
+    state = cold_zero_cat
     scale = 4.0 * space200.n_particles
     value, axis = n_eff(state)
     top = np.linalg.eigvalsh(qfi_quadratic_form(state)).max() / scale
@@ -375,6 +391,6 @@ def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
 
 def test_axis_map_evolved_cat_equatorial(cold_pi_cat, cold_zero_cat):
     for state in (cold_pi_cat, cold_zero_cat):
-        value, axis = n_eff(state.state)
+        value, axis = n_eff(state)
         assert abs(axis.theta - np.pi / 2) < 0.25
         assert value > 10  # strongly macroscopic compared to the coherent 1/4

@@ -47,7 +47,7 @@ def test_counting_statistics_are_gauge_invariant(n, beta, label, factor):
     reports, dists = [], []
     for convention in SignConvention:
         params = TwistTurnParams(SpinSpace(n), sign_convention=convention)
-        state = next(prepare_and_evolve(label, beta, [factor], params)).state
+        state = next(prepare_and_evolve(label, beta, [factor], params))
         reports.append(metrology_report(state))
         dists.append(jz_distribution(state))
     a, b = reports

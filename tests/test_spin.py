@@ -21,7 +21,7 @@ from catlab import (
     thermal_state,
 )
 from catlab import spin
-from catlab.metrology import _qfi_form
+from catlab.metrology import _projections, _qfi_form
 from catlab.spin import (
     SpectralDecomp,
     assert_density_matrix,
@@ -358,14 +358,15 @@ def test_density_checks_reject_bad_states(name):
     with pytest.raises(NumericalInvariantError):
         state_eigensystem(rho)
     with pytest.raises(NumericalInvariantError):
-        state = state_eigensystem(rho)
-        _qfi_form(state, (np.diag([0.5, -0.5]) @ state.vectors)[None])
+        p, v = state_eigensystem(rho)
+        _qfi_form(p, *_projections(v, (np.diag([0.5, -0.5]) @ v)[None]))
 
 
 BAD_FACTORS = {
     "negative_weight": ([1.1, -0.1], np.eye(2)),
     "trace_two": ([1.0, 1.0], np.eye(2)),
     "not_orthonormal": ([0.5, 0.5], [[1.0, 1e-6], [0.0, 1.0]]),
+    "nan_weight": ([np.nan, 1.0], np.eye(2)),
 }
 
 

@@ -11,7 +11,7 @@ from catlab import (
     wigner,
 )
 
-from catlab.spin import state_eigensystem
+from catlab.spin import NumericalInvariantError, SpectralDecomp, state_eigensystem
 
 from conftest import random_density
 
@@ -20,6 +20,14 @@ def test_wigner_rejects_tiny_grid():
     state = state_eigensystem(np.eye(5) / 5)
     with pytest.raises(ValueError):
         wigner(state, phi_points=3)
+
+
+def test_wigner_rejects_nan():
+    p, v = state_eigensystem(np.eye(5) / 5)
+    v = v.astype(complex)
+    v[2, 2] = np.nan
+    with pytest.raises(NumericalInvariantError, match="imaginary residue nan"):
+        wigner(SpectralDecomp(p, v), phi_points=8)
 
 
 def test_wigner_real_and_marginal_random_states():
@@ -67,7 +75,7 @@ def test_wigner_cat_ridges_spread_in_phase(cold_pi_cat, cold_zero_cat):
     _, coherent_spread = ridge_circular_spread(coherent_grid)
     assert coherent_spread < 0.2
     for state in (cold_pi_cat, cold_zero_cat):
-        grid = wigner(state.state, phi_points=256)
+        grid = wigner(state, phi_points=256)
         lower, upper = ridge_circular_spread(grid)
         assert lower > 1.0 and lower > 6 * coherent_spread
         assert upper > 1.0 and upper > 6 * coherent_spread
