@@ -1,10 +1,11 @@
 """Batch computations behind the CLI: sweeps, CSV output, run manifests.
 
-Each command computes one table, (file name, header, rows); run_command
-writes it as a CSV file next to a manifest.json recording the config echo,
-the conventions and the whole spin.TOLERANCES table, derived quantities
-(T_pi, lambda_cl, z_c(0)), and a sha256 checksum for each output file.
-Floats are serialized with 17 significant digits so repeated runs are
+Each command returns (file name, header, table), the table being rows or a
+Grid of values over two axes; run_command streams it to a CSV file, a block
+of rows or one grid row at a time, next to a manifest.json recording the
+config echo, the conventions and the whole spin.TOLERANCES table, derived
+quantities (T_pi, lambda_cl, z_c(0)), and a sha256 checksum for each output
+file. Floats are serialized with 17 significant digits so repeated runs are
 byte-identical regardless of worker count: sweep points are distributed to
 a process pool but assembled in deterministic key order before writing.
 A run whose estimated memory exceeds MemAvailable is refused before it
@@ -18,6 +19,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +52,56 @@ from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
-#: (the hot qfi-map needs about 12), and bytes per qfi-map or Wigner grid row
-REAL_MATRICES, COMPLEX_BLOCKS, GRID_ROW_BYTES = 4, 13, 400
+#: (the hot qfi-map needs about 12), and float64 arrays per qfi-map or Wigner grid cell beside
+#: Wigner's coefficient and harmonics tables (the cold Wigner needs 5 to 7)
+REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 4, 13, 8
+
+#: rows per formatted block of an ordinary table
+BLOCK_ROWS = 4096
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write rows with floats at 17 significant digits, which round-trip exactly."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+class Grid(NamedTuple):
+    """values[i, k] at (xs[i], ys[k]): one x, y, value line per cell, x outermost."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    values: np.ndarray
+
+
+def _create(path: Path):
+    """path opened for writing text; a path that cannot be is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _row_blocks(rows: list[tuple]):
+    """Blocks of rows; a column is text where the block's first row holds a string."""
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in block[0]) + "\n"
+        yield (line * len(block)) % tuple(v for row in block for v in row)
+
+
+def _grid_blocks(xs: np.ndarray, ys: np.ndarray, values: np.ndarray):
+    """One block per x: each axis value formatted once, each row's cells by one format."""
+    # x.join(["", "y_0,%.17g\n", "y_1,%.17g\n", ...]) is the format of row x
+    cells = ["", *("%.17g," % y + "%.17g\n" for y in ys.tolist())]
+    for x, row in zip(xs.tolist(), values):
+        yield ("%.17g," % x).join(cells) % tuple(row.tolist())
+
+
+def write_csv(path: Path, header: list[str], table: list[tuple] | Grid) -> None:
+    """Stream rows, or a grid a row at a time, with floats at 17 significant digits.
+
+    '%.17g' % v is format(float(v), '.17g'), which round-trips every double;
+    no text holds more than one block.
+    """
+    blocks = _grid_blocks(*table) if isinstance(table, Grid) else _row_blocks(table)
+    with _create(path) as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(blocks)
 
 
 def resolve_workers(config: RunConfig) -> int:
@@ -172,11 +214,6 @@ def _temp_sweep_point(args: tuple) -> list[tuple]:
 # ----------------------------------------------------------------------------
 # commands
 
-def _grid_rows(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> list[tuple]:
-    """One (x, y, value) row per grid cell, x outermost."""
-    return [(x, y, values[i, k]) for i, x in enumerate(xs) for k, y in enumerate(ys)]
-
-
 def cmd_distribution(config: RunConfig) -> tuple:
     dist = jz_distribution(_evolved_state(config))
     return "jz_distribution.csv", ["m", "p"], list(zip(dist.m_values, dist.probs))
@@ -208,12 +245,12 @@ def cmd_temp_sweep(config: RunConfig) -> tuple:
 def cmd_qfi_map(config: RunConfig) -> tuple:
     thetas, phis = default_axis_grids(config.grid_theta, config.grid_phi)
     amap = qfi_axis_map(_evolved_state(config), thetas, phis)
-    return "neff_map.csv", ["theta", "phi", "value"], _grid_rows(thetas, phis, amap.values)
+    return "neff_map.csv", ["theta", "phi", "value"], Grid(thetas, phis, amap.values)
 
 
 def cmd_wigner(config: RunConfig) -> tuple:
     grid = wigner(_evolved_state(config), _wigner_phi_points(config))
-    return "wigner.csv", ["z", "phi", "w"], _grid_rows(grid.z_values, grid.phi_values, grid.values)
+    return "wigner.csv", ["z", "phi", "w"], Grid(grid.z_values, grid.phi_values, grid.values)
 
 
 def cmd_classical(config: RunConfig) -> tuple:
@@ -258,6 +295,15 @@ COMMANDS = {
 }
 
 
+def _sha256(path: Path) -> str:
+    """The file's sha256, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as data:
+        for block in iter(lambda: data.read(2**20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list[Path]) -> Path:
     """Emit manifest.json into out_dir; output files are keyed by relative path."""
     notes = []
@@ -284,31 +330,35 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
         "time_factor_zero": config.effective_time_factor("zero"),
         "notes": notes,
         "outputs": {
-            p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(outputs)
+            p.relative_to(out_dir).as_posix(): _sha256(p) for p in sorted(outputs)
         },
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _create(path) as out:
+        out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def memory_estimate(command: str, config: RunConfig) -> int:
-    """Bytes a command holds at its peak, from N, the state's rank and its grid rows."""
+    """Bytes a command holds at its peak, from N, the state's rank and its grid."""
     if command in ("classical", "catqubit"):
         return 0  # no spin state
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
     # the hottest state's support, on whose basis every colder state is its weights
     rank = np.count_nonzero(thermal_weights(space_for_dim(dim), min(map(beta_scaled_of, temps))))
-    grids = [config.grid_theta * config.grid_phi, dim * _wigner_phi_points(config)]
-    rows = {"qfi-map": grids[0], "wigner": grids[1], "all-figures": max(grids)}.get(command, 0)
+    phi_points = _wigner_phi_points(config)
+    cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
+    grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}
+    # Wigner's complex coefficient table c[m, n] and harmonics e^{i 2 n phi}, |n| <= N
+    grid_bytes["wigner"] += 16 * (2 * dim - 1) * (dim + phi_points)
+    grid_bytes["all-figures"] = max(grid_bytes.values())
     # a process per pool item at most: a time sweep's chunks of factors, a temp sweep's 2 states
     items = {"time-sweep": len(config.time_factors), "temp-sweep": 2}
     items["all-figures"] = max(items.values())
     processes = min(resolve_workers(config), items.get(command, 1))
     state_bytes = 8 * dim * (REAL_MATRICES * dim + 2 * COMPLEX_BLOCKS * rank)
-    return processes * state_bytes + GRID_ROW_BYTES * rows
+    return processes * state_bytes + grid_bytes.get(command, 0)
 
 
 def _mem_available() -> int | None:
@@ -327,9 +377,9 @@ def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    name, header, rows = COMMANDS[command](config)
+    name, header, table = COMMANDS[command](config)
     path = out_dir / name
-    write_csv(path, header, rows)
+    write_csv(path, header, table)
     return [path, write_manifest(config, command, out_dir, [path])]
 
 

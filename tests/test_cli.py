@@ -149,6 +149,15 @@ def test_cli_unusable_paths_are_config_errors(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["jz_distribution.csv", "manifest.json"])
+def test_cli_output_file_that_is_a_directory_is_a_config_error(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(tmp_path / name) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "lambda_cl, cause",
     [

@@ -3,13 +3,17 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from catlab import RunConfig, catqubit, dynamics, metrology, spin, wigner
-from catlab.harness import parallel_map, run_command
+from catlab.harness import BLOCK_ROWS, Grid, parallel_map, run_command, write_csv
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -257,3 +261,84 @@ def test_tracer_targets_resolve():
             functools.reduce(getattr, path.split("."), module)
     # the pool-size hook reads parallel_map's positional arguments
     assert list(inspect.signature(parallel_map).parameters) == ["func", "items", "n_workers"]
+
+
+# ----------------------------------------------------------------------------
+# the CSV writer
+
+def per_row_csv(header: list[str], rows: list[tuple]) -> bytes:
+    """The oracle: every cell by format(float(v), ".17g"), the lines joined once."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+           1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17, 123456789012345678.0]
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(math.nan)
+@example(-math.inf)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+def test_percent_format_is_format_17g(x):
+    assert "%.17g" % x == format(x, ".17g")
+
+
+def random_doubles(rng: np.random.Generator, shape) -> np.ndarray:
+    """Doubles over every exponent and sign, with the special values mixed in."""
+    bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    flat = values.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(SPECIAL))] = SPECIAL
+    return values
+
+
+def test_writer_gives_the_per_row_bytes_for_a_grid(tmp_path):
+    rng = np.random.default_rng(7)
+    xs, ys, values = random_doubles(rng, 37), random_doubles(rng, 53), random_doubles(rng, (37, 53))
+    write_csv(tmp_path / "grid.csv", ["x", "y", "v"], Grid(xs, ys, values))
+    rows = [(x, y, values[i, k]) for i, x in enumerate(xs) for k, y in enumerate(ys)]
+    assert (tmp_path / "grid.csv").read_bytes() == per_row_csv(["x", "y", "v"], rows)
+    # an empty axis writes the header alone
+    write_csv(tmp_path / "empty.csv", ["x", "y", "v"], Grid(xs, ys[:0], values[:, :0]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,y,v\n"
+
+
+def test_writer_gives_the_per_row_bytes_for_a_table(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * BLOCK_ROWS + 17  # three blocks, the last one short
+    floats, ints = random_doubles(rng, (n, 2)), rng.integers(-(2**62), 2**62, size=n)
+    words = ["separatrix", "trajectory_3", "stable", "pi", "zero", "", "a b"]
+    rows = [
+        (words[i % len(words)], i, int(ints[i]), ints[i], floats[i, 0], float(floats[i, 1]),
+         bool(i % 2), f"class_{i}")
+        for i in range(n)
+    ]
+    header = ["id", "step", "int", "int64", "f64", "float", "flag", "class"]
+    write_csv(tmp_path / "table.csv", header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == per_row_csv(header, rows)
+    write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == per_row_csv(header, [])
+
+
+def test_writer_streams_a_grid_one_row_at_a_time(tmp_path):
+    # rows as wide as a Wigner grid's at N = 1600
+    rng = np.random.default_rng(3)
+    n_rows = 401
+    xs, ys = np.linspace(-1.0, 1.0, n_rows), np.linspace(-np.pi, np.pi, 1601, endpoint=False)
+    values = rng.normal(size=(n_rows, ys.size))
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["z", "phi", "w"], Grid(xs, ys, values))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    path.unlink()
+    # a few rows' text at a time, a fortieth of the file's
+    assert peak < 10 * size / n_rows
