@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,71 +212,122 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
     return float(z_c)
 
 
+def _refine(z, phi, e, lam, dt, step_budget):
+    """Retry one failed step as 2^r substeps of `_rk4`, r = 1..10; None if all fail."""
+    for r in range(1, 11):
+        y, q, h = z, phi, dt / 2**r
+        try:
+            for _ in range(2**r):
+                y, q = _rk4(y, q, lam, h)
+            en = _step_energy(y, q, lam)
+        except (ValueError, ZeroDivisionError):
+            continue  # a stage reached |z| >= 1
+        if abs(y) < 1.0 and abs(en - e) <= step_budget:
+            return y, q, en
+    return None
+
+
+def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
+    """Extend one orbit's z, phi and energy lists by up to n_steps RK4 steps.
+
+    Steps Python floats from the lists' last entries.  A plain step is `_rk4`
+    and `_step_energy` written out inline, operand for operand, so it gives
+    their bits.  A step that raises, leaves |z| < 1 or overspends step_budget
+    is handed alone to `_refine`; if that fails too, the orbit stops there,
+    short of n_steps.
+    """
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+    h2, h6, half_lam = 0.5 * dt, dt / 6.0, 0.5 * lam
+    z, phi, e = zs[-1], phis[-1], energies[-1]
+    for _ in range(n_steps):
+        try:
+            r = sqrt(1.0 - z * z)
+            k1z, k1p = -r * sin(phi), lam * z + z * cos(phi) / r
+            y, q = z + h2 * k1z, phi + h2 * k1p
+            r = sqrt(1.0 - y * y)
+            k2z, k2p = -r * sin(q), lam * y + y * cos(q) / r
+            y, q = z + h2 * k2z, phi + h2 * k2p
+            r = sqrt(1.0 - y * y)
+            k3z, k3p = -r * sin(q), lam * y + y * cos(q) / r
+            y, q = z + dt * k3z, phi + dt * k3p
+            r = sqrt(1.0 - y * y)
+            k4z, k4p = -r * sin(q), lam * y + y * cos(q) / r
+            y = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            q = phi + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            ok = abs(y) < 1.0
+            if ok:  # then 1 - y * y >= 0 and _step_energy's max(., 0.0) is a no-op
+                en = half_lam * (y * y) - sqrt(1.0 - y * y) * cos(q)
+                ok = abs(en - e) <= step_budget
+        except (ValueError, ZeroDivisionError):
+            ok = False  # a stage reached |z| >= 1
+        if ok:
+            z, phi, e = y, q, en
+        else:
+            refined = _refine(z, phi, e, lam, dt, step_budget)
+            if refined is None:
+                return
+            z, phi, e = refined
+        zs.append(z)
+        phis.append(phi)
+        energies.append(e)
+
+
+# steps per `_orbit` call; orbits take turns by blocks, so a run that fails
+# steps no orbit more than one block past its earliest failing step
+ORBIT_BLOCK = 100
+
+
 def _integrate(
     starts: list[PhasePoint], params: MeanFieldParams, t_final: float, dt: float
 ) -> list[Trajectory]:
-    """Fixed-step RK4 integration of every start, in lock-step.
+    """Fixed-step RK4 integration of every start, each orbit in its own loop.
 
-    Step k advances every orbit, in start order, before step k + 1.  An orbit
-    whose step leaves |z| < 1 (the flow is singular at the poles) or
-    overspends its share of the energy budget retries that step as 2^k
-    substeps, k <= 10, before the run gives up at the earliest step any orbit
-    fails.  Each orbit's energy drift must stay below TOLERANCES["energy_drift"].
+    The orbits take turns in blocks of ORBIT_BLOCK steps.  A step that leaves
+    |z| < 1 (the flow is singular at the poles) or overspends its share of
+    the energy budget is retried as 2^k substeps, k <= 10.  Once a step k
+    fails every refinement, no orbit steps past k - 1, and the run gives up
+    at the earliest failing step of all.  Each orbit's energy drift must stay
+    below TOLERANCES["energy_drift"].
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not starts:
         return []
-    lam = params.lambda_cl
-    n = len(starts)
+    lam, dt = float(params.lambda_cl), float(dt)
     n_steps = max(1, int(round(t_final / dt)))
     times = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])
-    # row-major (step, orbit) in flat float64 storage; entries read back as floats
-    zs, phis, energies = (array("d", bytes(8 * (n_steps + 1) * n)) for _ in range(3))
-    for i, p in enumerate(starts):
-        zs[i], phis[i], energies[i] = p.z, p.phi, classical_energy(p, params)
     # per-step energy budget; summed over the run it stays below half the drift tolerance
     step_budget = 0.5 * TOLERANCES["energy_drift"] * dt / max(t_final, dt)
-    refinements = [(2**r, dt / 2**r) for r in range(11)]
-    for k in range(1, n_steps + 1):
-        for i in range(k * n, (k + 1) * n):
-            z0, phi0, e0 = zs[i - n], phis[i - n], energies[i - n]
-            for substeps, h in refinements:
-                z, phi = z0, phi0
-                try:
-                    for _ in range(substeps):
-                        z, phi = _rk4(z, phi, lam, h)
-                    e = _step_energy(z, phi, lam)
-                except (ValueError, ZeroDivisionError):
-                    continue  # a stage reached |z| >= 1
-                if abs(z) < 1.0 and abs(e - e0) <= step_budget:
-                    break
-            else:
-                raise NumericalInvariantError(
-                    f"integration failed near |z| = 1 at t = {times[k - 1]:.6g} "
-                    "after 2^10 refinements"
-                )
-            zs[i], phis[i], energies[i] = z, phi, e
-    zs, phis, energies = (np.frombuffer(a).reshape(n_steps + 1, n) for a in (zs, phis, energies))
-    drifts = np.abs(energies - energies[0]).max(axis=0)
-    if drifts.max() > TOLERANCES["energy_drift"]:
+    orbits = [([float(p.z)], [float(p.phi)], [classical_energy(p, params)]) for p in starts]
+    reach = n_steps  # the last step any orbit may take: one before the earliest failure
+    for block_end in range(ORBIT_BLOCK, n_steps + ORBIT_BLOCK, ORBIT_BLOCK):
+        for zs, phis, energies in orbits:
+            stop = min(block_end, reach)
+            _orbit(zs, phis, energies, lam, dt, stop - (len(zs) - 1), step_budget)
+            if len(zs) <= stop:
+                reach = len(zs) - 1  # step len(zs) failed
+    if reach < n_steps:
         raise NumericalInvariantError(
-            f"energy drift {drifts.max():.3e} exceeds {TOLERANCES['energy_drift']}"
+            f"integration failed near |z| = 1 at t = {times[reach]:.6g} "
+            "after 2^10 refinements"
         )
-    # trapped: the phase winds past 2 pi while z keeps the sign of its first nonzero value
-    signs = np.sign(zs)
-    first = signs[(signs != 0).argmax(axis=0), np.arange(len(starts))]
-    sign_changed = ((signs != 0) & (signs != first)).any(axis=0)
-    trapped = ~sign_changed & (np.abs(phis - phis[0]).max(axis=0) > 2 * np.pi)
-    return [
-        Trajectory(
+    trajectories = []
+    for zs, phis, energies in orbits:
+        zs, phis = np.array(zs), np.array(phis)
+        # trapped: the phase winds past 2 pi while z never takes both signs
+        trapped = not zs.min() < 0.0 < zs.max() and np.abs(phis - phis[0]).max() > 2 * np.pi
+        trajectories.append(Trajectory(
             times.copy(),
-            np.column_stack([zs[:, i], phis[:, i]]),
-            TrajectoryClass.SELF_TRAPPING if trapped[i] else TrajectoryClass.FREE_OSCILLATION,
-            float(drifts[i]),
+            np.column_stack([zs, phis]),
+            TrajectoryClass.SELF_TRAPPING if trapped else TrajectoryClass.FREE_OSCILLATION,
+            float(np.abs(np.subtract(energies, energies[0])).max()),
+        ))
+    drift = max(t.energy_drift for t in trajectories)
+    if drift > TOLERANCES["energy_drift"]:
+        raise NumericalInvariantError(
+            f"energy drift {drift:.3e} exceeds {TOLERANCES['energy_drift']}"
         )
-        for i in range(len(starts))
-    ]
+    return trajectories
 
 
 def integrate_trajectory(
@@ -288,9 +338,10 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Fixed-step RK4 integration of one orbit with pole-refinement and energy guard.
 
-    Near the poles |z| = 1 the flow is singular; a failing step is retried
-    as 2^k substeps, k <= 10, before giving up.  The total energy drift over
-    the run must stay below TOLERANCES["energy_drift"].
+    The one-start call of `_integrate`, so a portrait orbit from the same start
+    is the same bits.  Near the poles |z| = 1 the flow is singular; a failing
+    step is retried as 2^k substeps, k <= 10, before giving up.  The total
+    energy drift over the run must stay below TOLERANCES["energy_drift"].
     """
     [trajectory] = _integrate([p0], params, t_final, dt)
     return trajectory

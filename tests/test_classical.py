@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from catlab import (
@@ -165,18 +167,26 @@ def test_trajectory_refines_steps_near_the_pole(monkeypatch):
 
 
 def test_default_portrait_steps_python_floats(monkeypatch):
-    # float64 numpy scalars reaching the kernel make each _rk4 call about 2x slower
-    rk4 = classical._rk4
-    float_args = []
+    # float64 numpy scalars reaching the kernel make each step about 2x slower
+    orbit, rk4 = classical._orbit, classical._rk4
+    float_args, ladder_calls = [], []
 
-    def checking_rk4(z, phi, lam, dt, floor=None):
-        float_args.append(type(z) is float and type(phi) is float)
-        return rk4(z, phi, lam, dt, floor)
+    def checking_orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
+        state = (zs[-1], phis[-1], energies[-1], lam, dt, step_budget)
+        float_args.append(all(type(v) is float for v in state))
+        return orbit(zs, phis, energies, lam, dt, n_steps, step_budget)
 
-    monkeypatch.setattr(classical, "_rk4", checking_rk4)
-    phase_portrait(MeanFieldParams(20.0))
-    assert len(float_args) == 7 * 12_000
-    assert all(float_args)
+    def counting_rk4(*args):
+        ladder_calls.append(args)
+        return rk4(*args)
+
+    monkeypatch.setattr(classical, "_orbit", checking_orbit)
+    monkeypatch.setattr(classical, "_rk4", counting_rk4)
+    portrait = phase_portrait(MeanFieldParams(20.0))
+    # one kernel call per orbit and block of steps
+    assert float_args == [True] * 7 * (12_000 // classical.ORBIT_BLOCK)
+    assert ladder_calls == []  # every default step is a plain inline step
+    assert all(len(t.points) == 12_001 for t in portrait.trajectories)
 
 
 def test_integration_fails_at_the_earliest_failing_step():
@@ -188,6 +198,68 @@ def test_integration_fails_at_the_earliest_failing_step():
         classical._integrate([late], mf, 0.5, 0.01)
     with pytest.raises(NumericalInvariantError, match=r"at t = 0\.04 "):
         classical._integrate([late, early], mf, 0.5, 0.01)
+
+
+def test_integration_failure_does_not_depend_on_start_order():
+    # stepped after the early orbit, the late one stops before its own failure at t = 0.14
+    mf = MeanFieldParams(0.0)
+    late, early = PhasePoint(0.99, -np.pi / 2), PhasePoint(0.999, -np.pi / 2)
+    with pytest.raises(NumericalInvariantError, match=r"at t = 0\.04 "):
+        classical._integrate([early, late], mf, 0.5, 0.01)
+
+
+def test_failing_run_steps_no_orbit_far_past_the_failure(monkeypatch):
+    # an orbit ahead of the failing one stops within a block of the failing step
+    orbit, lengths = classical._orbit, []
+
+    def measuring_orbit(zs, *args):
+        orbit(zs, *args)
+        lengths.append(len(zs))
+
+    monkeypatch.setattr(classical, "_orbit", measuring_orbit)
+    mf, safe, early = MeanFieldParams(0.0), PhasePoint(0.0, 0.0), PhasePoint(0.999, -np.pi / 2)
+    with pytest.raises(NumericalInvariantError, match=r"at t = 0\.04 "):
+        classical._integrate([safe, early], mf, 100.0, 0.01)
+    assert max(lengths) == classical.ORBIT_BLOCK + 1  # of 10,001 points
+
+
+# about one draw in ten starts close enough to a pole for a stage to leave |z| < 1
+_near_pole = st.floats(1e-12, 1e-2).flatmap(lambda d: st.sampled_from([1.0 - d, d - 1.0]))
+
+
+@given(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True) | _near_pole,
+    st.floats(-10.0, 10.0),
+    st.floats(0.0, 1e4),
+    st.floats(1e-6, 0.1),
+    st.floats(0.0, 1.0),
+)
+def test_inline_step_is_rk4_and_step_energy(z, phi, lam, dt, step_budget):
+    # one step of the orbit kernel against the scalar kernel it writes out inline
+    e0 = classical._step_energy(z, phi, lam)
+    handed = []
+
+    def ladder(*args):
+        handed.append(args)
+        return 2.0, 3.0, 4.0  # a marker no plain step gives
+
+    zs, phis, energies = [z], [phi], [e0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_refine", ladder)
+        classical._orbit(zs, phis, energies, lam, dt, 1, step_budget)
+    try:
+        want = classical._rk4(z, phi, lam, dt)
+        e = classical._step_energy(*want, lam)
+    except (ValueError, ZeroDivisionError):
+        accepted = False  # a stage reached |z| >= 1
+    else:
+        accepted = abs(want[0]) < 1.0 and abs(e - e0) <= step_budget
+    if accepted:
+        assert handed == []
+        assert np.array([*want, e]).tobytes() == np.array([zs[1], phis[1], energies[1]]).tobytes()
+    else:
+        assert handed == [(z, phi, e0, lam, dt, step_budget)]
+        assert (zs[1], phis[1], energies[1]) == (2.0, 3.0, 4.0)
 
 
 def test_trajectory_stationary_at_fixed_point():

@@ -102,6 +102,17 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    # serial runs never start a pool, so they should not pay for importing one
+    code = (
+        "import sys, catlab.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command", ["distribution", "wigner", "time-sweep"])
 def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
     # the 0 state sits on the separatrix, which needs lambda_cl = u N / t > 1
