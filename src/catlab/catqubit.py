@@ -131,16 +131,14 @@ def analytic_qfi(model: CatQubitModel) -> float:
 
 
 def analytic_rq(model: CatQubitModel) -> float:
-    """r_q = sqrt((Lambda^2 cos^2(eta) + PW^2) / (Lambda^2 + PW^2))."""
-    return float(np.sqrt(analytic_qfi(model) / (model.lam**2 + model.peak_width**2)))
+    """r_q = sqrt((1 + alpha^2 cos^2 eta) / (1 + alpha^2)): no Lambda^2 or PW^2 to overflow."""
+    a2 = model.alpha**2
+    return float(np.sqrt((1.0 + a2 * np.cos(model.eta) ** 2) / (1.0 + a2)))
 
 
 def reduced_extdiff(model: CatQubitModel) -> float:
-    """Lambda r_q = Lambda sqrt((1 + alpha^2 cos^2 eta) / (1 + alpha^2))."""
-    a2 = model.alpha**2
-    return model.lam * float(
-        np.sqrt((1.0 + a2 * np.cos(model.eta) ** 2) / (1.0 + a2))
-    )
+    """Lambda r_q."""
+    return model.lam * analytic_rq(model)
 
 
 def eta_critical(alpha: float) -> float:

@@ -125,6 +125,14 @@ class RunConfig:
             raise ConfigError("eta_grid entries must lie in [0, pi/2]")
         if self.cat_alpha <= 0 or self.cat_width <= 0:
             raise ConfigError("cat_alpha and cat_width must be positive")
+        # PW = 2 w and Lambda = alpha PW as catqubit forms them: F_q <= Lambda^2 + PW^2
+        pw = 2.0 * self.cat_width
+        lam = self.cat_alpha * pw
+        if not math.isfinite(lam * lam + pw * pw + (lam / pw) * (lam / pw)):
+            raise ConfigError(
+                f"cat_alpha {self.cat_alpha!r} and cat_width {self.cat_width!r}: "
+                "Lambda^2, PW^2 or alpha^2 overflows"
+            )
         if self.lambda_cl is not None and self.lambda_cl < 0:
             raise ConfigError(f"lambda_cl must be >= 0, got {self.lambda_cl!r}")
         if self.wigner_phi_points < 4:

@@ -24,6 +24,7 @@ splits it into the two macroscopically distinct branches of a cat.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,7 +76,12 @@ class TwistTurnParams:
     @property
     def lambda_cl(self) -> float:
         """Mean-field coupling u N / t controlling the classical phase portrait."""
-        return self.u_int * self.space.n_particles / self.t_hop
+        lam = self.u_int * self.space.n_particles / self.t_hop
+        if not math.isfinite(lam):
+            raise ValueError(
+                f"u_int {self.u_int!r} and t_hop {self.t_hop!r}: lambda_cl = u N / t overflows"
+            )
+        return lam
 
 
 Bands = tuple[np.ndarray, np.ndarray]
@@ -83,7 +89,10 @@ Bands = tuple[np.ndarray, np.ndarray]
 
 def build_hamiltonian(params: TwistTurnParams) -> Bands:
     """Twist-and-turn H as its real Dicke bands: (2u m^2, sigma 2t <m+1| J_x |m>)."""
-    space = params.space
+    space, j = params.space, params.space.j
+    # a finite Gershgorin bound keeps every entry and eigenvalue of H finite
+    if not math.isfinite(2.0 * params.u_int * j * j + 2.0 * params.t_hop * math.sqrt(j * j + j)):
+        raise ValueError(f"u_int {params.u_int!r} and t_hop {params.t_hop!r}: H overflows")
     sigma = -1.0 if params.sign_convention is SignConvention.FIGURE_ONE else 1.0
     return (
         2.0 * params.u_int * space.m_values**2,
@@ -112,13 +121,15 @@ class Propagator:
 
     def __init__(self, hamiltonian: Bands):
         self._decomp = tridiagonal_eigensystem(*hamiltonian)
+        #: max|w|: the phases w tau are finite while tau times this is
+        self.max_frequency = float(np.abs(self._decomp.values).max())
 
     def evolve(self, state: SpectralDecomp, duration: float) -> SpectralDecomp:
         w, v_h = self._decomp
         if state.vectors.shape[0] != w.size:
             raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {w.size}")
-        if not (np.isfinite(duration) and duration >= 0):
-            raise ValueError(f"duration must be finite and >= 0, got {duration}")
+        if not (duration >= 0 and np.isfinite(duration * self.max_frequency)):
+            raise ValueError(f"duration must be >= 0 with finite phases w tau, got {duration}")
         if duration == 0:
             return state
         phases = np.exp(-1j * w * duration)[:, None]
@@ -165,13 +176,13 @@ def prepare_and_evolve(
     """
     factors = list(time_factors)
     tpi = t_pi(params.space, params.u_int)
-    for f in factors:
-        if not (f >= 0 and np.isfinite(f * tpi)):
-            raise ValueError(f"time factor {f}: factor * T_pi ({tpi:.6g}) must be finite, >= 0")
     z, phi = initial_condition(state_label, params)
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
         phi = phi + np.pi
     state = thermal_state(params.space, beta_scaled, z, phi)
     prop = propagator(params)
+    for f in factors:
+        if not (f >= 0 and np.isfinite(f * tpi * prop.max_frequency)):
+            raise ValueError(f"time factor {f}: needs f >= 0 and finite phases w f T_pi ({tpi:.6g})")
     return (prop.evolve(state, f * tpi) for f in factors)

@@ -51,8 +51,7 @@ from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
-#: (the hot qfi-map needs about 12), and float64 arrays per qfi-map or Wigner grid cell beside
-#: Wigner's coefficient and harmonics tables (the cold Wigner needs 5 to 7)
+#: (the hot qfi-map needs about 12), and float64 arrays per qfi-map or Wigner grid cell
 REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 4, 13, 8
 
 #: rows per formatted block of an ordinary table
@@ -182,10 +181,10 @@ def _reports(config: RunConfig, state_label: str, beta_invs: list[float], factor
     readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
     params = _params_from_config(config)
     betas = [beta_scaled_of(b) for b in beta_invs]
+    weights = [thermal_weights(params.space, beta) for beta in betas]
     states = prepare_and_evolve(StateLabel(state_label), min(betas), factors, params)
     for factor, (_, v) in zip(factors, states):
-        weights = [thermal_weights(params.space, beta)[-v.shape[1]:] for beta in betas]
-        yield factor, metrology_reports(v, weights, readout)
+        yield factor, metrology_reports(v, [p[-v.shape[1]:] for p in weights], readout)
 
 
 def _time_sweep_point(args: tuple) -> list[tuple]:
@@ -352,8 +351,6 @@ def memory_estimate(command: str, config: RunConfig) -> int:
     phi_points = _wigner_phi_points(config)
     cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
     grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}
-    # Wigner's complex coefficient table c[m, n] and harmonics e^{i 2 n phi}, |n| <= N
-    grid_bytes["wigner"] += 16 * (2 * dim - 1) * (dim + phi_points)
     grid_bytes["all-figures"] = max(grid_bytes.values())
     # a process per pool item at most: a time sweep's chunks of factors, a temp sweep's 2 states
     items = {"time-sweep": len(config.time_factors), "temp-sweep": 2}

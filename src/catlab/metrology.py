@@ -208,13 +208,14 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
     is needed; bins with p_r below TOLERANCES["fisher_weight_cutoff"] are skipped,
     which removes 0/0 terms without touching anything at the 1e-6 acceptance level.
     """
-    return _cfi(state.values, *_cfi_terms(state.vectors, axis, readout))
+    p, v = state
+    return _cfi(p, *_cfi_terms(v, apply_j(space_for_dim(v.shape[0]), axis, v), readout))
 
 
-def _cfi_terms(v: np.ndarray, axis: SpinAxis, readout: ReadoutSpec) -> tuple[np.ndarray, ...]:
-    """The basis phase of the CFI: |a_rk|^2 and -2 Im(b_rk conj(a_rk)), from one rotation."""
+def _cfi_terms(v: np.ndarray, gv: np.ndarray, readout: ReadoutSpec) -> tuple[np.ndarray, ...]:
+    """The CFI's basis phase from V and gv = G V: |a_rk|^2 and -2 Im(b_rk conj(a_rk))."""
     space = space_for_dim(v.shape[0])
-    both = rotation(space, -readout.angle, readout.axis, np.hstack([v, apply_j(space, axis, v)]))
+    both = rotation(space, -readout.angle, readout.axis, np.hstack([v, gv]))
     a, b = np.split(both, 2, axis=1)
     return _squared(a), -2.0 * (b * a.conj()).imag
 
@@ -296,9 +297,10 @@ def metrology_reports(v: np.ndarray, weights: list, readout: ReadoutSpec | None 
     The basis phase runs once; each p, a state's weights, then costs O(N^2) sums.
     """
     space = space_for_dim(v.shape[0])
-    bins, slope = _cfi_terms(v, Z_AXIS, readout or ReadoutSpec())
+    jz_v = apply_j(space, Z_AXIS, v)
+    bins, slope = _cfi_terms(v, jz_v, readout or ReadoutSpec())
     dicke = _squared(v)
-    inside, local = _projections(v, apply_j(space, Z_AXIS, v)[None])
+    inside, local = _projections(v, jz_v[None])
     reports = []
     for p in weights:
         dist = JzDistribution(space, dicke @ p)

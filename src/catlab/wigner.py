@@ -13,7 +13,8 @@ a full phi average, the marginal identity
 
 holds exactly.  On a uniform phi grid of P points the discrete average
 reproduces it exactly whenever P > N (no aliasing of the exp(i 2 n phi)
-harmonics, |2n| <= N).
+harmonics, |2n| <= N).  On that grid each lattice row of W is one length-P
+inverse FFT, with <m+n| rho |m-n> in frequency bin 2n mod P.
 """
 
 from __future__ import annotations
@@ -48,15 +49,14 @@ def wigner(state: SpectralDecomp, phi_points: int = 256) -> WignerGrid:
     n_particles = dim - 1
     j = n_particles / 2
     phis = -np.pi + 2.0 * np.pi * np.arange(phi_points) / phi_points
-    # coefficient table c[m, n]: the anti-diagonal element <m+n| rho |m-n>, at flat
-    # index (m+n) dim + (m-n) of rho, and 0 where either index leaves the ladder
-    n_max = dim - 1
-    offsets = np.arange(-n_max, n_max + 1)
-    idx = np.arange(dim)[:, None]
-    coeffs = rho.take(idx * (dim + 1) + offsets * (dim - 1), mode="clip")
-    coeffs[np.abs(offsets) > np.minimum(idx, n_max - idx)] = 0
-    harmonics = np.exp(1j * 2.0 * np.outer(offsets, phis))
-    w = coeffs @ harmonics
+    # e^{i 2 n phi_k} = e^{2 pi i (2n mod P) k / P} as phi_0 = -pi, so row m of W is the
+    # unscaled inverse DFT of a spectrum whose bin 2n mod P collects <m+n| rho |m-n>:
+    # rho's diagonal at offset -2n, on rows |n| .. N-|n| (for P <= 2N, n's sharing a bin add)
+    spectrum = np.zeros((dim, phi_points), dtype=complex)
+    for n in range(-(n_particles // 2), n_particles // 2 + 1):
+        spectrum[abs(n):dim - abs(n), 2 * n % phi_points] += np.diagonal(rho, -2 * n)
+    del rho  # freed before the transform allocates W
+    w = np.fft.ifft(spectrum, axis=1, norm="forward")
     residue = np.abs(w.imag).max()
     if not residue <= TOLERANCES["wigner_imag_residue"]:  # NaN fails it
         raise NumericalInvariantError(f"Wigner values have imaginary residue {residue:.3e}")

@@ -102,6 +102,22 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_a_run_never_imports_scipy_or_the_pool(tmp_path):
+    # scipy.linalg alone adds about 29 MiB, which would lift all-figures' peak RSS
+    runs = [
+        ["all-figures", "--workers", "1", "--out", str(tmp_path / "figures")],
+        ["time-sweep", "--n", "800", "--state", "zero", "--beta-inv", "0", "--factors",
+         "0.6", "0.8", "1.0", "1.2", "1.4", "1.6", "--workers", "1", "--out", str(tmp_path / "ts")],
+    ]
+    code = (
+        f"import sys; from catlab.cli import main; assert [main(a) for a in {runs!r}] == [0, 0]; "
+        "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_import_leaves_the_process_pool_out():
     # serial runs never start a pool, so they should not pay for importing one
     code = (
@@ -378,6 +394,55 @@ def test_cli_rejects_an_evolution_time_that_overflows(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: time factor 1e+308")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--u", "1e305"], "u_int"),
+        (["--state", "pi", "--t-hop", "1e307"], "t_hop"),
+        (["--state", "pi", "--t-hop", "1e305", "--time-factor", "100"], "time factor 100"),
+        (["--u", "1e307"], "u_int"),
+    ],
+    ids=["u", "t_hop", "phase", "lambda_cl"],
+)
+def test_cli_rejects_a_hamiltonian_or_phase_that_overflows(tmp_path, capsys, argv, name):
+    # H's entries, or the phases w tau of its eigenvalues, would be inf
+    assert main(["distribution", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [(["--alpha", "1e154"], {}), ([], {"cat_width": 1e300})],
+    ids=["alpha", "cat_width"],
+)
+def test_catqubit_overflow_is_a_config_error(tmp_path, capsys, argv, config):
+    # Lambda^2 = (2 alpha w)^2 overflows
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["catqubit", "--config", str(cfg_path), *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cat_alpha" in err and "cat_width" in err
+    assert "Traceback" not in err
+
+
+def _catqubit_rq(out: Path, **config) -> np.ndarray:
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(config))
+    assert main(["catqubit", "--config", str(out / "cfg.json"), "--out", str(out)]) == 0
+    return np.loadtxt(out / "catqubit.csv", delimiter=",", skiprows=1)[:, 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_catqubit_rq_survives_underflowing_widths(tmp_path):
+    # r_q depends on alpha alone; Lambda^2 and PW^2 are subnormal at w = 1e-160
+    default = _catqubit_rq(tmp_path / "default")
+    assert np.abs(_catqubit_rq(tmp_path / "tiny", cat_width=1e-160) - default).max() < 1e-12
+    assert np.isfinite(_catqubit_rq(tmp_path / "subnormal", cat_width=1e-320)).all()
 
 
 def test_mem_available_reads_meminfo_or_gives_none(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,32 @@ def test_wigner_cat_ridges_spread_in_phase(cold_pi_cat, cold_zero_cat):
         lower, upper = ridge_circular_spread(grid)
         assert lower > 1.0 and lower > 6 * coherent_spread
         assert upper > 1.0 and upper > 6 * coherent_spread
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_wigner_matches_its_definition_summed_term_by_term(n):
+    # W(z_m, phi) = Re sum_{|k| <= min(m, N-m)} e^{i 2 k phi} <m+k| rho |m-k>, also
+    # where P <= 2N makes several harmonics share a frequency bin (N = 2 has no P = N+1)
+    rng = np.random.default_rng(n)
+    for phi_points in [p for p in (4, n + 1, 2 * n + 1, 3 * n + 1) if p >= 4]:
+        state = state_eigensystem(random_density(rng, n + 1))
+        rho = (state.vectors * state.values) @ state.vectors.conj().T
+        grid = wigner(state, phi_points=phi_points)
+        want = np.zeros((n + 1, phi_points))
+        for m in range(n + 1):
+            for k in range(-min(m, n - m), min(m, n - m) + 1):
+                want[m] += (np.exp(2j * k * grid.phi_values) * rho[m + k, m - k]).real
+        assert np.abs(grid.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_wigner_holds_no_array_beyond_a_few_grids():
+    # a coefficient table or a harmonics table would each add about two complex grids
+    n, phi_points = 400, 401
+    state = state_eigensystem(random_density(np.random.default_rng(0), n + 1))
+    tracemalloc.start()
+    try:
+        wigner(state, phi_points=phi_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 16 * (n + 1) * phi_points
