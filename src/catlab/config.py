@@ -53,7 +53,7 @@ class RunConfig:
     u_int: float = 0.1
     t_hop: float = 1.0
     state_label: str = "zero"  # "pi" or "zero"
-    beta_inv_over_eps: float = 0.0  # 0 means the dynamics.PURE_STATE_BETA pure-state proxy
+    beta_inv_over_eps: float = 0.0  # 0 means the spin coherent state (dynamics.PURE_STATE_BETA)
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
     readout_angle: float = math.pi / 2
     readout_theta: float = math.pi / 2

@@ -34,9 +34,10 @@ import numpy as np
 from . import classical
 from .spin import SpectralDecomp, SpinSpace, real_matmul, thermal_state, tridiagonal_eigensystem
 
-#: beta_scaled value standing in for zero temperature.  At N = 200 the weight
-#: outside the top eigenstate is ~ exp(-50), far below every tolerance here.
-PURE_STATE_BETA = 50.0
+#: beta_scaled of zero temperature.  e^{-beta} is exactly 0.0 past beta = 745.13, so
+#: every weight below the top eigenstate underflows at every N: the state is the
+#: spin coherent state itself, one column.
+PURE_STATE_BETA = 1000.0
 
 
 def beta_scaled_of(beta_inv: float) -> float:
@@ -113,10 +114,11 @@ class Propagator:
 
     H's bands must be mirror-symmetric (H commutes with |m> -> |-m>, as every
     build_hamiltonian result does), so its parity blocks are diagonalized apart.
-    The real eigensystem (w, V_H) of H's bands is computed once and reused for
-    every duration.  A state (p, V) evolves to (p, V_H (e^{-i w tau} * V_H^T V)): only its r
-    support columns move, at O(N^2 r) per duration.  Instances are
-    immutable and safe to share across workers.
+    The real eigensystem (w, V_H) of H's bands is computed, and checked, once
+    and reused for every duration.  A state (p, V) evolves to
+    (p, V_H (e^{-i w tau} * V_H^T V)): only its r support columns move, at
+    O(N^2 r) per duration.  Instances are immutable and safe to share across
+    workers.
     """
 
     def __init__(self, hamiltonian: Bands):

@@ -46,13 +46,18 @@ from .metrology import (
     metrology_reports,
     qfi_axis_map,
 )
-from .spin import SpinAxis, space_for_dim, thermal_weights
+from .spin import SpinAxis, SpinSpace, thermal_weights
 from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
 #: (the hot qfi-map needs about 12), and float64 arrays per qfi-map or Wigner grid cell
 REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 4, 13, 8
+
+#: what each process holds before any state (the interpreter and numpy), fitted the same
+#: way: peaks exceed the rest of the estimate by at most 31.3 MiB (cold N = 1600), and
+#: catqubit, which holds no state, peaks at 33.4 MiB
+PROCESS_BYTES = 40 * 2**20
 
 #: rows per formatted block of an ordinary table
 BLOCK_ROWS = 4096
@@ -128,7 +133,7 @@ def parallel_map(func, items: list, n_workers: int) -> list:
 
 def _params_from_config(config: RunConfig) -> TwistTurnParams:
     return TwistTurnParams(
-        space=space_for_dim(config.n_particles + 1),
+        space=SpinSpace(config.n_particles),
         t_hop=config.t_hop,
         u_int=config.u_int,
         sign_convention=SignConvention(config.sign_convention),
@@ -162,7 +167,7 @@ def derived_quantities(config: RunConfig) -> dict:
     except SeparatrixAbsentError:
         z_c0 = None
     return {
-        "t_pi": t_pi(space_for_dim(config.n_particles + 1), config.u_int),
+        "t_pi": t_pi(SpinSpace(config.n_particles), config.u_int),
         "lambda_cl": lam_cl,
         "z_c0": z_c0,
         "wigner_phi_points": _wigner_phi_points(config),
@@ -189,8 +194,7 @@ def _reports(config: RunConfig, state_label: str, beta_invs: list[float], factor
 
 def _time_sweep_point(args: tuple) -> list[tuple]:
     """One row per time factor of a chunk."""
-    config_dict, factors = args
-    config = RunConfig.from_dict(config_dict)
+    config, factors = args
     return [
         (factor, r.lam, r.delta_s, r.r_c, r.r_q, r.reduced_lambda_c, r.reduced_lambda_q)
         for factor, [r] in _reports(
@@ -201,8 +205,7 @@ def _time_sweep_point(args: tuple) -> list[tuple]:
 
 def _temp_sweep_point(args: tuple) -> list[tuple]:
     """One state's row per temperature, at the time factor of largest Lambda (the first)."""
-    config_dict, state_label = args
-    config = RunConfig.from_dict(config_dict)
+    config, state_label = args
     beta_invs = sorted(config.beta_inv_grid)
     scheduled = [config.effective_time_factor(state_label)]
     factors = config.time_factors if config.optimize_time_factor else scheduled
@@ -224,7 +227,7 @@ def cmd_time_sweep(config: RunConfig) -> tuple:
     factors = sorted(config.time_factors)
     n_workers = min(resolve_workers(config), len(factors))
     # one chunk of factors per worker, so each prepares its state once
-    items = [(config.to_dict(), factors[k::n_workers]) for k in range(n_workers)]
+    items = [(config, factors[k::n_workers]) for k in range(n_workers)]
     chunks = parallel_map(_time_sweep_point, items, n_workers)
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
     header = ["time_factor", "lambda", "delta_s", "r_c", "r_q", "lambda_r_c", "lambda_r_q"]
@@ -233,7 +236,7 @@ def cmd_time_sweep(config: RunConfig) -> tuple:
 
 def cmd_temp_sweep(config: RunConfig) -> tuple:
     # one item per state: its temperatures share one evolved basis
-    items = [(config.to_dict(), state) for state in ("pi", "zero")]
+    items = [(config, state) for state in ("pi", "zero")]
     chunks = parallel_map(_temp_sweep_point, items, resolve_workers(config))
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: (r[0], r[1]))
     header = [
@@ -341,13 +344,14 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
 
 
 def memory_estimate(command: str, config: RunConfig) -> int:
-    """Bytes a command holds at its peak, from N, the state's rank and its grid."""
+    """Bytes a command holds at its peak, from N, the state's rank, its grid and its processes."""
     if command in ("classical", "catqubit"):
         return 0  # no spin state
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
     # the hottest state's support, on whose basis every colder state is its weights
-    rank = np.count_nonzero(thermal_weights(space_for_dim(dim), min(map(beta_scaled_of, temps))))
+    hottest = min(map(beta_scaled_of, temps))
+    rank = np.count_nonzero(thermal_weights(SpinSpace(config.n_particles), hottest))
     phi_points = _wigner_phi_points(config)
     cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
     grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}
@@ -357,7 +361,7 @@ def memory_estimate(command: str, config: RunConfig) -> int:
     items["all-figures"] = max(items.values())
     processes = min(resolve_workers(config), items.get(command, 1))
     state_bytes = 8 * dim * (REAL_MATRICES * dim + 2 * COMPLEX_BLOCKS * rank)
-    return processes * state_bytes + grid_bytes.get(command, 0)
+    return processes * (PROCESS_BYTES + state_bytes) + grid_bytes.get(command, 0)
 
 
 def _mem_available() -> int | None:

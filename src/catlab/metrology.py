@@ -51,7 +51,6 @@ from .spin import (
     Z_AXIS,
     apply_j,
     rotation,
-    space_for_dim,
 )
 
 
@@ -115,9 +114,8 @@ def protocol_distribution(
 ) -> JzDistribution:
     """Outcome distribution of the full protocol at encoded phase psi."""
     p, v = state
-    space = space_for_dim(v.shape[0])
-    if psi != 0.0:
-        v = rotation(space, -psi, encoding_axis, v)  # rho -> U^dag rho U
+    space = SpinSpace(v.shape[0] - 1)
+    v = rotation(space, -psi, encoding_axis, v)  # rho -> U^dag rho U
     v_r = rotation(space, -readout.angle, readout.axis, v)  # U_r^dag V
     return JzDistribution(space, _squared(v_r) @ p)
 
@@ -125,7 +123,7 @@ def protocol_distribution(
 def jz_distribution(state: SpectralDecomp) -> JzDistribution:
     """Diagonal of rho in the Dicke basis: counting statistics of J_z."""
     p, v = state
-    return JzDistribution(space_for_dim(v.shape[0]), _squared(v) @ p)
+    return JzDistribution(SpinSpace(v.shape[0] - 1), _squared(v) @ p)
 
 
 def statistical_uncertainty(dist: JzDistribution) -> float:
@@ -178,7 +176,7 @@ def cat_split(dist: JzDistribution) -> CatSplit:
 def qfi(state: SpectralDecomp, axis: SpinAxis) -> float:
     """Quantum Fisher information for encoding by J(axis); 4 Var(J(axis)) for pure states."""
     p, v = state
-    gv = apply_j(space_for_dim(v.shape[0]), axis, v)[None]
+    gv = apply_j(SpinSpace(v.shape[0] - 1), axis, v)[None]
     return float(_qfi_form(p, *_projections(v, gv))[0, 0])
 
 
@@ -209,12 +207,12 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
     which removes 0/0 terms without touching anything at the 1e-6 acceptance level.
     """
     p, v = state
-    return _cfi(p, *_cfi_terms(v, apply_j(space_for_dim(v.shape[0]), axis, v), readout))
+    return _cfi(p, *_cfi_terms(v, apply_j(SpinSpace(v.shape[0] - 1), axis, v), readout))
 
 
 def _cfi_terms(v: np.ndarray, gv: np.ndarray, readout: ReadoutSpec) -> tuple[np.ndarray, ...]:
     """The CFI's basis phase from V and gv = G V: |a_rk|^2 and -2 Im(b_rk conj(a_rk))."""
-    space = space_for_dim(v.shape[0])
+    space = SpinSpace(v.shape[0] - 1)
     both = rotation(space, -readout.angle, readout.axis, np.hstack([v, gv]))
     a, b = np.split(both, 2, axis=1)
     return _squared(a), -2.0 * (b * a.conj()).imag
@@ -296,7 +294,7 @@ def metrology_reports(v: np.ndarray, weights: list, readout: ReadoutSpec | None 
 
     The basis phase runs once; each p, a state's weights, then costs O(N^2) sums.
     """
-    space = space_for_dim(v.shape[0])
+    space = SpinSpace(v.shape[0] - 1)
     jz_v = apply_j(space, Z_AXIS, v)
     bins, slope = _cfi_terms(v, jz_v, readout or ReadoutSpec())
     dicke = _squared(v)
@@ -334,7 +332,7 @@ def qfi_quadratic_form(state: SpectralDecomp) -> np.ndarray:
     three pairs determines the whole axis map exactly.
     """
     p, v = state
-    space = space_for_dim(v.shape[0])
+    space = SpinSpace(v.shape[0] - 1)
     gv = np.stack([apply_j(space, axis, v) for axis in (Z_AXIS, X_AXIS, Y_AXIS)])
     return _qfi_form(p, *_projections(v, gv))
 
@@ -349,7 +347,7 @@ def qfi_axis_map(
     phi_grid = np.asarray(phi_grid, dtype=float)
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("axis grids must be non-empty")
-    space = space_for_dim(state.vectors.shape[0])
+    space = SpinSpace(state.vectors.shape[0] - 1)
     m_form = qfi_quadratic_form(state)
     th, ph = np.meshgrid(theta_grid, phi_grid, indexing="ij")
     u = np.stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
@@ -372,7 +370,7 @@ def n_eff(state: SpectralDecomp) -> tuple[float, SpinAxis]:
     F_q(J(u)) = u^T M u over unit vectors u, so the exact maximum is the top
     eigenvalue of the quadratic form M and the axis is its eigenvector.
     """
-    space = space_for_dim(state.vectors.shape[0])
+    space = SpinSpace(state.vectors.shape[0] - 1)
     w, v = np.linalg.eigh(qfi_quadratic_form(state))
     nz, nx, ny = v[:, -1]
     axis = SpinAxis(float(np.arccos(np.clip(nz, -1.0, 1.0))), float(np.arctan2(ny, nx)))

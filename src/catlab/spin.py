@@ -16,18 +16,23 @@ Conventions fixed in this module:
     J_y = D(pi/2) J_x D(pi/2)^dag, the tilt T(zeta) = e^{-i zeta J_y} takes
     J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
     T is real, so the eigenvectors T(theta - pi/2) R of J(theta, 0) are too.
-  * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)).
+  * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)), and
+    rotation is the one routine that applies one (the tilt T is rotation
+    about Y_AXIS); at alpha = 0 it returns its input.
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
-    pointing along (acos z, phi).  The sign is recorded in run manifests.
+    pointing along (acos z, phi).  Past beta = 745 every lower weight
+    e^{-beta k} is exactly 0.0, and thermal_state returns that coherent state
+    as one column.  The sign is recorded in run manifests.
 
 All matrix functions (exponentials, thermal weights) go through an exact
 eigendecomposition rather than series truncation, which leaves no
 convergence knob.  The only matrices diagonalized are J_x and H: both are
 real, tridiagonal and commute with the parity |m> -> |-m>, so each splits
-into two half-size blocks (tridiagonal_eigensystem).  A real eigenvector
-matrix meets complex columns only through real_matmul.
+into two half-size blocks (tridiagonal_eigensystem), and each block's
+eigenvectors are checked orthonormal there, where they are made.  A real
+eigenvector matrix meets complex columns only through real_matmul.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -72,8 +77,10 @@ class SpectralDecomp(NamedTuple):
 
 
 def spectral_decomp(a: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix (validated)."""
-    assert_hermitian(a)
+    """Eigendecomposition of a Hermitian matrix, checked Hermitian to TOLERANCES first."""
+    dev = np.abs(a - a.conj().T).max()
+    if dev > TOLERANCES["hermiticity"] * np.abs(a).max():
+        raise NumericalInvariantError(f"matrix not Hermitian: max|A - A^dag| = {dev:.3e}")
     w, v = np.linalg.eigh(a)
     return SpectralDecomp(w, v)
 
@@ -114,14 +121,6 @@ class SpinSpace:
         """<m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)) for m = -j ... j-1."""
         m = self.m_values[:-1]
         return np.sqrt(self.j * (self.j + 1) - m * (m + 1))
-
-
-@lru_cache(maxsize=16)
-def space_for_dim(dim: int) -> SpinSpace:
-    """The process-wide SpinSpace of dimension N+1, so its bands are built once."""
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError(f"dimension {dim} is not an N+1 with even N >= 2")
-    return SpinSpace(dim - 1)
 
 
 def canonicalize_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -199,6 +198,9 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> S
     even_off = np.append(off_diagonal[: c - 1], np.sqrt(2.0) * off_diagonal[c - 1])
     w_even, u_even = np.linalg.eigh(_dense_tridiagonal(diagonal[: c + 1], even_off))
     w_odd, u_odd = np.linalg.eigh(_dense_tridiagonal(diagonal[:c], off_diagonal[: c - 1]))
+    # orthonormal blocks give orthonormal eigenvectors: every eigensystem is checked here
+    assert_unitary(u_even)
+    assert_unitary(u_odd)
     v = np.zeros((n, n))
     v[:c, : c + 1] = np.sqrt(0.5) * u_even[:c]
     v[c, : c + 1] = u_even[c]
@@ -213,15 +215,13 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> S
 
 @lru_cache(maxsize=1)
 def jx_eigensystem(space: SpinSpace) -> SpectralDecomp:
-    """Real eigensystem (w, R) of J_x, with orthonormal eigenvectors: every frame's basis.
+    """Real eigensystem (w, R) of J_x, checked where it is made: every frame's basis.
 
     J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
     about J_y by theta - pi/2 and gauged by D(phi), so one diagonalization
     serves every axis; a run has one N.
     """
-    dec = tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band)
-    assert_unitary(dec.vectors)
-    return dec
+    return tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band)
 
 
 def real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -237,11 +237,6 @@ def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * space.m_values)
 
 
-def _tilt(space: SpinSpace, zeta: float, x: np.ndarray) -> np.ndarray:
-    """e^{-i zeta J_y} x, a rotation about the equatorial y axis; x itself at zeta = 0."""
-    return x if zeta == 0 else rotation(space, zeta, Y_AXIS, x)
-
-
 @lru_cache(maxsize=1)
 def _tilted_frame(space: SpinSpace, theta: float) -> np.ndarray:
     """Eigenvectors T R of J(theta, 0), T = e^{-i (theta - pi/2) J_y}, read-only.
@@ -249,7 +244,8 @@ def _tilted_frame(space: SpinSpace, theta: float) -> np.ndarray:
     -i J_y is real, so T R is real: one tilt of R per off-equator axis, which a
     run has one of (its read-out).
     """
-    v = np.ascontiguousarray(_tilt(space, theta - np.pi / 2, jx_eigensystem(space).vectors).real)
+    r = jx_eigensystem(space).vectors
+    v = np.ascontiguousarray(rotation(space, theta - np.pi / 2, Y_AXIS, r).real)
     v.flags.writeable = False
     return v
 
@@ -258,10 +254,14 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
     """U x on a column block x, U = exp(-i alpha J(axis)) = D V e^{-i alpha w} V^T D^dag.
 
     D = D(phi) and V the real eigenvectors of J(theta, 0): R on the equator,
-    else _tilted_frame.  Two real GEMMs for any axis.
+    else _tilted_frame.  Two real GEMMs for any axis; x itself at alpha = 0.
     """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
+    if x.shape[0] != space.dim:
+        raise ValueError(f"rotation needs {space.dim} rows, got {x.shape[0]}")
+    if alpha == 0:
+        return x
     w, r = jx_eigensystem(space)
     v = r if axis.theta == np.pi / 2 else _tilted_frame(space, axis.theta)
     d = _gauge(space, axis.phi)[:, None]
@@ -273,7 +273,7 @@ def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
     """Spin coherent state D(phi) e^{-i theta J_y} |m = j> pointing along the axis."""
     top = np.zeros((space.dim, 1))
     top[-1] = 1.0
-    return _gauge(space, axis.phi) * _tilt(space, axis.theta, top)[:, 0]
+    return _gauge(space, axis.phi) * rotation(space, axis.theta, Y_AXIS, top)[:, 0]
 
 
 def thermal_weights(space: SpinSpace, beta_scaled: float) -> np.ndarray:
@@ -299,18 +299,11 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     axis = SpinAxis(float(np.arccos(z)), phi)
     p = thermal_weights(space, beta_scaled)
     r = np.count_nonzero(p)  # the support is the top r Dicke states
-    # tilted Dicke columns are orthonormal as R is, checked in jx_eigensystem
+    # tilted Dicke columns are orthonormal as R is, checked in tridiagonal_eigensystem
     p, dicke = state_factor(p[-r:], np.eye(space.dim, r, r - space.dim), orthonormal=True)
-    return SpectralDecomp(p, _gauge(space, axis.phi)[:, None] * _tilt(space, axis.theta, dicke))
-
-
-def assert_hermitian(a: np.ndarray) -> None:
-    scale = np.abs(a).max()
-    if scale == 0:
-        return
-    dev = np.abs(a - a.conj().T).max()
-    if dev > TOLERANCES["hermiticity"] * scale:
-        raise NumericalInvariantError(f"matrix not Hermitian: max|A - A^dag| = {dev:.3e}")
+    return SpectralDecomp(
+        p, _gauge(space, axis.phi)[:, None] * rotation(space, axis.theta, Y_AXIS, dicke)
+    )
 
 
 def assert_unitary(u: np.ndarray) -> None:

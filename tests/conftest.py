@@ -42,6 +42,19 @@ def hot_zero_cat(params200):
     return next(prepare_and_evolve(StateLabel.ZERO, 0.1, [1.1], params200))
 
 
+def skew_eigh(monkeypatch) -> None:
+    """Make np.linalg.eigh return eigenvectors skewed off orthonormal by 1e-6."""
+    eigh = np.linalg.eigh
+
+    def skewed(a):
+        w, v = eigh(a)
+        v = v.copy()
+        v[:, -1] += 1e-6 * v[:, -2]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+
+
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Ginibre-induced random mixed state, optionally rank-limited."""
     k = rank if rank is not None else dim

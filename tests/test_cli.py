@@ -352,9 +352,10 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     n = 1600
     cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
     hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
-    # 4 real (N+1)^2 matrices; the cold state keeps 15 columns, the hot one all N + 1
-    assert cold == 8 * (n + 1) * (4 * (n + 1) + 26 * 15)
-    assert hot == 8 * (n + 1) * (4 * (n + 1) + 26 * (n + 1))
+    # the process floor and 4 real (N+1)^2 matrices; the cold state is one column, the hot
+    # one all N + 1
+    assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * 1)
+    assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * (n + 1))
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20

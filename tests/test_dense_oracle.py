@@ -186,6 +186,6 @@ def test_cold_grid_reports_on_the_hottest_support(monkeypatch):
 
     monkeypatch.setattr(harness, "metrology_reports", recording)
     config = RunConfig(beta_inv_grid=[0.05, 0.1])
-    rows = harness._temp_sweep_point((config.to_dict(), "zero"))
+    rows = harness._temp_sweep_point((config, "zero"))
     assert seen == [((201, 75), [38, 75])]
     assert [row[1] for row in rows] == [0.05, 0.1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catlab import (
+    NumericalInvariantError,
     Z_AXIS,
     SignConvention,
     SpinSpace,
@@ -17,11 +18,11 @@ from catlab import (
     thermal_state,
 )
 from catlab.classical import MeanFieldParams, SeparatrixAbsentError
-from catlab.dynamics import initial_condition, propagator
+from catlab.dynamics import Propagator, initial_condition, propagator
 from catlab.metrology import cat_split
-from catlab.spin import state_eigensystem
+from catlab.spin import SpinAxis, coherent_state, state_eigensystem, thermal_weights
 
-from conftest import PURE_BETA, dense, random_density, spin_matrices, tridiagonal
+from conftest import PURE_BETA, dense, random_density, skew_eigh, spin_matrices, tridiagonal
 
 
 def test_hamiltonian_structure():
@@ -97,6 +98,26 @@ def test_evolve_dimension_mismatch():
     h = build_hamiltonian(TwistTurnParams(sp))
     with pytest.raises(ValueError):
         evolve(state_eigensystem(np.eye(other.dim) / other.dim), h, 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 200, 800])
+def test_zero_temperature_is_the_coherent_state(n):
+    sp = SpinSpace(n)
+    p = thermal_weights(sp, PURE_BETA)
+    assert p[-1] == 1.0 and not p[:-1].any()
+    state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [1.0], TwistTurnParams(sp)))
+    assert state.values.tolist() == [1.0] and state.vectors.shape == (sp.dim, 1)
+    for z, phi in ((0.0, np.pi), (0.3, 0.2), (-0.9, -2.0), (1.0, 0.0)):
+        weights, v = thermal_state(sp, PURE_BETA, z, phi)
+        top = coherent_state(sp, SpinAxis(float(np.arccos(z)), phi))
+        assert weights.tolist() == [1.0]
+        assert np.abs(v[:, 0] - top).max() <= 1e-15
+
+
+def test_propagator_checks_its_eigenvectors(monkeypatch):
+    skew_eigh(monkeypatch)
+    with pytest.raises(NumericalInvariantError, match="not unitary"):
+        Propagator(build_hamiltonian(TwistTurnParams(SpinSpace(10))))
 
 
 def test_propagator_memo_is_read_only():

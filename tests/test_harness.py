@@ -232,7 +232,7 @@ def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
     assert dims == [101, 100] * 2
     info = spin.jx_eigensystem.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    shared = spin.jx_eigensystem(spin.space_for_dim(201))
+    shared = spin.jx_eigensystem(spin.SpinSpace(200))
     assert spin.jx_eigensystem.cache_info().hits == info.hits + 1
     assert not any(arr.flags.writeable for arr in shared)
 

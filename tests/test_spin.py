@@ -23,7 +23,6 @@ from catlab import (
 from catlab import spin
 from catlab.metrology import _projections, _qfi_form
 from catlab.spin import (
-    SpectralDecomp,
     assert_density_matrix,
     canonicalize_angles,
     real_matmul,
@@ -32,7 +31,7 @@ from catlab.spin import (
     state_factor,
 )
 
-from conftest import dense, dense_j, random_density, spin_matrices, tridiagonal
+from conftest import dense, dense_j, random_density, skew_eigh, spin_matrices, tridiagonal
 
 
 def test_make_space_dimensions():
@@ -214,6 +213,18 @@ def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
     assert spin._tilted_frame.cache_info().hits >= 1
 
 
+@pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, SpinAxis(1.1, 0.4)])
+def test_rotation_by_zero_is_its_input(axis):
+    sp = SpinSpace(10)
+    x = np.ones((sp.dim, 3), dtype=complex)
+    assert rotation(sp, 0.0, axis, x) is x
+    # a wrong row count is refused at every angle, also where it would broadcast
+    for rows in (1, sp.dim - 2, sp.dim + 2):
+        for alpha in (0.0, 0.3):
+            with pytest.raises(ValueError, match="rows"):
+                rotation(sp, alpha, axis, np.ones((rows, 3), dtype=complex))
+
+
 def test_rotation_memory_below_one_dense_complex_matrix():
     # a complex copy of R, as numpy's own R @ Z makes, is 801^2 * 16 B = 10.3 MB
     sp = SpinSpace(800)
@@ -378,15 +389,8 @@ def test_state_factor_rejects_bad_factors(name):
 
 
 def test_thermal_state_checks_its_factor(monkeypatch):
-    decomp = spin.tridiagonal_eigensystem
-
-    def skewed(diagonal, off_diagonal):
-        w, v = decomp(diagonal, off_diagonal)
-        v = v.copy()
-        v[:, -1] += 1e-6 * v[:, -2]
-        return SpectralDecomp(w, v)
-
-    monkeypatch.setattr(spin, "tridiagonal_eigensystem", skewed)
+    # the J_x parity blocks are checked where they are made, before any state uses them
+    skew_eigh(monkeypatch)
     jx_eigensystem.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError, match="not unitary"):
