@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
-from .spin import SpectralDecomp, SpinSpace, real_matmul, thermal_state, tridiagonal_eigensystem
+from .spin import SpectralDecomp, SpinSpace, thermal_state, tridiagonal_eigensystem, turn
 
 #: beta_scaled of zero temperature.  e^{-beta} is exactly 0.0 past beta = 745.13, so
 #: every weight below the top eigenstate underflows at every N: the state is the
@@ -127,17 +127,14 @@ class Propagator:
         self.max_frequency = float(np.abs(self._decomp.values).max())
 
     def evolve(self, state: SpectralDecomp, duration: float) -> SpectralDecomp:
-        w, v_h = self._decomp
-        if state.vectors.shape[0] != w.size:
-            raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {w.size}")
+        dim = self._decomp.values.size
+        if state.vectors.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {dim}")
         if not (duration >= 0 and np.isfinite(duration * self.max_frequency)):
             raise ValueError(f"duration must be >= 0 with finite phases w tau, got {duration}")
         if duration == 0:
             return state
-        phases = np.exp(-1j * w * duration)[:, None]
-        return SpectralDecomp(
-            state.values, real_matmul(v_h, phases * real_matmul(v_h.T, state.vectors))
-        )
+        return SpectralDecomp(state.values, turn(self._decomp, duration, state.vectors))
 
 
 @lru_cache(maxsize=1)

@@ -349,9 +349,9 @@ def memory_estimate(command: str, config: RunConfig) -> int:
         return 0  # no spin state
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
-    # the hottest state's support, on whose basis every colder state is its weights
-    hottest = min(map(beta_scaled_of, temps))
-    rank = np.count_nonzero(thermal_weights(SpinSpace(config.n_particles), hottest))
+    # the hottest support holds every colder one; e^{-beta k} is exactly 0.0 past beta k = 745.14
+    limit = 745.14 / min(map(beta_scaled_of, temps))
+    rank = dim if limit >= dim else int(limit) + 1
     phi_points = _wigner_phi_points(config)
     cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
     grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}

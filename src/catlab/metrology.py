@@ -207,7 +207,8 @@ def cfi_commutator(state: SpectralDecomp, axis: SpinAxis, readout: ReadoutSpec) 
     which removes 0/0 terms without touching anything at the 1e-6 acceptance level.
     """
     p, v = state
-    return _cfi(p, *_cfi_terms(v, apply_j(SpinSpace(v.shape[0] - 1), axis, v), readout))
+    bins, slope = _cfi_terms(v, apply_j(SpinSpace(v.shape[0] - 1), axis, v), readout)
+    return _cfi(bins @ p, slope @ p)
 
 
 def _cfi_terms(v: np.ndarray, gv: np.ndarray, readout: ReadoutSpec) -> tuple[np.ndarray, ...]:
@@ -218,9 +219,8 @@ def _cfi_terms(v: np.ndarray, gv: np.ndarray, readout: ReadoutSpec) -> tuple[np.
     return _squared(a), -2.0 * (b * a.conj()).imag
 
 
-def _cfi(p: np.ndarray, bins: np.ndarray, slope: np.ndarray) -> float:
-    """The weight phase of the CFI: sum_r (dp_r)^2 / p_r over bins above the weight cutoff."""
-    probs, dp = bins @ p, slope @ p
+def _cfi(probs: np.ndarray, dp: np.ndarray) -> float:
+    """The CFI of a read-out: sum_r (dp_r)^2 / p_r over bins above the weight cutoff."""
     mask = probs > TOLERANCES["fisher_weight_cutoff"]
     return float(np.sum(dp[mask] ** 2 / probs[mask]))
 
@@ -241,9 +241,7 @@ def cfi_finite_difference(
     p_plus = protocol_distribution(state, +delta, encoding_axis, readout).probs
     p_minus = protocol_distribution(state, -delta, encoding_axis, readout).probs
     p_zero = protocol_distribution(state, 0.0, encoding_axis, readout).probs
-    dp = (p_plus - p_minus) / (2.0 * delta)
-    mask = p_zero > TOLERANCES["fisher_weight_cutoff"]
-    return float(np.sum(dp[mask] ** 2 / p_zero[mask]))
+    return _cfi(p_zero, (p_plus - p_minus) / (2.0 * delta))
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def metrology_reports(v: np.ndarray, weights: list, readout: ReadoutSpec | None 
     for p in weights:
         dist = JzDistribution(space, dicke @ p)
         delta_s, lam = statistical_uncertainty(dist), cat_split(dist).extensive_difference
-        f_q, f_c = float(_qfi_form(p, inside, local)[0, 0]), _cfi(p, bins, slope)
+        f_q, f_c = float(_qfi_form(p, inside, local)[0, 0]), _cfi(bins @ p, slope @ p)
         delta_q = 0.5 * np.sqrt(f_q)
         r_q, r_c = (delta_q / delta_s, 0.5 * np.sqrt(f_c) / delta_s) if delta_s else (np.nan,) * 2
         reports.append(MetrologyReport(
@@ -353,10 +351,17 @@ def qfi_axis_map(
     u = np.stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
     f = np.einsum("aij,ab,bij->ij", u, m_form, u, optimize=True)
     values = f / (4.0 * space.n_particles)
+    return AxisMap(theta_grid, phi_grid, values, *_argmax_axis(theta_grid, phi_grid, values))
+
+
+def _argmax_axis(thetas, phis, values: np.ndarray) -> tuple[SpinAxis, float]:
+    """The grid maximum's axis, taken with theta < pi/2 (phi < 0 on the equator), and its
+    value: F_q is even in u, so the cells of u and -u tie but for round-off."""
     i, k = np.unravel_index(int(values.argmax()), values.shape)
-    return AxisMap(
-        theta_grid, phi_grid, values, SpinAxis(theta_grid[i], phi_grid[k]), float(values[i, k])
-    )
+    axis = SpinAxis(thetas[i], phis[k])
+    if axis.theta > np.pi / 2 or (axis.theta == np.pi / 2 and axis.phi >= 0):
+        axis = SpinAxis(np.pi - axis.theta, axis.phi + np.pi)
+    return axis, float(values[i, k])
 
 
 def default_axis_grids(n_theta: int = 64, n_phi: int = 128) -> tuple[np.ndarray, np.ndarray]:

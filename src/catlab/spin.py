@@ -12,13 +12,13 @@ Conventions fixed in this module:
   * J(theta, phi) = J_z cos(theta) + J_x sin(theta) cos(phi)
                   + J_y sin(theta) sin(phi)   (unit-vector decomposition)
                   = D J(theta, 0) D^dag,  D = D(phi) = diag(e^{-i phi m}), J(theta, 0) real.
-  * Every frame comes from the one real eigensystem of J_x (jx_eigensystem):
+  * Every rotation comes from the one real eigensystem of J_x (jx_eigensystem):
     J_y = D(pi/2) J_x D(pi/2)^dag, the tilt T(zeta) = e^{-i zeta J_y} takes
     J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
-    T is real, so the eigenvectors T(theta - pi/2) R of J(theta, 0) are too.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)), and
-    rotation is the one routine that applies one (the tilt T is rotation
-    about Y_AXIS); at alpha = 0 it returns its input.
+    rotation is the one routine that applies one: a turn about J_x gauged by
+    D(phi) on the equator, else three (tilt about Y_AXIS, turn, tilt back);
+    at alpha = 0 it returns its input.
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
@@ -31,8 +31,9 @@ eigendecomposition rather than series truncation, which leaves no
 convergence knob.  The only matrices diagonalized are J_x and H: both are
 real, tridiagonal and commute with the parity |m> -> |-m>, so each splits
 into two half-size blocks (tridiagonal_eigensystem), and each block's
-eigenvectors are checked orthonormal there, where they are made.  A real
-eigenvector matrix meets complex columns only through real_matmul.
+eigenvectors are checked orthonormal there, where they are made.  turn is
+the one routine that reads those eigenvectors: exp(-i t A) x as two real
+GEMMs (real_matmul), for the read-out's J_x and the evolution's H alike.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -215,7 +216,7 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> S
 
 @lru_cache(maxsize=1)
 def jx_eigensystem(space: SpinSpace) -> SpectralDecomp:
-    """Real eigensystem (w, R) of J_x, checked where it is made: every frame's basis.
+    """Real eigensystem (w, R) of J_x, checked where it is made: the basis of every rotation.
 
     J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
     about J_y by theta - pi/2 and gauged by D(phi), so one diagonalization
@@ -237,24 +238,17 @@ def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * space.m_values)
 
 
-@lru_cache(maxsize=1)
-def _tilted_frame(space: SpinSpace, theta: float) -> np.ndarray:
-    """Eigenvectors T R of J(theta, 0), T = e^{-i (theta - pi/2) J_y}, read-only.
-
-    -i J_y is real, so T R is real: one tilt of R per off-equator axis, which a
-    run has one of (its read-out).
-    """
-    r = jx_eigensystem(space).vectors
-    v = np.ascontiguousarray(rotation(space, theta - np.pi / 2, Y_AXIS, r).real)
-    v.flags.writeable = False
-    return v
+def turn(eigensystem: SpectralDecomp, t: float, x: np.ndarray) -> np.ndarray:
+    """exp(-i t A) x = V (e^{-i t w} * V^T x) for A's real eigensystem (w, V): two real GEMMs."""
+    w, v = eigensystem
+    return real_matmul(v, np.exp(-1j * t * w)[:, None] * real_matmul(v.T, x))
 
 
 def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
-    """U x on a column block x, U = exp(-i alpha J(axis)) = D V e^{-i alpha w} V^T D^dag.
+    """U x on a column block x, U = exp(-i alpha J(axis)) = D T e^{-i alpha J_x} T^dag D^dag.
 
-    D = D(phi) and V the real eigenvectors of J(theta, 0): R on the equator,
-    else _tilted_frame.  Two real GEMMs for any axis; x itself at alpha = 0.
+    D = D(phi), T = e^{-i zeta J_y} with zeta = theta - pi/2: one turn on the
+    equator (T = 1), else three (tilt, turn, tilt back); x itself at alpha = 0.
     """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
@@ -262,11 +256,12 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
         raise ValueError(f"rotation needs {space.dim} rows, got {x.shape[0]}")
     if alpha == 0:
         return x
-    w, r = jx_eigensystem(space)
-    v = r if axis.theta == np.pi / 2 else _tilted_frame(space, axis.theta)
     d = _gauge(space, axis.phi)[:, None]
-    y = np.exp(-1j * alpha * w)[:, None] * real_matmul(v.T, d.conj() * x)
-    return d * real_matmul(v, y)
+    if axis.theta == np.pi / 2:
+        return d * turn(jx_eigensystem(space), alpha, d.conj() * x)
+    zeta = axis.theta - np.pi / 2
+    y = turn(jx_eigensystem(space), alpha, rotation(space, -zeta, Y_AXIS, d.conj() * x))
+    return d * rotation(space, zeta, Y_AXIS, y)
 
 
 def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:

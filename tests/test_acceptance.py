@@ -160,6 +160,21 @@ def test_criterion_05_n_scaling():
            failures)
 
 
+def test_n_scaling_holds_at_n4000():
+    # criterion 5's law, Lambda ~ N / 3.1 at u N = 20 t (Gordon & Savage, Phys. Rev. A 59,
+    # 4623 (1999)), five times past its fitted range: the cold 0 cat stays pure (r_q = 1)
+    # and its measurable indefiniteness r_c stays near its N = 800 value
+    reports = {}
+    for n in (800, 4000):
+        params = TwistTurnParams(SpinSpace(n), t_hop=1.0, u_int=20.0 / n)
+        state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
+        reports[n] = metrology_report(state)
+    big = reports[4000]
+    assert 2.8 <= 4000 / big.lam <= 3.4
+    assert big.r_q == pytest.approx(1.0, abs=1e-9)
+    assert abs(big.r_c - reports[800].r_c) <= 0.1
+
+
 def test_criterion_06_fisher_chain():
     rng = np.random.default_rng(2024)
     readout = ReadoutSpec()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from catlab import harness
 from catlab.cli import build_parser, config_from_args, main
 from catlab.config import ConfigError, RunConfig
+from catlab.dynamics import beta_scaled_of
 from catlab.harness import memory_estimate, run_command
+from catlab.spin import SpinSpace, thermal_weights
 
 SMALL = dict(
     n_particles=40,
@@ -321,8 +324,9 @@ def _unreachable(config):
         (["wigner"], {"wigner_phi_points": 10**9}),
         (["qfi-map", "--grid-theta", "100000", "--grid-phi", "100000"], {}),
         (["all-figures", "--n", "2000000"], {}),
+        (["distribution", "--n", "1000000000000"], {}),
     ],
-    ids=["distribution", "wigner", "qfi-map", "all-figures"],
+    ids=["distribution", "wigner", "qfi-map", "all-figures", "distribution-n1e12"],
 )
 def test_cli_refuses_runs_past_available_memory(tmp_path, capsys, monkeypatch, argv, config):
     # the reader is stubbed and every command fails if reached, so nothing is allocated
@@ -359,6 +363,33 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
+
+
+def state_rank(command: str, config: RunConfig) -> int:
+    """The rank a single-process estimate charges, solved from its bytes."""
+    dim = config.n_particles + 1
+    state_bytes = memory_estimate(command, config) - harness.PROCESS_BYTES
+    return (state_bytes // (8 * dim) - harness.REAL_MATRICES * dim) // (2 * harness.COMPLEX_BLOCKS)
+
+
+def test_memory_estimate_bounds_the_rank_without_an_array(monkeypatch):
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    # the bound holds the support that thermal_state keeps
+    for n in (1600, 20000):
+        for beta_inv in (0.0, 0.5, 1.0, 2.0, 10.0, 100.0):
+            config = RunConfig(n_particles=n, beta_inv_over_eps=beta_inv)
+            support = np.count_nonzero(thermal_weights(SpinSpace(n), beta_scaled_of(beta_inv)))
+            assert support <= state_rank("distribution", config) <= n + 1
+    # at any N it allocates nothing of size N, and its Python ints do not wrap
+    n = 10**12
+    tracemalloc.start()
+    try:
+        need = memory_estimate("distribution", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert need == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * 74515)
 
 
 def test_memory_estimate_counts_the_processes_the_pool_starts(tmp_path, monkeypatch):

@@ -28,6 +28,7 @@ from catlab import (
     thermal_state,
 )
 from catlab.metrology import (
+    _argmax_axis,
     _projections,
     _qfi_form,
     default_axis_grids,
@@ -387,6 +388,32 @@ def test_n_eff_is_the_exact_axis_maximum(cold_zero_cat, space200):
     # the spectral QFI along the returned axis is that maximum, and no grid axis beats it
     assert qfi(state, axis) / scale == pytest.approx(value, rel=1e-9)
     assert qfi_axis_map(state, *default_axis_grids()).max_value <= value * (1 + 1e-12)
+
+
+def test_axis_map_reports_one_of_two_mirror_maxima(cold_pi_cat, cold_zero_cat):
+    # F_q is even in u and the default grid holds u and -u, so the maximum's two cells
+    # differ by round-off; whichever of them is larger, the same axis is reported
+    thetas, phis = default_axis_grids()
+    for state in (cold_pi_cat, cold_zero_cat):
+        amap = qfi_axis_map(state, thetas, phis)
+        assert amap.argmax_axis.theta < np.pi / 2
+        values = amap.values.copy()
+        i, k = np.unravel_index(int(values.argmax()), values.shape)
+        mirror = (thetas.size - 1 - i, (k + phis.size // 2) % phis.size)
+        assert values[mirror] == pytest.approx(values[i, k], rel=1e-12)
+        values[i, k], values[mirror] = values[mirror], values[i, k]
+        axis, top = _argmax_axis(thetas, phis, values)
+        assert top == amap.max_value
+        assert axis.theta == pytest.approx(amap.argmax_axis.theta, abs=1e-12)
+        assert axis.phi == pytest.approx(amap.argmax_axis.phi, abs=1e-12)
+    # on the equator the representative has phi < 0
+    thetas, phis = np.linspace(0, np.pi, 5), np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    for k in range(4, 8):
+        values = np.zeros((5, 8))
+        values[2, k] = 1.0
+        axis, _ = _argmax_axis(thetas, phis, values)
+        assert axis.theta == np.pi / 2 and axis.phi < 0
+        assert axis.phi == pytest.approx(phis[k] - np.pi, abs=1e-12)
 
 
 def test_axis_map_evolved_cat_equatorial(cold_pi_cat, cold_zero_cat):

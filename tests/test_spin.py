@@ -128,10 +128,15 @@ def test_apply_j_matches_textbook_operator(n):
 def test_rotation_matches_expm(n):
     sp = SpinSpace(n)
     rng = np.random.default_rng(n + 1)
-    for axis in random_axes(n + 1):
+    poles = [SpinAxis(0.0, rng.uniform(-np.pi, np.pi)), SpinAxis(np.pi, rng.uniform(-np.pi, np.pi))]
+    for axis in random_axes(n + 1) + poles:
         alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
         oracle = expm(-1j * alpha * dense_j(n, axis))
         assert np.abs(rotation(sp, alpha, axis, np.eye(sp.dim)) - oracle).max() < 1e-10
+    # a turn about Z is the gauge D(alpha) = diag(e^{-i alpha m}), three turns about J_x's frame
+    alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
+    gauge = np.diag(np.exp(-1j * alpha * sp.m_values))
+    assert np.abs(rotation(sp, alpha, Z_AXIS, np.eye(sp.dim)) - gauge).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 10, 200])
@@ -198,19 +203,17 @@ def test_real_matmul_matches_complex_matmul():
 
 
 def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
+    # two real GEMMs per turn: one turn on the equator, three (tilt, turn, tilt back)
+    # on any other axis, each through spin.turn
     sp = SpinSpace(10)
-    tilted = SpinAxis(1.1, 0.4)
     x = np.ones((sp.dim, 3), dtype=complex)
-    rotation(sp, 0.3, tilted, x)  # builds the tilted axis's frame
     shapes = []
     product = spin.real_matmul
     monkeypatch.setattr(spin, "real_matmul", lambda r, z: shapes.append(r.shape) or product(r, z))
-    rotation(sp, 0.3, tilted, x)
-    rotation(sp, 0.3, X_AXIS, x)
-    assert shapes == [(sp.dim, sp.dim)] * 4
-    frame = spin._tilted_frame(sp, tilted.theta)
-    assert frame.dtype == np.float64 and not frame.flags.writeable
-    assert spin._tilted_frame.cache_info().hits >= 1
+    for axis, gemms in ((X_AXIS, 2), (Y_AXIS, 2), (SpinAxis(1.1, 0.4), 6), (Z_AXIS, 6)):
+        shapes.clear()
+        rotation(sp, 0.3, axis, x)
+        assert shapes == [(sp.dim, sp.dim)] * gemms, axis
 
 
 @pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, SpinAxis(1.1, 0.4)])
@@ -230,7 +233,7 @@ def test_rotation_memory_below_one_dense_complex_matrix():
     sp = SpinSpace(800)
     x = np.ones((sp.dim, 30), dtype=complex)
     axis = SpinAxis(1.1, 0.4)
-    rotation(sp, 0.3, axis, x)  # R once per N and the axis's frame, outside the budget
+    rotation(sp, 0.3, axis, x)  # R once per N, outside the budget
     tracemalloc.start()
     try:
         rotation(sp, 0.3, axis, x)
