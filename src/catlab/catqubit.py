@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpectralDecomp, SpinSpace, state_eigensystem
+from .spin import TOLERANCES, SpectralDecomp, SpinSpace, state_eigensystem
 
 
 def _check_eta(eta: float) -> float:
@@ -107,7 +107,7 @@ def make_synthetic_cat(space: SpinSpace, center: float, width: float) -> Synthet
     dead = alive[::-1].copy()
     overlap = abs(np.vdot(alive, dead))
     cross = abs(np.vdot(alive, m * dead))
-    if overlap > 1e-10 or cross > 1e-10:
+    if max(overlap, cross) > TOLERANCES["branch_orthogonality"]:
         raise ValueError(
             f"branches not orthogonal: |<a|d>| = {overlap:.3e}, |<a|Jz|d>| = {cross:.3e}"
         )

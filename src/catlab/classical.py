@@ -19,6 +19,10 @@ spans the whole cylinder.
 
 Stability is always classified from the Jacobian of the flow, never from a
 closed-form coupling threshold.
+
+Every orbit steps in one RK4 loop on Python floats (`_steps`); a step it
+refuses is retried as 2^r substeps through the same loop (`_orbit`).  Only
+`classify_batch` steps the floored flow (`_rk4`).
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class PhasePortrait:
 
 
 def _energy(z, phi, lam):
-    """H_cl(z, phi) on scalars or arrays; `_step_energy` is its float twin.
+    """H_cl(z, phi) on scalars or arrays; `_steps` writes it out on floats.
 
     Keep the operand order in both: `0.5 * lam * z * z` differs in the last
     bit, and the integrator's accept decisions at its energy budget follow it.
@@ -100,31 +104,18 @@ def _energy(z, phi, lam):
     return 0.5 * lam * z**2 - np.sqrt(np.maximum(1.0 - z**2, 0.0)) * np.cos(phi)
 
 
-def _step_energy(z, phi, lam):
-    """_energy on Python floats, bit for bit as numpy gives it on arrays.
-
-    numpy squares z**2 on an array; on a float, z**2 would call libm pow.
-    """
-    return 0.5 * lam * (z * z) - math.sqrt(max(1.0 - z * z, 0.0)) * math.cos(phi)
-
-
-def _flow(z, phi, lam, floor=None):
-    """Canonical flow (dz/dtau, dphi/dtau) at one point, on Python floats.
-
-    Unless 1 - z^2 is floored, |z| > 1 raises ValueError and |z| = 1 raises
-    ZeroDivisionError: the flow is singular at the poles.
-    """
-    gap = 1.0 - z * z
-    root = math.sqrt(gap if floor is None else max(gap, floor))
+def _flow(z, phi, lam):
+    """Canonical flow (dz/dtau, dphi/dtau) on Python floats, 1 - z^2 floored at 1e-18."""
+    root = math.sqrt(max(1.0 - z * z, 1e-18))
     return -root * math.sin(phi), lam * z + z * math.cos(phi) / root
 
 
-def _rk4(z, phi, lam, dt, floor=None):
-    """One classical RK4 step of the flow, on Python floats."""
-    k1z, k1p = _flow(z, phi, lam, floor)
-    k2z, k2p = _flow(z + 0.5 * dt * k1z, phi + 0.5 * dt * k1p, lam, floor)
-    k3z, k3p = _flow(z + 0.5 * dt * k2z, phi + 0.5 * dt * k2p, lam, floor)
-    k4z, k4p = _flow(z + dt * k3z, phi + dt * k3p, lam, floor)
+def _rk4(z, phi, lam, dt):
+    """One classical RK4 step of the floored flow, on Python floats."""
+    k1z, k1p = _flow(z, phi, lam)
+    k2z, k2p = _flow(z + 0.5 * dt * k1z, phi + 0.5 * dt * k1p, lam)
+    k3z, k3p = _flow(z + 0.5 * dt * k2z, phi + 0.5 * dt * k2p, lam)
+    k4z, k4p = _flow(z + dt * k3z, phi + dt * k3p, lam)
     return (
         z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
         phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p),
@@ -149,7 +140,7 @@ def _jacobian(z: float, phi: float, lam: float) -> np.ndarray:
 def _classify(z: float, phi: float, lam: float) -> FixedPoint:
     eig = np.linalg.eigvals(_jacobian(z, phi, lam))
     # a saddle has a real +/- pair; centers have purely imaginary pairs
-    saddle = np.max(np.abs(eig.real)) > 1e-9 * max(1.0, np.max(np.abs(eig)))
+    saddle = np.abs(eig.real).max() > TOLERANCES["saddle_real_part"] * max(1.0, np.abs(eig).max())
     stability = Stability.SADDLE if saddle else Stability.CENTER
     return FixedPoint(PhasePoint(z, phi), stability, (complex(eig[0]), complex(eig[1])))
 
@@ -188,7 +179,7 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
         raise SeparatrixAbsentError(
             f"no separatrix: lambda_cl = {lam} <= 1 has no unstable fixed point"
         )
-    if abs(_energy(0.0, phi, lam) - 1.0) < 1e-15:
+    if abs(_energy(0.0, phi, lam) - 1.0) < TOLERANCES["separatrix_at_saddle"]:
         return 0.0
     # H_cl(0, phi) = -cos(phi) < 1 always; scan for the first upward crossing
     # of H_cl = 1 to bracket the smallest root, then bisect.
@@ -208,38 +199,22 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
             hi = mid
         if hi - lo < TOLERANCES["separatrix_bisection"]:
             break
-    z_c = 0.5 * (lo + hi)
-    return float(z_c)
+    return float(0.5 * (lo + hi))
 
 
-def _refine(z, phi, e, lam, dt, step_budget):
-    """Retry one failed step as 2^r substeps of `_rk4`, r = 1..10; None if all fail."""
-    for r in range(1, 11):
-        y, q, h = z, phi, dt / 2**r
-        try:
-            for _ in range(2**r):
-                y, q = _rk4(y, q, lam, h)
-            en = _step_energy(y, q, lam)
-        except (ValueError, ZeroDivisionError):
-            continue  # a stage reached |z| >= 1
-        if abs(y) < 1.0 and abs(en - e) <= step_budget:
-            return y, q, en
-    return None
+def _steps(zs, phis, energies, lam, dt, n_steps, budget):
+    """Extend one orbit's z, phi and energy lists by up to n_steps plain RK4 steps.
 
-
-def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
-    """Extend one orbit's z, phi and energy lists by up to n_steps RK4 steps.
-
-    Steps Python floats from the lists' last entries.  A plain step is `_rk4`
-    and `_step_energy` written out inline, operand for operand, so it gives
-    their bits.  A step that raises, leaves |z| < 1 or overspends step_budget
-    is handed alone to `_refine`; if that fails too, the orbit stops there,
-    short of n_steps.
+    Steps Python floats from the lists' last entries.  A step is `_rk4`
+    without its floor and its energy is `_energy`, written out inline operand
+    for operand, so both keep numpy's bits.  Stops at the first step it
+    cannot take: a stage that raises (it reached |z| >= 1), a result outside
+    |z| < 1, or an energy change beyond budget.  Returns the steps taken.
     """
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
     h2, h6, half_lam = 0.5 * dt, dt / 6.0, 0.5 * lam
     z, phi, e = zs[-1], phis[-1], energies[-1]
-    for _ in range(n_steps):
+    for taken in range(n_steps):
         try:
             r = sqrt(1.0 - z * z)
             k1z, k1p = -r * sin(phi), lam * z + z * cos(phi) / r
@@ -254,22 +229,44 @@ def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
             k4z, k4p = -r * sin(q), lam * y + y * cos(q) / r
             y = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             q = phi + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            ok = abs(y) < 1.0
-            if ok:  # then 1 - y * y >= 0 and _step_energy's max(., 0.0) is a no-op
-                en = half_lam * (y * y) - sqrt(1.0 - y * y) * cos(q)
-                ok = abs(en - e) <= step_budget
+            # for |y| < 1, 1 - y * y > 0 and _energy's clamp is a no-op; past it sqrt raises
+            en = half_lam * (y * y) - sqrt(1.0 - y * y) * cos(q)
         except (ValueError, ZeroDivisionError):
-            ok = False  # a stage reached |z| >= 1
-        if ok:
-            z, phi, e = y, q, en
-        else:
-            refined = _refine(z, phi, e, lam, dt, step_budget)
-            if refined is None:
-                return
-            z, phi, e = refined
+            return taken
+        if not (abs(y) < 1.0 and abs(en - e) <= budget):
+            return taken
+        z, phi, e = y, q, en
         zs.append(z)
         phis.append(phi)
         energies.append(e)
+    return n_steps
+
+
+def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
+    """Extend one orbit's z, phi and energy lists by up to n_steps RK4 steps.
+
+    Every step, plain or refined, runs in `_steps`.  A step it refuses is
+    retried as 2^r substeps of dt / 2^r, r = 1..10, through `_steps` with no
+    per-substep budget; the first rung whose substeps all run and whose last
+    energy is within step_budget of the step's start is taken.  If no rung
+    is, the orbit stops there, short of n_steps.
+    """
+    while n_steps > 0:
+        n_steps -= _steps(zs, phis, energies, lam, dt, n_steps, step_budget)
+        if n_steps == 0:
+            return
+        e = energies[-1]
+        for r in range(1, 11):
+            ys, qs, ens = [zs[-1]], [phis[-1]], [e]
+            taken = _steps(ys, qs, ens, lam, dt / 2**r, 2**r, math.inf)
+            if taken == 2**r and abs(ens[-1] - e) <= step_budget:
+                break
+        else:
+            return
+        zs.append(ys[-1])
+        phis.append(qs[-1])
+        energies.append(ens[-1])
+        n_steps -= 1
 
 
 # steps per `_orbit` call; orbits take turns by blocks, so a run that fails
@@ -370,7 +367,7 @@ def classify_batch(
         z, phi = z0, phi0
         cls = TrajectoryClass.FREE_OSCILLATION
         for _ in range(n_steps):
-            z, phi = _rk4(z, phi, lam, dt, floor=1e-18)
+            z, phi = _rk4(z, phi, lam, dt)
             z = min(max(z, -1.0), 1.0)
             if z < 0.0 < z0 or z0 < 0.0 < z:
                 break

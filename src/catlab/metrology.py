@@ -157,7 +157,7 @@ def cat_split(dist: JzDistribution) -> CatSplit:
     left = m < mu
     right = m > mu
     # exclude a bin exactly at the mean from both sides (strict step function)
-    at_mean = np.abs(m - mu) <= 1e-9 * max(1.0, abs(mu))
+    at_mean = np.abs(m - mu) <= TOLERANCES["cat_split_at_mean"] * max(1.0, abs(mu))
     left &= ~at_mean
     right &= ~at_mean
     n_l = float(p[left].sum())

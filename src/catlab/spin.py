@@ -16,9 +16,9 @@ Conventions fixed in this module:
     J_y = D(pi/2) J_x D(pi/2)^dag, the tilt T(zeta) = e^{-i zeta J_y} takes
     J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)), and
-    rotation is the one routine that applies one: a turn about J_x gauged by
-    D(phi) on the equator, else three (tilt about Y_AXIS, turn, tilt back);
-    at alpha = 0 it returns its input.
+    rotation is the one routine that applies one: three turns about J_x
+    gauged by D(phi) (tilt about Y_AXIS, turn, tilt back); a tilt by 0, as on
+    the equator, and any rotation by alpha = 0 return their input.
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
@@ -63,6 +63,10 @@ TOLERANCES = {
     "wigner_imag_residue": 1e-9,  # max|Im W|
     "energy_drift": 1e-6,  # max|H_cl(t) - H_cl(0)| of a mean-field orbit
     "separatrix_bisection": 1e-12,  # width of the final bracket on z_c(phi)
+    "separatrix_at_saddle": 1e-15,  # |H_cl(0, phi) - 1| below it gives z_c(phi) = 0
+    "saddle_real_part": 1e-9,  # max|Re| of a saddle's Jacobian eigenvalues, rel. to max(1, |eig|)
+    "cat_split_at_mean": 1e-9,  # |m - <m>| of a bin in neither half, rel. to max(1, |<m>|)
+    "branch_orthogonality": 1e-10,  # |<a|d>| and |<a|J_z|d>| of a synthetic cat's branches
 }
 
 
@@ -247,8 +251,8 @@ def turn(eigensystem: SpectralDecomp, t: float, x: np.ndarray) -> np.ndarray:
 def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
     """U x on a column block x, U = exp(-i alpha J(axis)) = D T e^{-i alpha J_x} T^dag D^dag.
 
-    D = D(phi), T = e^{-i zeta J_y} with zeta = theta - pi/2: one turn on the
-    equator (T = 1), else three (tilt, turn, tilt back); x itself at alpha = 0.
+    D = D(phi), T = e^{-i zeta J_y}, zeta = theta - pi/2: three turns (tilt, turn,
+    tilt back); a turn by 0, as T on the equator, returns its input.
     """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
@@ -257,8 +261,6 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
     if alpha == 0:
         return x
     d = _gauge(space, axis.phi)[:, None]
-    if axis.theta == np.pi / 2:
-        return d * turn(jx_eigensystem(space), alpha, d.conj() * x)
     zeta = axis.theta - np.pi / 2
     y = turn(jx_eigensystem(space), alpha, rotation(space, -zeta, Y_AXIS, d.conj() * x))
     return d * rotation(space, zeta, Y_AXIS, y)

@@ -1,10 +1,11 @@
-"""README stays in step with the code it lists: the tolerance table and the CLI flags."""
+"""README stays in step with the code it lists: tolerance keys, commands and CLI flags."""
 
 import argparse
 import re
 from pathlib import Path
 
 from catlab.cli import build_parser
+from catlab.harness import COMMANDS
 from catlab.spin import TOLERANCES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -36,3 +37,9 @@ def test_readme_lists_every_tolerance_key():
 def test_readme_lists_every_cli_flag():
     flags = set(re.findall(r"`(--[a-z-]+)", paragraph_after("Common flags:")))
     assert flags == parser_flags()
+
+
+def test_readme_lists_every_command():
+    # the list is the paragraph's first sentence
+    commands = re.findall(r"`([a-z-]+)`", paragraph_after("Commands:").split(".")[0])
+    assert commands == [*COMMANDS, "all-figures"]

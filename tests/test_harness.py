@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catlab import RunConfig, catqubit, dynamics, metrology, spin, wigner
+from catlab import RunConfig, catqubit, classical, dynamics, metrology, spin, wigner
 from catlab.harness import BLOCK_ROWS, Grid, parallel_map, run_command, write_csv
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -127,9 +127,37 @@ def test_manifest_records_the_whole_tolerance_table(tmp_path):
     assert manifest["tolerances"] == spin.TOLERANCES
     checked_inline_before = {
         "wigner_imag_residue", "probability_sum", "fisher_ratio", "fisher_chain_rel",
-        "fisher_chain_abs",
+        "fisher_chain_abs", "saddle_real_part", "separatrix_at_saddle", "cat_split_at_mean",
+        "branch_orthogonality",
     }
     assert checked_inline_before <= set(manifest["tolerances"])
+
+
+def _verdict(check):
+    """What a check decides: its result, or the type of the ValueError it raises."""
+    try:
+        return check()
+    except ValueError as err:
+        return type(err)
+
+
+# checks that decide rather than reject, each on an input its default slack decides
+DECIDING_CHECKS = {
+    # (0, 0) is a center; under a negative slack every fixed point reads as a saddle
+    "saddle_real_part": lambda: classical.fixed_points(classical.MeanFieldParams(2.0))[0].stability,
+    # H_cl(0, pi) = 1 gives z_c(pi) = 0; no grid crossing brackets that root
+    "separatrix_at_saddle": lambda: _verdict(
+        lambda: classical.separatrix(np.pi, classical.MeanFieldParams(20.0))
+    ),
+    # the bin at m = 0, 1e-12 below the mean, is in neither half
+    "cat_split_at_mean": lambda: metrology.cat_split(metrology.JzDistribution(
+        spin.SpinSpace(2), np.array([0.25 - 5e-13, 0.5, 0.25 + 5e-13])
+    )).n_left,
+    # branches on m < 0 and m > 0 are exactly orthogonal
+    "branch_orthogonality": lambda: _verdict(
+        lambda: type(catqubit.make_synthetic_cat(spin.SpinSpace(40), 8.0, 2.0))
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -140,19 +168,30 @@ def test_manifest_records_the_whole_tolerance_table(tmp_path):
         ("fisher_ratio", -2.0),
         ("fisher_chain_rel", -2.0),
         ("fisher_chain_abs", -1e300),
+        ("saddle_real_part", -1.0),
+        ("separatrix_at_saddle", -1.0),
+        ("cat_split_at_mean", -1.0),
+        ("branch_orthogonality", -1.0),
     ],
 )
 def test_checks_read_the_tolerance_table(monkeypatch, key, value):
-    # a slack no state can meet makes the check that reads it fail
-    state = next(dynamics.prepare_and_evolve(
-        dynamics.StateLabel.PI, 1.0, [0.5], dynamics.TwistTurnParams(spin.SpinSpace(20))
-    ))
-    monkeypatch.setitem(spin.TOLERANCES, key, value)
-    with pytest.raises(spin.NumericalInvariantError):
-        if key == "wigner_imag_residue":
-            wigner(state, 32)
-        else:
-            metrology.metrology_report(state)
+    # a slack no input can meet flips the check that reads it: a state check
+    # fails, and a deciding check decides the other way
+    if key in DECIDING_CHECKS:
+        decide = DECIDING_CHECKS[key]
+        default = decide()
+        monkeypatch.setitem(spin.TOLERANCES, key, value)
+        assert decide() != default
+    else:
+        state = next(dynamics.prepare_and_evolve(
+            dynamics.StateLabel.PI, 1.0, [0.5], dynamics.TwistTurnParams(spin.SpinSpace(20))
+        ))
+        monkeypatch.setitem(spin.TOLERANCES, key, value)
+        with pytest.raises(spin.NumericalInvariantError):
+            if key == "wigner_imag_residue":
+                wigner(state, 32)
+            else:
+                metrology.metrology_report(state)
 
 
 @pytest.fixture

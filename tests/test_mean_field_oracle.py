@@ -3,14 +3,18 @@
 The oracle is the array kernel the mean-field integrator used before it
 stepped Python floats: numpy ufuncs over every orbit of a step at once, and
 numpy scalars for a retried step, where a stage that leaves |z| < 1 turns
-the step NaN instead of raising.  The float kernel in catlab.classical keeps
-its arithmetic, so the two must agree bit for bit: the same points, times,
+the step NaN instead of raising.  catlab.classical steps every orbit, plain
+steps and refined substeps alike, in one float loop that keeps its
+arithmetic, so the two must agree bit for bit: the same points, times,
 classes and energy drifts, and the same accept/reject decision on every step.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catlab import (
@@ -117,16 +121,20 @@ _near_pole = st.floats(1e-12, 1e-2).flatmap(lambda d: st.sampled_from([1.0 - d, 
 )
 def test_float_kernel_matches_numpy_bit_for_bit(z, phi, lam, dt):
     za, phia = np.array([z]), np.array([phi])
-    assert bits(classical._step_energy(z, phi, lam)) == bits(_energy(za, phia, lam)[0])
-    assert bits(*classical._rk4(z, phi, lam, dt, 1e-18)) == bits(*_rk4(za, phia, lam, dt, 1e-18))
+    # the floored kernel classify_batch steps with
+    assert bits(*classical._rk4(z, phi, lam, dt)) == bits(*_rk4(za, phia, lam, dt, 1e-18))
+    # the unfloored step and its energy: one step of the orbit loop, with no energy budget
+    e0 = float(_energy(za, phia, lam)[0])
+    zs, phis, energies = [z], [phi], [e0]
+    taken = classical._steps(zs, phis, energies, lam, dt, 1, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = _rk4(za, phia, lam, dt)
-    try:
-        got = classical._rk4(z, phi, lam, dt)
-    except (ValueError, ZeroDivisionError):
-        assert not np.isfinite(want).all()  # numpy's step is NaN or inf, so rejected too
-    else:
-        assert bits(*got) == bits(*want)
+        e = _energy(*want, lam)
+    if taken:
+        assert bits(zs[1], phis[1], energies[1]) == bits(*want, e)
+    else:  # numpy's step is NaN or inf or lands outside |z| < 1, so it is refused too
+        assert not (abs(want[0][0]) < 1.0 and np.isfinite(e[0]))
+        assert (zs, phis, energies) == ([z], [phi], [e0])
 
 
 @pytest.mark.parametrize("lambda_cl", [2.5, 20.0, 200.0, 2000.0])
@@ -138,16 +146,33 @@ def test_portrait_matches_oracle(lambda_cl):
     assert_same_trajectories(got, oracle_integrate(starts, mf, 12.0, 1e-3))
 
 
-def test_pole_start_matches_oracle():
-    mf, start = MeanFieldParams(20.0), PhasePoint(0.9999, 0.0)
-    got = classical.integrate_trajectory(start, mf, 1.0)
-    assert_same_trajectories([got], oracle_integrate([start], mf, 1.0, 1e-3))
+# the ladder's paths: starts within 1e-2 of a pole, which most plain steps there cannot take
+@given(
+    st.floats(1e-12, 1e-2),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-np.pi, np.pi),
+    st.floats(2.0, 2000.0),
+    st.integers(1, 20),
+)
+@example(1e-4, 1.0, 0.0, 20.0, 1000)
+def test_pole_start_matches_oracle(distance, pole, phi, lambda_cl, n_steps):
+    mf, start = MeanFieldParams(lambda_cl), PhasePoint(pole * (1.0 - distance), phi)
+    t_final = n_steps * 1e-3
+    try:
+        want = oracle_integrate([start], mf, t_final, 1e-3)
+    except NumericalInvariantError as failure:
+        with pytest.raises(NumericalInvariantError, match=re.escape(str(failure))):
+            classical.integrate_trajectory(start, mf, t_final)
+    else:
+        assert_same_trajectories([classical.integrate_trajectory(start, mf, t_final)], want)
 
 
 def test_stage_crossing_the_pole_is_refined():
     mf, start, dt = MeanFieldParams(20.0), PhasePoint(0.999999, -np.pi / 2), 1e-3
-    with pytest.raises(ValueError):  # the plain step's second stage lands past z = 1
-        classical._rk4(start.z, start.phi, mf.lambda_cl, dt)
+    # the plain step's second stage lands past z = 1: numpy's step is NaN, the loop's refused
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_rk4(np.array([start.z]), np.array([start.phi]), mf.lambda_cl, dt)).all()
+    assert classical._steps([start.z], [start.phi], [0.0], mf.lambda_cl, dt, 1, math.inf) == 0
     got = classical._integrate([start], mf, dt, dt)
     assert abs(got[0].points[-1, 0]) < 1.0
     assert_same_trajectories(got, oracle_integrate([start], mf, dt, dt))
