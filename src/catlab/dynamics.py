@@ -113,28 +113,27 @@ class Propagator:
     """Unitary evolution under a fixed real tridiagonal Hamiltonian via one eigendecomposition.
 
     H's bands must be mirror-symmetric (H commutes with |m> -> |-m>, as every
-    build_hamiltonian result does), so its parity blocks are diagonalized apart.
-    The real eigensystem (w, V_H) of H's bands is computed, and checked, once
-    and reused for every duration.  A state (p, V) evolves to
-    (p, V_H (e^{-i w tau} * V_H^T V)): only its r support columns move, at
-    O(N^2 r) per duration.  Instances are immutable and safe to share across
-    workers.
+    build_hamiltonian result does), so H's real eigensystem is its two parity
+    blocks (w, U), computed, and checked, once and reused for every duration.
+    A state (p, V) evolves to (p, exp(-i H tau) V) by spin.turn: only its r
+    support columns move, folded into the two sectors, at O(N^2 r) per
+    duration.  Instances are immutable and safe to share across workers.
     """
 
     def __init__(self, hamiltonian: Bands):
-        self._decomp = tridiagonal_eigensystem(*hamiltonian)
+        self._eigensystem = tridiagonal_eigensystem(*hamiltonian)
         #: max|w|: the phases w tau are finite while tau times this is
-        self.max_frequency = float(np.abs(self._decomp.values).max())
+        self.max_frequency = float(max(np.abs(w).max() for w, _ in self._eigensystem))
 
     def evolve(self, state: SpectralDecomp, duration: float) -> SpectralDecomp:
-        dim = self._decomp.values.size
+        dim = sum(w.size for w, _ in self._eigensystem)
         if state.vectors.shape[0] != dim:
             raise ValueError(f"dimension mismatch: state {state.vectors.shape[0]}, H {dim}")
         if not (duration >= 0 and np.isfinite(duration * self.max_frequency)):
             raise ValueError(f"duration must be >= 0 with finite phases w tau, got {duration}")
         if duration == 0:
             return state
-        return SpectralDecomp(state.values, turn(self._decomp, duration, state.vectors))
+        return SpectralDecomp(state.values, turn(self._eigensystem, duration, state.vectors))
 
 
 @lru_cache(maxsize=1)

@@ -50,9 +50,10 @@ from .spin import SpinAxis, SpinSpace, thermal_weights
 from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
-#: rounded up: real (N+1)^2 float64 matrices, complex (N+1) x r blocks for a state of rank r
-#: (the hot qfi-map needs about 12), and float64 arrays per qfi-map or Wigner grid cell
-REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 4, 13, 8
+#: rounded up: real (N+1)^2 float64 matrices (J_x's and H's parity blocks hold half of one
+#: each), complex (N+1) x r blocks for a state of rank r (the hot qfi-map needs about 11),
+#: and float64 arrays per qfi-map or Wigner grid cell
+REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 3, 13, 8
 
 #: what each process holds before any state (the interpreter and numpy), fitted the same
 #: way: peaks exceed the rest of the estimate by at most 31.3 MiB (cold N = 1600), and

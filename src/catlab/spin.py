@@ -17,8 +17,9 @@ Conventions fixed in this module:
     J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)), and
     rotation is the one routine that applies one: three turns about J_x
-    gauged by D(phi) (tilt about Y_AXIS, turn, tilt back); a tilt by 0, as on
-    the equator, and any rotation by alpha = 0 return their input.
+    (tilt about Y_AXIS, turn, tilt back) on one copy of the columns, gauged
+    in place; a tilt by 0, as on the equator, is skipped, and a rotation by
+    alpha = 0 returns its input.
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
@@ -30,10 +31,12 @@ All matrix functions (exponentials, thermal weights) go through an exact
 eigendecomposition rather than series truncation, which leaves no
 convergence knob.  The only matrices diagonalized are J_x and H: both are
 real, tridiagonal and commute with the parity |m> -> |-m>, so each splits
-into two half-size blocks (tridiagonal_eigensystem), and each block's
-eigenvectors are checked orthonormal there, where they are made.  turn is
-the one routine that reads those eigenvectors: exp(-i t A) x as two real
-GEMMs (real_matmul), for the read-out's J_x and the evolution's H alike.
+into two half-size blocks (tridiagonal_eigensystem), kept as they are: no
+(N+1)^2 eigenvector matrix is built.  Each block's eigenvectors are checked
+orthonormal there, where they are made.  turn is the one routine that reads
+them: it folds the columns x into the two parity sectors and applies
+exp(-i t A) as four half-size real GEMMs (real_matmul), for the read-out's
+J_x and the evolution's H alike.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -181,14 +184,22 @@ def _dense_tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.nda
     return np.diag(diagonal) + np.diag(off_diagonal, -1) + np.diag(off_diagonal, 1)
 
 
-def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
+class ParityEigensystem(NamedTuple):
+    """Eigensystem of a mirror-symmetric real tridiagonal matrix of size N + 1, as its
+    parity blocks: with c = N/2, even on (|m> + |-m>)/sqrt2 for m < 0 and on |0>
+    (c + 1 rows), odd on (|m> - |-m>)/sqrt2 (c rows); turn folds columns into them."""
+
+    even: SpectralDecomp
+    odd: SpectralDecomp
+
+
+def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> ParityEigensystem:
     """Eigensystem of a mirror-symmetric real tridiagonal matrix of odd size, read-only.
 
     Such a matrix (J_x, H) commutes with the parity |m> -> |-m>, so with c = N/2
-    it splits into an even block on (|m> + |-m>)/sqrt2 and |0> (bands d[:c+1]
-    and e[:c-1], sqrt2 e[c-1]) and an odd block on (|m> - |-m>)/sqrt2 (bands
-    d[:c], e[:c-1]); each is diagonalized alone, a quarter of the dense work.
-    The values are the even block's, ascending, then the odd block's.
+    it splits into an even block (bands d[:c+1] and e[:c-1], sqrt2 e[c-1]) and an
+    odd block (bands d[:c], e[:c-1]); each is diagonalized alone, a quarter of the
+    dense work, checked orthonormal, and kept as it comes from eigh.
     """
     n = diagonal.size
     if not (
@@ -201,26 +212,21 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> S
         raise ValueError("tridiagonal_eigensystem needs mirror-symmetric bands of odd size >= 3")
     c = n // 2
     even_off = np.append(off_diagonal[: c - 1], np.sqrt(2.0) * off_diagonal[c - 1])
-    w_even, u_even = np.linalg.eigh(_dense_tridiagonal(diagonal[: c + 1], even_off))
-    w_odd, u_odd = np.linalg.eigh(_dense_tridiagonal(diagonal[:c], off_diagonal[: c - 1]))
-    # orthonormal blocks give orthonormal eigenvectors: every eigensystem is checked here
-    assert_unitary(u_even)
-    assert_unitary(u_odd)
-    v = np.zeros((n, n))
-    v[:c, : c + 1] = np.sqrt(0.5) * u_even[:c]
-    v[c, : c + 1] = u_even[c]
-    v[:c:-1, : c + 1] = v[:c, : c + 1]
-    v[:c, c + 1 :] = np.sqrt(0.5) * u_odd
-    v[:c:-1, c + 1 :] = -v[:c, c + 1 :]
-    dec = SpectralDecomp(np.concatenate([w_even, w_odd]), v)
-    for arr in dec:
-        arr.flags.writeable = False
-    return dec
+    blocks = ParityEigensystem(
+        SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal[: c + 1], even_off))),
+        SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal[:c], off_diagonal[: c - 1]))),
+    )
+    for w, u in blocks:
+        # orthonormal blocks give orthonormal eigenvectors: every eigensystem is checked here
+        assert_unitary(u)
+        w.flags.writeable = u.flags.writeable = False
+    return blocks
 
 
 @lru_cache(maxsize=1)
-def jx_eigensystem(space: SpinSpace) -> SpectralDecomp:
-    """Real eigensystem (w, R) of J_x, checked where it is made: the basis of every rotation.
+def jx_eigensystem(space: SpinSpace) -> ParityEigensystem:
+    """Real eigensystem R of J_x as its parity blocks, checked where it is made: the basis of
+    every rotation.
 
     J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
     about J_y by theta - pi/2 and gauged by D(phi), so one diagonalization
@@ -229,12 +235,14 @@ def jx_eigensystem(space: SpinSpace) -> SpectralDecomp:
     return tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band)
 
 
-def real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """r @ z for a real matrix r and complex columns z, as one real GEMM on z's (re, im) view.
+def real_matmul(r: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = r @ z for a real matrix r and complex columns z, as one real GEMM on the
+    (re, im) views of z and of the complex array out.
 
     numpy's own r @ z casts all of r to complex on every product.
     """
-    return (r @ np.ascontiguousarray(z, dtype=complex).view(np.float64)).view(complex)
+    np.matmul(r, np.ascontiguousarray(z, dtype=complex).view(np.float64), out=out.view(np.float64))
+    return out
 
 
 def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
@@ -242,17 +250,43 @@ def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * space.m_values)
 
 
-def turn(eigensystem: SpectralDecomp, t: float, x: np.ndarray) -> np.ndarray:
-    """exp(-i t A) x = V (e^{-i t w} * V^T x) for A's real eigensystem (w, V): two real GEMMs."""
-    w, v = eigensystem
-    return real_matmul(v, np.exp(-1j * t * w)[:, None] * real_matmul(v.T, x))
+def turn(eigensystem: ParityEigensystem, t: float, x: np.ndarray) -> np.ndarray:
+    """exp(-i t A) x for A's parity eigensystem: four half-size real GEMMs.
+
+    With c = N/2, rows k < c and N - k of x fold into the even sector as
+    (x_k + x_{N-k})/sqrt2, with row c, and into the odd sector as (x_k - x_{N-k})/sqrt2.
+    Each sector turns as U (e^{-i t w} * U^T x_s), and the result unfolds.  Two
+    (N+1)-row buffers are all it allocates: the folded columns, which then take
+    the turned sectors, and the sectors, which then take the result.
+    """
+    c, s = eigensystem.odd.values.size, np.sqrt(0.5)
+    odd = slice(c + 1, None)
+    folded = np.empty(x.shape, dtype=complex)
+    np.add(x[:c], x[:c:-1], out=folded[:c])
+    folded[c] = x[c]
+    np.subtract(x[:c], x[:c:-1], out=folded[odd])
+    folded[:c] *= s
+    folded[odd] *= s
+    sectors = np.empty_like(folded)
+    for rows, (w, u) in zip((slice(0, c + 1), odd), eigensystem):
+        real_matmul(u.T, folded[rows], sectors[rows])
+        sectors[rows] *= np.exp(-1j * t * w)[:, None]
+        real_matmul(u, sectors[rows], folded[rows])
+    np.add(folded[:c], folded[odd], out=sectors[:c])
+    sectors[c] = folded[c]
+    np.subtract(folded[:c], folded[odd], out=sectors[:c:-1])
+    sectors[:c] *= s
+    sectors[odd] *= s
+    return sectors
 
 
 def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
     """U x on a column block x, U = exp(-i alpha J(axis)) = D T e^{-i alpha J_x} T^dag D^dag.
 
-    D = D(phi), T = e^{-i zeta J_y}, zeta = theta - pi/2: three turns (tilt, turn,
-    tilt back); a turn by 0, as T on the equator, returns its input.
+    D = D(phi), T = D_y e^{-i zeta J_x} D_y^dag with D_y = D(pi/2) and zeta = theta - pi/2:
+    three turns (tilt, turn, tilt back) on one gauged copy of x, gauged in place
+    between them.  A tilt by 0, as on the equator, is skipped, and alpha = 0
+    returns x itself.
     """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
@@ -260,10 +294,20 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
         raise ValueError(f"rotation needs {space.dim} rows, got {x.shape[0]}")
     if alpha == 0:
         return x
-    d = _gauge(space, axis.phi)[:, None]
-    zeta = axis.theta - np.pi / 2
-    y = turn(jx_eigensystem(space), alpha, rotation(space, -zeta, Y_AXIS, d.conj() * x))
-    return d * rotation(space, zeta, Y_AXIS, y)
+    eigensystem, zeta = jx_eigensystem(space), axis.theta - np.pi / 2
+    d, d_y = _gauge(space, axis.phi)[:, None], _gauge(space, np.pi / 2)[:, None]
+    y = d.conj() * x  # the one copy: every later gauge is in place
+    if zeta != 0:  # T^dag
+        y *= d_y.conj()
+        y = turn(eigensystem, -zeta, y)
+        y *= d_y
+    y = turn(eigensystem, alpha, y)
+    if zeta != 0:  # T
+        y *= d_y.conj()
+        y = turn(eigensystem, zeta, y)
+        y *= d_y
+    y *= d
+    return y
 
 
 def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:

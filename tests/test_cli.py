@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catlab import harness
+from catlab import dynamics, harness, spin
 from catlab.cli import build_parser, config_from_args, main
 from catlab.config import ConfigError, RunConfig
 from catlab.dynamics import beta_scaled_of
@@ -119,6 +119,24 @@ def test_a_run_never_imports_scipy_or_the_pool(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_cold_sweep_holds_the_parity_blocks_not_dense_eigenvectors(tmp_path, monkeypatch):
+    # the seed-0 timesweep-n800 benchmark command, in-process and cold: J_x's and H's
+    # eigenvectors are kept as their parity blocks, 2.6 MB each, not as two dense 5.1 MB
+    # matrices, which held the traced peak at 13.8 MiB
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    spin.jx_eigensystem.cache_clear()
+    dynamics.propagator.cache_clear()
+    argv = ["time-sweep", "--n", "800", "--state", "zero", "--beta-inv", "0", "--factors",
+            "0.6", "0.8", "1.0", "1.2", "1.4", "1.6", "--workers", "1", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -356,10 +374,10 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     n = 1600
     cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
     hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
-    # the process floor and 4 real (N+1)^2 matrices; the cold state is one column, the hot
+    # the process floor and 3 real (N+1)^2 matrices; the cold state is one column, the hot
     # one all N + 1
-    assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * 1)
-    assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * (n + 1))
+    assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * 1)
+    assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * (n + 1))
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
@@ -389,7 +407,7 @@ def test_memory_estimate_bounds_the_rank_without_an_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert need == harness.PROCESS_BYTES + 8 * (n + 1) * (4 * (n + 1) + 26 * 74515)
+    assert need == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * 74515)
 
 
 def test_memory_estimate_counts_the_processes_the_pool_starts(tmp_path, monkeypatch):

@@ -273,7 +273,7 @@ def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
     assert (info.misses, info.currsize) == (1, 1)
     shared = spin.jx_eigensystem(spin.SpinSpace(200))
     assert spin.jx_eigensystem.cache_info().hits == info.hits + 1
-    assert not any(arr.flags.writeable for arr in shared)
+    assert not any(arr.flags.writeable for block in shared for arr in block)
 
 
 def test_optimized_temp_sweep_prepares_once_per_state(tmp_path, build_counts):

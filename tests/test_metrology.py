@@ -305,9 +305,10 @@ def test_readout_eigensystem_reused_and_read_only():
     assert jx_eigensystem.cache_info().currsize == 1
     dec = jx_eigensystem(SpinSpace(10))
     assert jx_eigensystem.cache_info().hits == 1
-    for arr in dec:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    for block in dec:
+        for arr in block:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_report_hot_state(hot_zero_cat):

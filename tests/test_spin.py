@@ -91,7 +91,8 @@ def test_axis_spectrum_is_jz_ladder():
         ax = SpinAxis(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
         w = np.linalg.eigvalsh(apply_j(sp, ax, np.eye(sp.dim)))
         assert np.abs(w - sp.m_values).max() < 1e-8
-    assert np.abs(np.sort(jx_eigensystem(sp).values) - sp.m_values).max() < 1e-8
+    values = np.concatenate([w for w, _ in jx_eigensystem(sp)])
+    assert np.abs(np.sort(values) - sp.m_values).max() < 1e-8
 
 
 def test_canonicalize_angles_ranges_and_direction():
@@ -161,11 +162,29 @@ def parity_bands(n: int) -> dict:
     return bands
 
 
+def unfolded(blocks: spin.ParityEigensystem) -> tuple[np.ndarray, np.ndarray]:
+    """The dense eigensystem (w, V) of the parity blocks: V's columns are the blocks'
+    eigenvectors unfolded onto |m> +- |-m>, even block first."""
+    (w_even, u_even), (w_odd, u_odd) = blocks
+    c = w_odd.size
+    v = np.zeros((2 * c + 1, 2 * c + 1))
+    v[:c, : c + 1] = np.sqrt(0.5) * u_even[:c]
+    v[c, : c + 1] = u_even[c]
+    v[:c:-1, : c + 1] = v[:c, : c + 1]
+    v[:c, c + 1 :] = np.sqrt(0.5) * u_odd
+    v[:c:-1, c + 1 :] = -v[:c, c + 1 :]
+    return np.concatenate([w_even, w_odd]), v
+
+
 @pytest.mark.parametrize("n", [2, 10, 200, 800])
 def test_parity_split_eigensystem_matches_dense(n):
     for name, (d, e) in parity_bands(n).items():
         t = tridiagonal(d, e)
-        w, v = spin.tridiagonal_eigensystem(d, e)
+        blocks = spin.tridiagonal_eigensystem(d, e)
+        # the blocks as eigh gives them: sizes c + 1 and c, read-only
+        assert [u.shape for _, u in blocks] == [(n // 2 + 1,) * 2, (n // 2,) * 2], name
+        assert not any(arr.flags.writeable for block in blocks for arr in block), name
+        w, v = unfolded(blocks)
         norm = np.abs(np.linalg.eigvalsh(t)).max()
         assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13, name
         assert np.abs(t @ v - v * w).max() <= 1e-13 * norm, name
@@ -196,24 +215,46 @@ def test_coherent_state_at_pole_is_top_dicke_vector():
 def test_real_matmul_matches_complex_matmul():
     rng = np.random.default_rng(12)
     z = rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10))
-    # a C-ordered r and a transposed view, as R and R^T are passed
+    # a C-ordered r and a transposed view, as U and U^T are passed
     for r in (rng.normal(size=(9, 7)), rng.normal(size=(7, 9)).T):
         for cols in (z, z[:, ::3], z[::-1, 1:4], np.asfortranarray(z)):
-            assert np.abs(real_matmul(r, cols) - r @ cols).max() <= 1e-14
+            # out is a row slice of a larger buffer, as turn passes a sector's rows
+            buffer = np.zeros((11, cols.shape[1]), dtype=complex)
+            out = buffer[1:10]
+            assert real_matmul(r, cols, out) is out
+            assert np.abs(out - r @ cols).max() <= 1e-14
+            assert not buffer[[0, 10]].any()
 
 
 def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
-    # two real GEMMs per turn: one turn on the equator, three (tilt, turn, tilt back)
-    # on any other axis, each through spin.turn
+    # each turn is four half-size real GEMMs, two per parity sector: one turn on the
+    # equator, three (tilt, turn, tilt back) on any other axis; none reads an (N+1)^2 matrix
     sp = SpinSpace(10)
     x = np.ones((sp.dim, 3), dtype=complex)
     shapes = []
     product = spin.real_matmul
-    monkeypatch.setattr(spin, "real_matmul", lambda r, z: shapes.append(r.shape) or product(r, z))
-    for axis, gemms in ((X_AXIS, 2), (Y_AXIS, 2), (SpinAxis(1.1, 0.4), 6), (Z_AXIS, 6)):
+    monkeypatch.setattr(
+        spin, "real_matmul", lambda r, z, out: shapes.append(r.shape) or product(r, z, out)
+    )
+    for axis, turns in ((X_AXIS, 1), (Y_AXIS, 1), (SpinAxis(1.1, 0.4), 3), (Z_AXIS, 3)):
         shapes.clear()
         rotation(sp, 0.3, axis, x)
-        assert shapes == [(sp.dim, sp.dim)] * gemms, axis
+        assert shapes == [(6, 6), (6, 6), (5, 5), (5, 5)] * turns, axis
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_turn_matches_expm(n):
+    # exp(-i t A) for H in both sign conventions and for J_x, on 1, 2 and 7 columns;
+    # phases t w up to 200 rad, since expm and the eigensystem each lose about eps |t w|
+    rng = np.random.default_rng(n + 7)
+    for name, (d, e) in parity_bands(n).items():
+        blocks = spin.tridiagonal_eigensystem(d, e)
+        a = tridiagonal(d, e)
+        t = rng.uniform(-200.0, 200.0) / np.abs(np.linalg.eigvalsh(a)).max()
+        oracle = expm(-1j * t * a)
+        for cols in (1, 2, 7):
+            x = rng.normal(size=(n + 1, cols)) + 1j * rng.normal(size=(n + 1, cols))
+            assert np.abs(spin.turn(blocks, t, x) - oracle @ x).max() <= 1e-12, (name, cols)
 
 
 @pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, SpinAxis(1.1, 0.4)])
@@ -241,6 +282,25 @@ def test_rotation_memory_below_one_dense_complex_matrix():
     finally:
         tracemalloc.stop()
     assert peak < sp.dim**2 * 16
+
+
+@pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, SpinAxis(1.0, 0.3)])
+def test_rotation_holds_one_gauged_copy(axis):
+    # a turn holds two column blocks beyond its input, the folded columns and the
+    # sectors; a rotation adds one gauged copy on every axis, its tilts included
+    sp = SpinSpace(800)
+    x = np.ones((sp.dim, 2 * sp.dim), dtype=complex)  # [V, J_z V] of a full-rank state
+    eigensystem = jx_eigensystem(sp)
+    calls = {2: lambda: spin.turn(eigensystem, 0.4, x), 3: lambda: rotation(sp, 0.4, axis, x)}
+    for blocks, run in calls.items():
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ufunc buffers add about 0.01 of a block
+        assert peak < (blocks + 0.05) * x.nbytes, blocks
 
 
 def test_apply_j_memory_is_linear_in_n():
