@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import TOLERANCES, SpectralDecomp, SpinSpace, state_eigensystem
+from .spin import TOLERANCES, SpectralDecomp, SpinSpace, state_factor
 
 
 def _check_eta(eta: float) -> float:
@@ -115,14 +115,11 @@ def make_synthetic_cat(space: SpinSpace, center: float, width: float) -> Synthet
 
 
 def reduced_density(cat: SyntheticCat, eta: float) -> SpectralDecomp:
-    """Spin-sector state after tracing out the auxiliary qubit, as its checked eigensystem."""
+    """Spin-sector state after tracing out the auxiliary qubit, as its checked eigensystem:
+    weights (1 -/+ cos eta)/2 = sin^2(eta/2), cos^2(eta/2) on c_-+ = (|a> -/+ |d>)/sqrt2."""
     a, d = cat.alive, cat.dead
-    rho = 0.5 * (
-        np.outer(a, a.conj())
-        + np.outer(d, d.conj())
-        + np.cos(eta) * (np.outer(a, d.conj()) + np.outer(d, a.conj()))
-    )
-    return state_eigensystem(rho)
+    p = np.array([np.sin(eta / 2) ** 2, np.cos(eta / 2) ** 2])
+    return state_factor(p, np.column_stack([a - d, a + d]) / np.sqrt(2.0))
 
 
 def analytic_qfi(model: CatQubitModel) -> float:

@@ -167,10 +167,11 @@ def prepare_and_evolve(
 ) -> Iterator[SpectralDecomp]:
     """Prepare a pi/0 thermal state and evolve it for each time_factor * T_pi.
 
-    The state and H's eigensystem are built here, once, so bad input raises
-    at the call.  The evolved states are then yielded one at a time, in the
-    order of time_factors.  Each carries the weights of the prepared state
-    and its evolved eigenvectors, so no evolved state is diagonalized.
+    H's eigensystem, the run's one LAPACK eigensystem, and then the state are
+    built here, once, so bad input raises at the call.  The evolved states are
+    then yielded one at a time, in the order of time_factors.  Each carries the
+    weights of the prepared state and its evolved eigenvectors, so no evolved
+    state is diagonalized.
     """
     factors = list(time_factors)
     tpi = t_pi(params.space, params.u_int)
@@ -178,8 +179,10 @@ def prepare_and_evolve(
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
         phi = phi + np.pi
-    state = thermal_state(params.space, beta_scaled, z, phi)
+    # H's eigh first, while nothing else is held: the thermal state's rotation then
+    # reuses the memory that eigh's dense blocks freed, and the peak is lower
     prop = propagator(params)
+    state = thermal_state(params.space, beta_scaled, z, phi)
     for f in factors:
         if not (f >= 0 and np.isfinite(f * tpi * prop.max_frequency)):
             raise ValueError(f"time factor {f}: needs f >= 0 and finite phases w f T_pi ({tpi:.6g})")

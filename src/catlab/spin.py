@@ -29,11 +29,13 @@ Conventions fixed in this module:
 
 All matrix functions (exponentials, thermal weights) go through an exact
 eigendecomposition rather than series truncation, which leaves no
-convergence knob.  The only matrices diagonalized are J_x and H: both are
-real, tridiagonal and commute with the parity |m> -> |-m>, so each splits
-into two half-size blocks (tridiagonal_eigensystem), kept as they are: no
-(N+1)^2 eigenvector matrix is built.  Each block's eigenvectors are checked
-orthonormal there, where they are made.  turn is the one routine that reads
+convergence knob.  The only eigensystems are J_x's and H's: both matrices
+are real, tridiagonal and commute with the parity |m> -> |-m>, so each
+splits into two half-size blocks, kept as they are: no (N+1)^2 eigenvector
+matrix is built (tridiagonal_eigensystem).  J_x's blocks are in closed
+form (jx_eigensystem: integer eigenvalues, eigenvectors from a recurrence),
+so H is the only matrix diagonalized.  Each block's eigenvectors are
+checked orthonormal where they are made.  turn is the one routine that reads
 them: it folds the columns x into the two parity sectors and applies
 exp(-i t A) as four half-size real GEMMs (real_matmul), for the read-out's
 J_x and the evolution's H alike.
@@ -45,6 +47,7 @@ the columns with p > 0 are kept and nothing is truncated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -193,13 +196,22 @@ class ParityEigensystem(NamedTuple):
     odd: SpectralDecomp
 
 
-def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> ParityEigensystem:
+def _eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
+    return SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal, off_diagonal)))
+
+
+def tridiagonal_eigensystem(
+    diagonal: np.ndarray,
+    off_diagonal: np.ndarray,
+    solve: Callable[[np.ndarray, np.ndarray], SpectralDecomp] = _eigh,
+) -> ParityEigensystem:
     """Eigensystem of a mirror-symmetric real tridiagonal matrix of odd size, read-only.
 
     Such a matrix (J_x, H) commutes with the parity |m> -> |-m>, so with c = N/2
     it splits into an even block (bands d[:c+1] and e[:c-1], sqrt2 e[c-1]) and an
-    odd block (bands d[:c], e[:c-1]); each is diagonalized alone, a quarter of the
-    dense work, checked orthonormal, and kept as it comes from eigh.
+    odd block (bands d[:c], e[:c-1]); solve(d, e) gives each block's eigensystem
+    alone (a dense eigh by default, a quarter of the dense work), which is
+    checked orthonormal and kept as it comes.
     """
     n = diagonal.size
     if not (
@@ -213,8 +225,7 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> P
     c = n // 2
     even_off = np.append(off_diagonal[: c - 1], np.sqrt(2.0) * off_diagonal[c - 1])
     blocks = ParityEigensystem(
-        SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal[: c + 1], even_off))),
-        SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal[:c], off_diagonal[: c - 1]))),
+        solve(diagonal[: c + 1], even_off), solve(diagonal[:c], off_diagonal[: c - 1])
     )
     for w, u in blocks:
         # orthonormal blocks give orthonormal eigenvectors: every eigensystem is checked here
@@ -223,16 +234,52 @@ def tridiagonal_eigensystem(diagonal: np.ndarray, off_diagonal: np.ndarray) -> P
     return blocks
 
 
+#: a recurrence column is scaled down by this power of two, exactly, whenever an entry
+#: passes it; one step grows it by at most sqrt(2j) + 1, so no square or sum overflows
+_RESCALE = 2.0**200
+
+
+def _jx_block(diagonal: np.ndarray, band: np.ndarray) -> SpectralDecomp:
+    """Eigensystem of a parity block of J_x (zero diagonal, band b, n rows) in closed form.
+
+    Its eigenvalues are mu = 1 - n, 3 - n, ..., n - 1: -j, -j + 2, ..., j for the
+    even block and the integers between for the odd one.  Each eigenvector is a
+    Krawtchouk function (Koornwinder, SIAM J. Math. Anal. 13, 1011 (1982)), the
+    column x of the recurrence that A x = mu x reads as,
+
+        x_0 = 1,   x_{k+1} = (mu x_k - b_{k-1} x_{k-1}) / b_k,
+
+    then normalized.  Run inward from the |m| = j edge, the wanted solution is the
+    dominant one, so the recurrence is stable (Gautschi, SIAM Rev. 9, 24 (1967));
+    a column is scaled down whenever it passes _RESCALE.
+    """
+    values = np.arange(1.0 - diagonal.size, diagonal.size, 2.0)
+    x = np.empty((diagonal.size, diagonal.size))
+    x[0] = 1.0
+    for k, b in enumerate(band):
+        row = np.multiply(values, x[k], out=x[k + 1])
+        if k:
+            row -= band[k - 1] * x[k - 1]
+        row /= b
+        if max(row.max(), -row.min()) > _RESCALE:
+            x[: k + 2, np.abs(row) > _RESCALE] /= _RESCALE
+    x /= np.sqrt(np.einsum("ij,ij->j", x, x))
+    # subnormal entries, which a large N leaves, are below any tolerance and slow every GEMM
+    for row in x:
+        row[np.abs(row) < np.finfo(float).tiny] = 0.0
+    return SpectralDecomp(values, x)
+
+
 @lru_cache(maxsize=1)
 def jx_eigensystem(space: SpinSpace) -> ParityEigensystem:
-    """Real eigensystem R of J_x as its parity blocks, checked where it is made: the basis of
-    every rotation.
+    """Real eigensystem R of J_x as its parity blocks, in closed form (_jx_block, no LAPACK
+    call) and checked where it is made: the basis of every rotation.
 
     J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
-    about J_y by theta - pi/2 and gauged by D(phi), so one diagonalization
-    serves every axis; a run has one N.
+    about J_y by theta - pi/2 and gauged by D(phi), so one eigensystem serves
+    every axis; a run has one N.
     """
-    return tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band)
+    return tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band, _jx_block)
 
 
 def real_matmul(r: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

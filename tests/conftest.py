@@ -42,17 +42,17 @@ def hot_zero_cat(params200):
     return next(prepare_and_evolve(StateLabel.ZERO, 0.1, [1.1], params200))
 
 
-def skew_eigh(monkeypatch) -> None:
-    """Make np.linalg.eigh return eigenvectors skewed off orthonormal by 1e-6."""
-    eigh = np.linalg.eigh
+def skew(monkeypatch, owner, name: str) -> None:
+    """Make owner.name, which returns an eigensystem (w, v), skew v off orthonormal by 1e-6."""
+    solver = getattr(owner, name)
 
-    def skewed(a):
-        w, v = eigh(a)
+    def skewed(*args):
+        w, v = solver(*args)
         v = v.copy()
         v[:, -1] += 1e-6 * v[:, -2]
         return w, v
 
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    monkeypatch.setattr(owner, name, skewed)
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:

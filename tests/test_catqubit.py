@@ -14,6 +14,7 @@ from catlab import (
     reduced_density,
     reduced_extdiff,
 )
+from catlab.spin import state_eigensystem
 
 from conftest import dense
 
@@ -87,6 +88,23 @@ def test_reduced_density_limits(cat):
         np.outer(cat.alive, cat.alive.conj()) + np.outer(cat.dead, cat.dead.conj())
     )
     assert np.abs(rho_max - incoherent).max() < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.4, np.pi / 2])
+def test_reduced_density_matches_the_dense_path(cat, eta):
+    # the closed form is the dense rho's checked eigensystem; eta = 0 drops the zero weight
+    a, d = cat.alive, cat.dead
+    rho = 0.5 * (
+        np.outer(a, a.conj())
+        + np.outer(d, d.conj())
+        + np.cos(eta) * (np.outer(a, d.conj()) + np.outer(d, a.conj()))
+    )
+    p, v = reduced_density(cat, eta)
+    p_dense, _ = state_eigensystem(rho)
+    assert v.shape == (a.size, p.size) and p.size == (1 if eta == 0 else 2)
+    assert np.abs(p - p_dense[-p.size:]).max() <= 1e-12
+    assert np.abs(p_dense[: -p.size]).max() <= 1e-12
+    assert np.abs(dense((p, v)) - rho).max() <= 1e-15
 
 
 def test_analytic_limits():

@@ -374,10 +374,10 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     n = 1600
     cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
     hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
-    # the process floor and 3 real (N+1)^2 matrices; the cold state is one column, the hot
+    # the process floor and 2 real (N+1)^2 matrices; the cold state is one column, the hot
     # one all N + 1
-    assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * 1)
-    assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * (n + 1))
+    assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * 1)
+    assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * (n + 1))
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
@@ -407,7 +407,7 @@ def test_memory_estimate_bounds_the_rank_without_an_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert need == harness.PROCESS_BYTES + 8 * (n + 1) * (3 * (n + 1) + 26 * 74515)
+    assert need == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * 74515)
 
 
 def test_memory_estimate_counts_the_processes_the_pool_starts(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from catlab.dynamics import Propagator, initial_condition, propagator
 from catlab.metrology import cat_split
 from catlab.spin import SpinAxis, coherent_state, state_eigensystem, thermal_weights
 
-from conftest import PURE_BETA, dense, random_density, skew_eigh, spin_matrices, tridiagonal
+from conftest import PURE_BETA, dense, random_density, skew, spin_matrices, tridiagonal
 
 
 def test_hamiltonian_structure():
@@ -115,7 +115,7 @@ def test_zero_temperature_is_the_coherent_state(n):
 
 
 def test_propagator_checks_its_eigenvectors(monkeypatch):
-    skew_eigh(monkeypatch)
+    skew(monkeypatch, np.linalg, "eigh")
     with pytest.raises(NumericalInvariantError, match="not unitary"):
         Propagator(build_hamiltonian(TwistTurnParams(SpinSpace(10))))
 

@@ -239,8 +239,7 @@ def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("a state was diagonalized only to be checked")
 
-    for module in (spin, catqubit):
-        monkeypatch.setattr(module, "state_eigensystem", counted)
+    monkeypatch.setattr(spin, "state_eigensystem", counted)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
@@ -249,13 +248,14 @@ def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
     cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4], out_dir=str(tmp_path))
     run_command("time-sweep", cfg)
     assert checked == []
-    # J_x, which tilts the thermal state and turns the read-out, then the Hamiltonian;
-    # each as its even and odd parity blocks
-    assert dims == [21, 20] * 2
+    # the Hamiltonian's even and odd parity blocks: J_x's, which tilt the thermal state
+    # and turn the read-out, are in closed form
+    assert dims == [21, 20]
 
 
 def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
-    """H, and J_x, which both states and the read-out share: four half-size eigh calls."""
+    """H, and J_x, which both states and the read-out share: H's two half-size blocks are
+    the only eigh calls, and J_x's closed-form blocks are built once."""
     dims = []
     eigh = np.linalg.eigh
 
@@ -268,7 +268,7 @@ def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
     dynamics.propagator.cache_clear()
     spin.jx_eigensystem.cache_clear()
     run_command("temp-sweep", RunConfig(out_dir=str(tmp_path)))
-    assert dims == [101, 100] * 2
+    assert dims == [101, 100]
     info = spin.jx_eigensystem.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     shared = spin.jx_eigensystem(spin.SpinSpace(200))

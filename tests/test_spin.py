@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from catlab.spin import (
     state_factor,
 )
 
-from conftest import dense, dense_j, random_density, skew_eigh, spin_matrices, tridiagonal
+from conftest import dense, dense_j, random_density, skew, spin_matrices, tridiagonal
 
 
 def test_make_space_dimensions():
@@ -189,6 +190,58 @@ def test_parity_split_eigensystem_matches_dense(n):
         assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13, name
         assert np.abs(t @ v - v * w).max() <= 1e-13 * norm, name
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(t)).max() <= 1e-13 * norm, name
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 200, 800])
+def test_jx_eigensystem_in_closed_form_matches_eigh(n):
+    # the even block holds mu = -j, -j + 2, ..., j and the odd block the others, exactly
+    sp = SpinSpace(n)
+    blocks = jx_eigensystem(sp)
+    assert blocks.even.values.tolist() == sp.m_values[::2].tolist()
+    assert blocks.odd.values.tolist() == sp.m_values[1::2].tolist()
+    oracle = spin.tridiagonal_eigensystem(np.zeros(sp.dim), 0.5 * sp.j_band)
+    for (w, u), (w_ref, u_ref) in zip(blocks, oracle):
+        for t in (0.4, np.pi / 2):
+            turned = (u * np.exp(-1j * t * w)) @ u.T
+            assert np.abs(turned - (u_ref * np.exp(-1j * t * w_ref)) @ u_ref.T).max() <= 1e-13
+
+
+def test_jx_recurrence_rescales_its_columns():
+    # from the edge the top and bottom columns grow by about 2^1000 at N = 2000, past
+    # what a square can hold: the recurrence scales them down, with no RuntimeWarning
+    sp = SpinSpace(2000)
+    jx_eigensystem.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            blocks = jx_eigensystem(sp)
+    finally:
+        jx_eigensystem.cache_clear()
+    for w, u in blocks:
+        assert np.abs(u.T @ u - np.eye(w.size)).max() <= 1e-12
+
+
+def test_jx_blocks_hold_no_subnormal_entries():
+    # at N = 4000 the edge entries of the top and bottom columns fall below the smallest
+    # normal float, and a subnormal operand slows every GEMM; they are flushed to 0
+    blocks = jx_eigensystem(SpinSpace(4000))
+    for w, u in blocks:
+        assert not np.any((u != 0) & (np.abs(u) < np.finfo(float).tiny))
+        assert np.abs(u.T @ u - np.eye(w.size)).max() <= 1e-12
+    jx_eigensystem.cache_clear()
+
+
+def test_jx_eigensystem_calls_no_lapack(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("J_x was diagonalized")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    jx_eigensystem.cache_clear()
+    try:
+        blocks = jx_eigensystem(SpinSpace(40))
+    finally:
+        jx_eigensystem.cache_clear()
+    assert [u.shape for _, u in blocks] == [(21, 21), (20, 20)]
 
 
 @pytest.mark.parametrize(
@@ -453,7 +506,7 @@ def test_state_factor_rejects_bad_factors(name):
 
 def test_thermal_state_checks_its_factor(monkeypatch):
     # the J_x parity blocks are checked where they are made, before any state uses them
-    skew_eigh(monkeypatch)
+    skew(monkeypatch, spin, "_jx_block")
     jx_eigensystem.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError, match="not unitary"):
