@@ -114,7 +114,8 @@ class Propagator:
 
     H's bands must be mirror-symmetric (H commutes with |m> -> |-m>, as every
     build_hamiltonian result does), so H's real eigensystem is its two parity
-    blocks (w, U), computed, and checked, once and reused for every duration.
+    blocks (w, U), each solved from its bands by LAPACK's tridiagonal solver
+    (spin._stevd, with no dense matrix), checked once and reused for every duration.
     A state (p, V) evolves to (p, exp(-i H tau) V) by spin.turn: only its r
     support columns move, folded into the two sectors, at O(N^2 r) per
     duration.  Instances are immutable and safe to share across workers.
@@ -179,8 +180,8 @@ def prepare_and_evolve(
     if params.sign_convention is SignConvention.LITERAL_EQ5:
         # same physics in the gauge where the saddle sits at phi = 0
         phi = phi + np.pi
-    # H's eigh first, while nothing else is held: the thermal state's rotation then
-    # reuses the memory that eigh's dense blocks freed, and the peak is lower
+    # H's eigensystem first, while nothing else is held: its solver's workspace is freed
+    # before a hot state's columns are allocated, and the peak is lower
     prop = propagator(params)
     state = thermal_state(params.space, beta_scaled, z, phi)
     for f in factors:

@@ -51,12 +51,14 @@ from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices (J_x's and H's parity blocks hold half of one
-#: each, and H's eigh the other), complex (N+1) x r blocks for a state of rank r (the hot
-#: qfi-map needs about 11), and float64 arrays per qfi-map or Wigner grid cell
+#: each, and a block being built, with its orthonormality check's Gram, a quarter more; H's
+#: dstevd workspace is freed before J_x's blocks are built), complex (N+1) x r blocks for a
+#: state of rank r (the hot qfi-map needs about 11), and float64 arrays per qfi-map or Wigner
+#: grid cell; the time and temperature sweeps peak at 71-84% of it
 REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 2, 13, 8
 
 #: what each process holds before any state (the interpreter and numpy), fitted the same
-#: way: peaks exceed the rest of the estimate by at most 29.7 MiB (cold N = 1600), and
+#: way: peaks exceed the rest of the estimate by at most 24.0 MiB (cold N = 1600), and
 #: catqubit, which holds no state, peaks at 33.4 MiB
 PROCESS_BYTES = 40 * 2**20
 

@@ -34,11 +34,12 @@ are real, tridiagonal and commute with the parity |m> -> |-m>, so each
 splits into two half-size blocks, kept as they are: no (N+1)^2 eigenvector
 matrix is built (tridiagonal_eigensystem).  J_x's blocks are in closed
 form (jx_eigensystem: integer eigenvalues, eigenvectors from a recurrence),
-so H is the only matrix diagonalized.  Each block's eigenvectors are
-checked orthonormal where they are made.  turn is the one routine that reads
-them: it folds the columns x into the two parity sectors and applies
-exp(-i t A) as four half-size real GEMMs (real_matmul), for the read-out's
-J_x and the evolution's H alike.
+so H is the only matrix diagonalized, each block by LAPACK's tridiagonal
+divide and conquer (_stevd), with no dense matrix.  Each block's
+eigenvectors are checked orthonormal where they are made.  turn is the one
+routine that reads them: it folds the columns x into the two parity sectors
+and applies exp(-i t A) as four half-size real GEMMs (real_matmul), for the
+read-out's J_x and the evolution's H alike.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -47,6 +48,7 @@ the columns with p > 0 are kept and nothing is truncated.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -197,22 +199,71 @@ class ParityEigensystem(NamedTuple):
 
 
 def _eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
+    """A block's eigensystem from the dense matrix: _stevd's fallback and the tests' oracle."""
     return SpectralDecomp(*np.linalg.eigh(_dense_tridiagonal(diagonal, off_diagonal)))
+
+
+#: names of LAPACK's dstevd with 64-bit integers, the only width accepted
+_STEVD_SYMBOLS = ("scipy_dstevd_64_", "dstevd_64_")
+
+
+@lru_cache(maxsize=1)
+def _lapack_stevd() -> Callable[..., None] | None:
+    """dstevd from the LAPACK that numpy.linalg already links, or None where it exports none
+    of _STEVD_SYMBOLS: the extension's own dependencies resolve it, so nothing is loaded."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _STEVD_SYMBOLS:
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            # JOBZ, then ten pointers, then the hidden length of JOBZ that gfortran appends
+            routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+            routine.restype = None
+            return routine
+    return None
+
+
+def _stevd(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
+    """A block's eigensystem by LAPACK's tridiagonal divide and conquer, dstevd (Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), with no dense matrix.
+
+    On a tridiagonal matrix eigh's dsyevd reduces by identity reflectors and runs the
+    same dstedc, so the bits are eigh's; so is the layout, the eigenvectors as C-ordered
+    columns.  Where no 64-bit dstevd resolves, the dense eigh runs.
+    """
+    routine = _lapack_stevd()
+    if routine is None:
+        return _eigh(diagonal, off_diagonal)
+    n = diagonal.size
+    if diagonal.shape != (n,) or off_diagonal.shape != (n - 1,):
+        raise ValueError(f"dstevd needs bands of n, n - 1 entries: {n}, {off_diagonal.size}")
+    values = np.array(diagonal, dtype=float)  # overwritten by the eigenvalues, ascending
+    off = np.append(np.asarray(off_diagonal, dtype=float), 0.0)  # destroyed; a spare at n = 1
+    z = np.empty((n, n))  # LAPACK's column-major Z: row k of z is eigenvector k
+    work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
+    ints = np.array([n, work.size, iwork.size, 0], dtype=np.int64)  # N = LDZ, LWORK, LIWORK, INFO
+    at = [ints.ctypes.data + k * ints.itemsize for k in range(ints.size)]
+    routine(b"V", at[0], values.ctypes.data, off.ctypes.data, z.ctypes.data, at[0],
+            work.ctypes.data, at[1], iwork.ctypes.data, at[2], at[3], 1)
+    if ints[3]:
+        raise np.linalg.LinAlgError(f"LAPACK dstevd failed with INFO = {ints[3]}")
+    del work, iwork
+    return SpectralDecomp(values, np.ascontiguousarray(z.T))
 
 
 def tridiagonal_eigensystem(
     diagonal: np.ndarray,
     off_diagonal: np.ndarray,
-    solve: Callable[[np.ndarray, np.ndarray], SpectralDecomp] = _eigh,
+    solve: Callable[[np.ndarray, np.ndarray], SpectralDecomp] | None = None,
 ) -> ParityEigensystem:
     """Eigensystem of a mirror-symmetric real tridiagonal matrix of odd size, read-only.
 
     Such a matrix (J_x, H) commutes with the parity |m> -> |-m>, so with c = N/2
     it splits into an even block (bands d[:c+1] and e[:c-1], sqrt2 e[c-1]) and an
     odd block (bands d[:c], e[:c-1]); solve(d, e) gives each block's eigensystem
-    alone (a dense eigh by default, a quarter of the dense work), which is
-    checked orthonormal and kept as it comes.
+    alone (LAPACK's tridiagonal solver _stevd by default), which is checked
+    orthonormal and kept as it comes.
     """
+    solve = solve or _stevd
     n = diagonal.size
     if not (
         n >= 3
@@ -396,7 +447,9 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
 
 def assert_unitary(u: np.ndarray) -> None:
     """Check U^dag U = I, i.e. orthonormal columns (U may be N x r)."""
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[1])).max()
+    gram = u.conj().T @ u  # the one temporary: the diagonal and |.| go in place
+    gram.flat[:: u.shape[1] + 1] -= 1.0
+    dev = np.abs(gram, out=gram).real.max()
     if dev > TOLERANCES["unitarity"]:
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
 

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -573,13 +574,16 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 def test_lapack_failure_exit_code(tmp_path, monkeypatch, capsys):
     from catlab import cli
 
-    def failed_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def failed_stevd(*args):
+        # dstevd's INFO, its eleventh argument: > 0 means the divide and conquer failed
+        ctypes.c_int64.from_address(args[10]).value = 7
 
-    monkeypatch.setattr(np.linalg, "eigh", failed_eigh)
+    monkeypatch.setattr(spin, "_lapack_stevd", lambda: failed_stevd)
+    dynamics.propagator.cache_clear()
     assert cli.main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant failure:")
+    assert "dstevd failed with INFO = 7" in err
     assert "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ from catlab import (
     t_pi,
     thermal_state,
 )
+from catlab import spin
 from catlab.classical import MeanFieldParams, SeparatrixAbsentError
 from catlab.dynamics import Propagator, initial_condition, propagator
 from catlab.metrology import cat_split
@@ -115,7 +116,7 @@ def test_zero_temperature_is_the_coherent_state(n):
 
 
 def test_propagator_checks_its_eigenvectors(monkeypatch):
-    skew(monkeypatch, np.linalg, "eigh")
+    skew(monkeypatch, spin, "_stevd")
     with pytest.raises(NumericalInvariantError, match="not unitary"):
         Propagator(build_hamiltonian(TwistTurnParams(SpinSpace(10))))
 

@@ -222,25 +222,33 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
     assert len(read_csv(tmp_path / "lambda_r_vs_time.csv")[1]) == 4
 
 
-def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
-    """No evolved state is diagonalized: the eigh calls are the sweep's two preparations."""
-    checked = []
+def counted_solver(monkeypatch) -> list[int]:
+    """Record the size of every block the tridiagonal solver diagonalizes."""
     dims = []
-    eigh, state_eigensystem = np.linalg.eigh, spin.state_eigensystem
+    solve = spin._stevd
+
+    def counted(diagonal, off_diagonal):
+        dims.append(diagonal.size)
+        return solve(diagonal, off_diagonal)
+
+    monkeypatch.setattr(spin, "_stevd", counted)
+    return dims
+
+
+def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
+    """No evolved state is diagonalized: the solver's calls are the sweep's two preparations."""
+    checked = []
+    state_eigensystem = spin.state_eigensystem
+    dims = counted_solver(monkeypatch)
 
     def counted(rho):
         checked.append(rho.shape)
         return state_eigensystem(rho)
 
-    def counted_eigh(a, *args, **kwargs):
-        dims.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
-
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("a state was diagonalized only to be checked")
 
     monkeypatch.setattr(spin, "state_eigensystem", counted)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     dynamics.propagator.cache_clear()
@@ -255,15 +263,8 @@ def test_time_sweep_diagonalizes_each_state_once(tmp_path, monkeypatch):
 
 def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
     """H, and J_x, which both states and the read-out share: H's two half-size blocks are
-    the only eigh calls, and J_x's closed-form blocks are built once."""
-    dims = []
-    eigh = np.linalg.eigh
-
-    def counted_eigh(a, *args, **kwargs):
-        dims.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    the only solver calls, and J_x's closed-form blocks are built once."""
+    dims = counted_solver(monkeypatch)
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     dynamics.propagator.cache_clear()
     spin.jx_eigensystem.cache_clear()
@@ -274,6 +275,24 @@ def test_temp_sweep_diagonalizes_two_matrices(tmp_path, monkeypatch):
     shared = spin.jx_eigensystem(spin.SpinSpace(200))
     assert spin.jx_eigensystem.cache_info().hits == info.hits + 1
     assert not any(arr.flags.writeable for block in shared for arr in block)
+
+
+def test_a_sweep_on_the_lapack_path_never_calls_eigh(tmp_path, monkeypatch):
+    # H's blocks go to dstevd whole: no dense matrix is built for eigh
+    if spin._lapack_stevd() is None:
+        pytest.skip("this numpy's LAPACK exports no 64-bit dstevd")
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a dense matrix was diagonalized")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    dynamics.propagator.cache_clear()
+    spin.jx_eigensystem.cache_clear()
+    for command in ("time-sweep", "temp-sweep"):
+        cfg = RunConfig(n_particles=40, beta_inv_grid=[0.5, 5.0], out_dir=str(tmp_path / command))
+        run_command(command, cfg)
+    assert len(read_csv(tmp_path / "temp-sweep" / "crossover.csv")[1]) == 4
 
 
 def test_optimized_temp_sweep_prepares_once_per_state(tmp_path, build_counts):

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +193,52 @@ def test_parity_split_eigensystem_matches_dense(n):
         assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13, name
         assert np.abs(t @ v - v * w).max() <= 1e-13 * norm, name
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(t)).max() <= 1e-13 * norm, name
+
+
+@pytest.fixture(params=["dstevd", "fallback"])
+def solver_path(request, monkeypatch):
+    """The LAPACK path, where this numpy's LAPACK exports dstevd, and the dense eigh that
+    runs where no symbol resolves."""
+    if request.param == "fallback":
+        monkeypatch.setattr(spin, "_STEVD_SYMBOLS", ("no_such_dstevd_",))
+    elif spin._lapack_stevd() is None:
+        pytest.skip("this numpy's LAPACK exports no 64-bit dstevd")
+    spin._lapack_stevd.cache_clear()
+    yield request.param
+    spin._lapack_stevd.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 10, 200, 800])
+def test_hamiltonian_blocks_are_eigh_bit_for_bit(n, solver_path):
+    assert (spin._lapack_stevd() is None) == (solver_path == "fallback")
+    for convention in SignConvention:
+        for u in (0.0, 0.1, 1e3):
+            params = TwistTurnParams(SpinSpace(n), u_int=u, sign_convention=convention)
+            d, e = build_hamiltonian(params)
+            blocks = spin.tridiagonal_eigensystem(d, e)
+            oracle = spin.tridiagonal_eigensystem(d, e, spin._eigh)
+            for (w, v), (w_ref, v_ref) in zip(blocks, oracle):
+                assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (convention, u)
+                assert v.flags.c_contiguous and not (v.flags.writeable or w.flags.writeable)
+
+
+def test_resolving_dstevd_maps_no_new_shared_object():
+    # the symbol comes from the LAPACK numpy.linalg already links, through its extension
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to compare")
+    code = (
+        "from pathlib import Path\n"
+        "from catlab import spin\n"
+        "def mapped():\n"
+        "    return {line.split()[-1] for line in Path('/proc/self/maps').read_text().splitlines()"
+        " if '.so' in line}\n"
+        "before = mapped()\n"
+        "spin._lapack_stevd()\n"
+        "print(sorted(mapped() - before))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 200, 800])
