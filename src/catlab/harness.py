@@ -50,15 +50,15 @@ from .spin import SpinAxis, SpinSpace, thermal_weights
 from .wigner import wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
-#: rounded up: real (N+1)^2 float64 matrices (J_x's and H's parity blocks hold half of one
-#: each, and a block being built, with its orthonormality check's Gram, a quarter more; H's
-#: dstevd workspace is freed before J_x's blocks are built), complex (N+1) x r blocks for a
-#: state of rank r (the hot qfi-map needs about 11), and float64 arrays per qfi-map or Wigner
-#: grid cell; the time and temperature sweeps peak at 71-84% of it
+#: rounded up: real (N+1)^2 float64 matrices (H's phase holds about 0.8 of one with dstevd,
+#: one dense parity block and the other's solver output and workspace, and about 1.5 with
+#: the dense eigh fallback; then H's panels hold a fifth of one and J_x's blocks half), complex (N+1) x r blocks for a state of rank r (the hot qfi-map needs about 11),
+#: and float64 arrays per qfi-map or Wigner grid cell; every spin command peaks at 26-86%
+#: of it, and the cold dense-eigh fallback at 78-85%
 REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 2, 13, 8
 
 #: what each process holds before any state (the interpreter and numpy), fitted the same
-#: way: peaks exceed the rest of the estimate by at most 24.0 MiB (cold N = 1600), and
+#: way: peaks exceed the rest of the estimate by at most 15.3 MiB (cold N = 1600), and
 #: catqubit, which holds no state, peaks at 33.4 MiB
 PROCESS_BYTES = 40 * 2**20
 

@@ -36,10 +36,13 @@ matrix is built (tridiagonal_eigensystem).  J_x's blocks are in closed
 form (jx_eigensystem: integer eigenvalues, eigenvectors from a recurrence),
 so H is the only matrix diagonalized, each block by LAPACK's tridiagonal
 divide and conquer (_stevd), with no dense matrix.  Each block's
-eigenvectors are checked orthonormal where they are made.  turn is the one
-routine that reads them: it folds the columns x into the two parity sectors
-and applies exp(-i t A) as four half-size real GEMMs (real_matmul), for the
-read-out's J_x and the evolution's H alike.
+eigenvectors are checked orthonormal where they are made, in column panels
+(assert_unitary).  H's are then kept as dense panels, one per row window
+outside which its columns are exactly zero (panelled); J_x's dense blocks
+are one panel each.  turn is the one routine that reads them: it folds the
+columns x into the two parity sectors and applies exp(-i t A) as two real
+GEMMs per panel (real_matmul), for the read-out's J_x and the evolution's H
+alike.
 
 A state is its eigensystem (p, V) on its support, rho = V diag(p) V^dag:
 weights that underflow to exactly 0 add nothing to any read-out, so only
@@ -82,11 +85,32 @@ class NumericalInvariantError(RuntimeError):
     """A matrix failed one of the exactness checks (hermiticity, trace, ...)."""
 
 
+class Panel(NamedTuple):
+    """Columns cols of an eigenvector block that are zero outside rows: U[rows, cols]."""
+
+    rows: slice
+    cols: slice
+    vectors: np.ndarray
+
+
 class SpectralDecomp(NamedTuple):
     """Eigensystem of a Hermitian matrix, or of a state on its support."""
 
     values: np.ndarray
     vectors: np.ndarray
+
+    @property
+    def panels(self) -> tuple[Panel, ...]:
+        """Dense eigenvectors as the one panel: every row, every column."""
+        rows, cols = self.vectors.shape
+        return (Panel(slice(0, rows), slice(0, cols), self.vectors),)
+
+
+class PanelledDecomp(NamedTuple):
+    """Eigensystem whose eigenvectors are kept as dense panels (panelled)."""
+
+    values: np.ndarray
+    panels: tuple[Panel, ...]
 
 
 def spectral_decomp(a: np.ndarray) -> SpectralDecomp:
@@ -285,6 +309,36 @@ def tridiagonal_eigensystem(
     return blocks
 
 
+def panelled(block: SpectralDecomp) -> PanelledDecomp:
+    """A block's eigenvectors as dense read-only panels, one per distinct row window.
+
+    A column's window runs from its first nonzero row to its last + 1.  The deflation
+    in LAPACK's divide and conquer leaves most of H's eigenvectors exactly zero
+    outside a window: on the sweeps' couplings a third to a half of each block lies
+    in 11-16 windows.  The columns are sorted by window, first row ascending and the
+    widest first, with the eigenvalues permuted alike, so the first panel starts at
+    row 0 (every row of an orthonormal block has a nonzero).
+    """
+    w, u = block
+    nonzero = u != 0
+    first = nonzero.argmax(axis=0)
+    stop = u.shape[0] - nonzero[::-1].argmax(axis=0)
+    del nonzero  # n^2 bytes, freed before the panels are copied
+    order = np.lexsort((-stop, first))
+    first, stop = first[order], stop[order]
+    edges = np.flatnonzero((np.diff(first) != 0) | (np.diff(stop) != 0)) + 1
+    bounds = [0, *edges.tolist(), u.shape[1]]
+    panels = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = slice(int(first[lo]), int(stop[lo]))
+        vectors = np.take(u[rows], order[lo:hi], axis=1)
+        vectors.flags.writeable = False
+        panels.append(Panel(rows, slice(lo, hi), vectors))
+    values = w[order]
+    values.flags.writeable = False
+    return PanelledDecomp(values, tuple(panels))
+
+
 #: a recurrence column is scaled down by this power of two, exactly, whenever an entry
 #: passes it; one step grows it by at most sqrt(2j) + 1, so no square or sum overflows
 _RESCALE = 2.0**200
@@ -349,13 +403,16 @@ def _gauge(space: SpinSpace, phi: float) -> np.ndarray:
 
 
 def turn(eigensystem: ParityEigensystem, t: float, x: np.ndarray) -> np.ndarray:
-    """exp(-i t A) x for A's parity eigensystem: four half-size real GEMMs.
+    """exp(-i t A) x for A's parity eigensystem: two real GEMMs per panel.
 
     With c = N/2, rows k < c and N - k of x fold into the even sector as
     (x_k + x_{N-k})/sqrt2, with row c, and into the odd sector as (x_k - x_{N-k})/sqrt2.
-    Each sector turns as U (e^{-i t w} * U^T x_s), and the result unfolds.  Two
-    (N+1)-row buffers are all it allocates: the folded columns, which then take
-    the turned sectors, and the sectors, which then take the result.
+    Each sector turns as U (e^{-i t w} * U^T x_s), panel by panel (a block's .panels;
+    a dense block, as J_x's are, is one panel): a panel's coefficients read only
+    its rows, and the turned sector is the sum of every panel's rows.  Then the
+    result unfolds.  Two (N+1)-row buffers are all it allocates: the folded columns,
+    which then take the turned sectors, and the sectors, which then take the
+    result; the sector not in use holds a panel's product before it is added.
     """
     c, s = eigensystem.odd.values.size, np.sqrt(0.5)
     odd = slice(c + 1, None)
@@ -366,10 +423,20 @@ def turn(eigensystem: ParityEigensystem, t: float, x: np.ndarray) -> np.ndarray:
     folded[:c] *= s
     folded[odd] *= s
     sectors = np.empty_like(folded)
-    for rows, (w, u) in zip((slice(0, c + 1), odd), eigensystem):
-        real_matmul(u.T, folded[rows], sectors[rows])
-        sectors[rows] *= np.exp(-1j * t * w)[:, None]
-        real_matmul(u, sectors[rows], folded[rows])
+    # the even sector's products go to the odd sector's rows, not yet used, and the
+    # odd sector's to the even sector's, used up: each has room for any panel but a
+    # full-height one, and that one comes first
+    for rows, spare, block in zip((slice(0, c + 1), odd), (odd, slice(0, c + 1)), eigensystem):
+        y, coefficients = folded[rows], sectors[rows]
+        for p in block.panels:
+            real_matmul(p.vectors.T, y[p.rows], coefficients[p.cols])
+        coefficients *= np.exp(-1j * t * block.values)[:, None]
+        first, *rest = block.panels  # the first starts at row 0
+        y[first.rows.stop :] = 0.0
+        real_matmul(first.vectors, coefficients[first.cols], y[first.rows])
+        for p in rest:
+            product = sectors[spare][: p.vectors.shape[0]]
+            y[p.rows] += real_matmul(p.vectors, coefficients[p.cols], product)
     np.add(folded[:c], folded[odd], out=sectors[:c])
     sectors[c] = folded[c]
     np.subtract(folded[:c], folded[odd], out=sectors[:c:-1])
@@ -445,13 +512,27 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
     )
 
 
-def assert_unitary(u: np.ndarray) -> None:
-    """Check U^dag U = I, i.e. orthonormal columns (U may be N x r)."""
-    gram = u.conj().T @ u  # the one temporary: the diagonal and |.| go in place
-    gram.flat[:: u.shape[1] + 1] -= 1.0
-    dev = np.abs(gram, out=gram).real.max()
-    if dev > TOLERANCES["unitarity"]:
+#: rows of U^dag U per panel of the orthonormality check; on a 5001-row block 256 take
+#: about the one-shot Gram's time (128 take 15% longer) and hold 5% of its memory
+CHECK_PANEL = 256
+
+
+def assert_unitary(u: np.ndarray) -> float:
+    """Check U^dag U = I, i.e. orthonormal columns (U may be N x r); max|U^dag U - I|.
+
+    U^dag U is Hermitian, so its upper triangle holds every |entry|: it is formed
+    in row panels U[:, s:s+w]^dag U[:, s:] of CHECK_PANEL rows, each the one
+    temporary (the diagonal and |.| go in place), and no r x r array is held.
+    """
+    dev = 0.0
+    for s in range(0, u.shape[1], CHECK_PANEL):
+        gram = u[:, s : s + CHECK_PANEL].conj().T @ u[:, s:]
+        gram.flat[:: gram.shape[1] + 1] -= 1.0
+        dev = np.maximum(dev, np.abs(gram, out=gram).real.max())
+        del gram  # freed before the next panel is formed
+    if not dev <= TOLERANCES["unitarity"]:  # NaN fails too
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
+    return float(dev)
 
 
 def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) -> SpectralDecomp:

@@ -126,12 +126,41 @@ def test_propagator_memo_is_read_only():
     prop = propagator(params)
     assert propagator(TwistTurnParams(SpinSpace(10))) is prop
     for block in prop._eigensystem:
-        for arr in block:
+        for arr in (block.values, *(panel.vectors for panel in block.panels)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     state = state_eigensystem(np.eye(11) / 11)
     evolved = evolve(state, build_hamiltonian(params), 0.3)
     assert np.abs(prop.evolve(state, 0.3).vectors - evolved.vectors).max() == 0
+
+
+@pytest.mark.parametrize("n", [2, 10, 200, 800])
+def test_propagator_panels_are_the_dense_blocks(n, monkeypatch):
+    # H's panels, with the column sort undone, are tridiagonal_eigensystem's blocks bit for
+    # bit; each is read-only, and evolution takes one real GEMM per panel each way
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+    product, panels_turned = spin.real_matmul, []
+    monkeypatch.setattr(
+        spin, "real_matmul", lambda r, z, out: panels_turned.append(r.shape) or product(r, z, out)
+    )
+    for convention in SignConvention:
+        for u in (0.0, 0.1, 1e3):
+            params = TwistTurnParams(SpinSpace(n), u_int=u, sign_convention=convention)
+            dense_blocks = spin.tridiagonal_eigensystem(*build_hamiltonian(params))
+            prop = Propagator(build_hamiltonian(params))
+            for block, (w, v) in zip(prop._eigensystem, dense_blocks):
+                rebuilt = np.zeros_like(v)
+                for panel in block.panels:
+                    assert not (panel.vectors.flags.writeable or block.values.flags.writeable)
+                    rebuilt[panel.rows, panel.cols] = panel.vectors
+                unsort = np.argsort(block.values, kind="stable")
+                assert np.array_equal(block.values[unsort], w), (convention, u)
+                assert np.array_equal(rebuilt[:, unsort], v), (convention, u)
+            panels_turned.clear()
+            evolved = prop.evolve(spin.SpectralDecomp(np.full(3, 1 / 3), x), 0.7).vectors
+            assert len(panels_turned) == 2 * sum(len(b.panels) for b in prop._eigensystem)
+            assert np.abs(evolved - spin.turn(dense_blocks, 0.7, x)).max() <= 1e-13, (convention, u)
 
 
 def test_prepare_and_evolve_yields_each_factor():

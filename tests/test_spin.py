@@ -24,7 +24,7 @@ from catlab import (
     rotation,
     thermal_state,
 )
-from catlab import spin
+from catlab import dynamics, spin
 from catlab.metrology import _projections, _qfi_form
 from catlab.spin import (
     assert_density_matrix,
@@ -536,6 +536,70 @@ def test_density_checks_reject_bad_states(name):
     with pytest.raises(NumericalInvariantError):
         p, v = state_eigensystem(rho)
         _qfi_form(p, *_projections(v, (np.diag([0.5, -0.5]) @ v)[None]))
+
+
+def orthonormal(rng: np.random.Generator, rows: int, cols: int, complex_: bool) -> np.ndarray:
+    a = rng.normal(size=(rows, cols))
+    if complex_:
+        a = a + 1j * rng.normal(size=(rows, cols))
+    return np.linalg.qr(a)[0]
+
+
+def one_shot_deviation(u: np.ndarray) -> float:
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max())
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_panelled_check_finds_every_defect(complex_):
+    # three panels of U^dag U; each defect alone, 1e-8 against the 1e-9 tolerance
+    w = spin.CHECK_PANEL
+    n = 2 * w + 37
+    u = orthonormal(np.random.default_rng(3), n, n, complex_)
+    assert spin.assert_unitary(u) <= 1e-13
+    # column j gains e * column i: an overlap e, or for i = j a squared norm 1 + 2e
+    defects = {
+        "overlap across panels": (w + 7, 3, 1e-8),
+        "overlap in the last panel's corner": (n - 1, n - 2, 1e-8),
+        "column norm": (w + 11, w + 11, 0.5e-8),
+    }
+    for name, (j, i, e) in defects.items():
+        v = u.copy()
+        v[:, j] += e * v[:, i]
+        assert one_shot_deviation(v) >= 0.9e-8, name
+        with pytest.raises(NumericalInvariantError, match="not unitary"):
+            spin.assert_unitary(v)
+    with pytest.raises(NumericalInvariantError, match="not unitary"):
+        spin.assert_unitary(np.where(np.eye(n) > 0, np.nan, u))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_panelled_check_reports_the_one_shot_deviation(complex_):
+    # on near-orthonormal columns, square and tall, fewer and more than one panel
+    rng = np.random.default_rng(4)
+    w = spin.CHECK_PANEL
+    for rows, cols in ((w // 2, w // 2), (3 * w, 2 * w + 1), (2 * w + 5, w - 3), (50, 1)):
+        u = orthonormal(rng, rows, cols, complex_)
+        for noise in (0.0, 1e-11, 1e-10):
+            v = u + noise * rng.normal(size=u.shape)
+            assert abs(spin.assert_unitary(v) - one_shot_deviation(v)) <= 1e-14, (rows, cols)
+
+
+def test_jx_eigensystem_holds_no_gram_beyond_one_check_panel():
+    # with H's propagator held, J_x's blocks and one check panel are all it allocates:
+    # an (N/2 + 1)^2 Gram, 1.3 MB at N = 800, does not fit in the slack
+    params = TwistTurnParams(SpinSpace(800))
+    dynamics.propagator(params)
+    jx_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = jx_eigensystem(params.space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        jx_eigensystem.cache_clear()
+    held = sum(arr.nbytes for block in blocks for arr in block)
+    panel = 8 * spin.CHECK_PANEL * blocks.even.vectors.shape[0]
+    assert peak <= held + panel + 2**16
 
 
 BAD_FACTORS = {
