@@ -273,6 +273,13 @@ def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
 # steps no orbit more than one block past its earliest failing step
 ORBIT_BLOCK = 100
 
+#: the portrait's separatrix azimuths over [-pi, pi], its orbits' length and RK4 step
+PORTRAIT_AZIMUTHS, PORTRAIT_T_FINAL, PORTRAIT_DT = 181, 12.0, 1e-3
+
+#: classify_batch's horizon and step; orbits hugging the separatrix take a time
+#: ~ log(1/distance) to commit, which is why the horizon is long
+CLASSIFY_T_MAX, CLASSIFY_DT = 200.0, 2e-3
+
 
 def _integrate(
     starts: list[PhasePoint], params: MeanFieldParams, t_final: float, dt: float
@@ -328,46 +335,38 @@ def _integrate(
 
 
 def integrate_trajectory(
-    p0: PhasePoint,
-    params: MeanFieldParams,
-    t_final: float,
-    dt: float = 1e-3,
+    p0: PhasePoint, params: MeanFieldParams, t_final: float, dt: float = PORTRAIT_DT
 ) -> Trajectory:
     """Fixed-step RK4 integration of one orbit with pole-refinement and energy guard.
 
-    The one-start call of `_integrate`, so a portrait orbit from the same start
-    is the same bits.  Near the poles |z| = 1 the flow is singular; a failing
-    step is retried as 2^k substeps, k <= 10, before giving up.  The total
-    energy drift over the run must stay below TOLERANCES["energy_drift"].
+    The one-start call of `_integrate`, by default at the portrait's step, so a
+    portrait orbit from the same start is the same bits by construction.  Near
+    the poles |z| = 1 the flow is singular; a failing step is retried as 2^k
+    substeps, k <= 10, before giving up.  The total energy drift over the run
+    must stay below TOLERANCES["energy_drift"].
     """
     [trajectory] = _integrate([p0], params, t_final, dt)
     return trajectory
 
 
-def classify_batch(
-    points: list[PhasePoint],
-    params: MeanFieldParams,
-    t_max: float = 200.0,
-    dt: float = 2e-3,
-) -> list[TrajectoryClass]:
+def classify_batch(points: list[PhasePoint], params: MeanFieldParams) -> list[TrajectoryClass]:
     """Classify many initial points, each with its own early exit.
 
-    Each point is stepped with the floored RK4 kernel, z clipped to [-1, 1];
-    it is classed FREE_OSCILLATION the moment its z changes sign and
-    SELF_TRAPPING the moment its phase has wound by more than 2 pi without a
-    sign change.  Orbits hugging the separatrix take a time ~ log(1/distance)
-    to commit, which is why the default horizon is long; undecided points at
-    t_max (stationary or critically slowed) fall back to FREE_OSCILLATION.
+    Each point is stepped with the floored RK4 kernel, z clipped to [-1, 1],
+    by CLASSIFY_DT up to CLASSIFY_T_MAX; it is classed FREE_OSCILLATION the
+    moment its z changes sign and SELF_TRAPPING the moment its phase has
+    wound by more than 2 pi without a sign change.  Points undecided at the
+    horizon (stationary or critically slowed) fall back to FREE_OSCILLATION.
     """
     lam = params.lambda_cl
-    n_steps = int(round(t_max / dt))
+    n_steps = int(round(CLASSIFY_T_MAX / CLASSIFY_DT))
     classes = []
     for p in points:
         z0, phi0 = float(p.z), float(p.phi)
         z, phi = z0, phi0
         cls = TrajectoryClass.FREE_OSCILLATION
         for _ in range(n_steps):
-            z, phi = _rk4(z, phi, lam, dt)
+            z, phi = _rk4(z, phi, lam, CLASSIFY_DT)
             z = min(max(z, -1.0), 1.0)
             if z < 0.0 < z0 or z0 < 0.0 < z:
                 break
@@ -378,16 +377,14 @@ def classify_batch(
     return classes
 
 
-def phase_portrait(
-    params: MeanFieldParams,
-    n_separatrix: int = 181,
-    starts: list[PhasePoint] | None = None,
-    t_final: float = 12.0,
-    dt: float = 1e-3,
-) -> PhasePortrait:
-    """Fixed points, the separatrix at the sampled azimuths it reaches, and orbits."""
+def phase_portrait(params: MeanFieldParams) -> PhasePortrait:
+    """Fixed points, the separatrix at the sampled azimuths it reaches, and orbits.
+
+    Above lambda_cl = 2, seven orbits from phi = 0 run to PORTRAIT_T_FINAL by
+    PORTRAIT_DT; integrate_trajectory runs any other start.
+    """
     fps = fixed_points(params)
-    phis = np.linspace(-np.pi, np.pi, n_separatrix)
+    phis = np.linspace(-np.pi, np.pi, PORTRAIT_AZIMUTHS)
     zsep = np.full(phis.shape, np.nan)
     for k, phi in enumerate(phis):
         try:
@@ -396,13 +393,13 @@ def phase_portrait(
             pass  # for 1 < lambda_cl < 2 the curve reaches only the azimuths near pi
     reached = ~np.isnan(zsep)
     phis, zsep = phis[reached], zsep[reached]
-    if starts is None:
-        starts = []
-        if params.lambda_cl > 2.0:
-            z_c0 = separatrix(0.0, params)
-            for frac in (0.3, 0.6, 0.9):
-                starts.append(PhasePoint(frac * z_c0, 0.0))
-            for z in (min(1.2 * z_c0, 0.98), min(1.5 * z_c0, 0.99)):
-                starts.append(PhasePoint(z, 0.0))
-                starts.append(PhasePoint(-z, 0.0))
-    return PhasePortrait(params, fps, phis, zsep, _integrate(starts, params, t_final, dt))
+    starts = []
+    if params.lambda_cl > 2.0:
+        z_c0 = separatrix(0.0, params)
+        for frac in (0.3, 0.6, 0.9):
+            starts.append(PhasePoint(frac * z_c0, 0.0))
+        for z in (min(1.2 * z_c0, 0.98), min(1.5 * z_c0, 0.99)):
+            starts.append(PhasePoint(z, 0.0))
+            starts.append(PhasePoint(-z, 0.0))
+    trajectories = _integrate(starts, params, PORTRAIT_T_FINAL, PORTRAIT_DT)
+    return PhasePortrait(params, fps, phis, zsep, trajectories)

@@ -6,11 +6,11 @@ Commands: distribution | time-sweep | temp-sweep | qfi-map | wigner |
 classical | catqubit | all-figures.  Each run writes figure-ready CSV files
 plus a manifest.json with config echo and per-file checksums.
 
-Exit codes: 0 success, 2 configuration error (including a requested state
-that does not exist for the couplings, and a run estimated to need more
-memory than MemAvailable), 3 numerical-invariant or LAPACK
-failure (numpy.linalg.LinAlgError).  The CATLAB_WORKERS environment
-variable overrides the configured worker count.
+Exit codes: 0 success, 2 configuration error (including any --config or
+--out path the system refuses, a requested state that does not exist for
+the couplings, and a run estimated to need more memory than MemAvailable),
+3 numerical-invariant or LAPACK failure (numpy.linalg.LinAlgError).  The
+CATLAB_WORKERS environment variable overrides the configured worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .harness import COMMANDS, run_command
 from .spin import NumericalInvariantError
 
@@ -71,14 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The --config file (or the defaults), with every flag given on top."""
     if args.config is not None:
-        path = Path(args.config)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except IsADirectoryError:
-            raise ConfigError(f"config path is a directory: {path}") from None
-        data = RunConfig.from_json(text).to_dict()
+        data = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8")).to_dict()
     else:
         data = RunConfig().to_dict()
     data.update((k, v) for k, v in vars(args).items() if k in data and v is not None)
@@ -94,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalInvariantError, LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError, or a state the couplings do not admit
+    except (ValueError, OSError) as exc:  # ConfigError, a state not admitted, a refused path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in outputs:

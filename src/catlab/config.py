@@ -104,6 +104,12 @@ class RunConfig:
         for name, values in temps.items():
             if any(b > 0 and math.isinf(1 / b) for b in values):
                 raise ConfigError(f"{name} entries > 0 need a finite reciprocal, got {values!r}")
+        # T_pi = ln(8N) / (N u) overflows to inf for subnormal couplings
+        if math.isinf(math.log(8 * self.n_particles) / (self.n_particles * self.u_int)):
+            raise ConfigError(
+                f"u_int must give a finite T_pi = ln(8N) / (N u), got {self.u_int!r} "
+                f"at N = {self.n_particles}"
+            )
         if self.time_factor is not None and self.time_factor < 0:
             raise ConfigError(f"time_factor must be >= 0, got {self.time_factor!r}")
         if self.grid_theta < 2 or self.grid_phi < 2:

@@ -42,7 +42,7 @@ from .spin import (
     turn,
 )
 
-#: beta_scaled of zero temperature.  e^{-beta} is exactly 0.0 past beta = 745.13, so
+#: beta_scaled of zero temperature.  e^{-beta} is exactly 0.0 past spin.EXP_UNDERFLOW, so
 #: every weight below the top eigenstate underflows at every N: the state is the
 #: spin coherent state itself, one column.
 PURE_STATE_BETA = 1000.0

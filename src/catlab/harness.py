@@ -74,14 +74,6 @@ class Grid(NamedTuple):
     values: np.ndarray
 
 
-def _create(path: Path):
-    """path opened for writing text; a path that cannot be is a config error."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _row_blocks(rows: list[tuple]):
     """Blocks of rows; a column is text where the block's first row holds a string."""
     for start in range(0, len(rows), BLOCK_ROWS):
@@ -105,7 +97,7 @@ def write_csv(path: Path, header: list[str], table: list[tuple] | Grid) -> None:
     no text holds more than one block.
     """
     blocks = _grid_blocks(*table) if isinstance(table, Grid) else _row_blocks(table)
-    with _create(path) as out:
+    with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         out.writelines(blocks)
 
@@ -341,8 +333,8 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
         },
     }
     path = out_dir / "manifest.json"
-    with _create(path) as out:
-        out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -352,8 +344,8 @@ def memory_estimate(command: str, config: RunConfig) -> int:
         return 0  # no spin state
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
-    # the hottest support holds every colder one; e^{-beta k} is exactly 0.0 past beta k = 745.14
-    limit = 745.14 / min(map(beta_scaled_of, temps))
+    # the hottest support holds every colder one; e^{-beta k} is 0.0 past spin.EXP_UNDERFLOW
+    limit = spin.EXP_UNDERFLOW / min(map(beta_scaled_of, temps))
     rank = dim if limit >= dim else int(limit) + 1
     phi_points = _wigner_phi_points(config)
     cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
@@ -379,10 +371,7 @@ def _mem_available() -> int | None:
 
 def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]:
     """Run one command into out_dir: its CSV, then its manifest."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
     name, header, table = COMMANDS[command](config)
     path = out_dir / name
     write_csv(path, header, table)

@@ -23,9 +23,9 @@ Conventions fixed in this module:
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
-    pointing along (acos z, phi).  Past beta = 745 every lower weight
-    e^{-beta k} is exactly 0.0, and thermal_state returns that coherent state
-    as one column.  The sign is recorded in run manifests.
+    pointing along (acos z, phi).  Past beta = EXP_UNDERFLOW every lower
+    weight e^{-beta k} is exactly 0.0, and thermal_state returns that
+    coherent state as one column.  The sign is recorded in run manifests.
 
 All matrix functions (exponentials, thermal weights) go through an exact
 eigendecomposition rather than series truncation, which leaves no
@@ -58,6 +58,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+#: float64's underflow exponent: e^{-x} is exactly 0.0 from x = 745.14 on, and not at 745.13
+EXP_UNDERFLOW = 745.14
 
 #: every numerical slack in catlab, by name; each run's manifest records the table
 TOLERANCES = {

@@ -39,7 +39,7 @@ class WignerGrid:
         return self.values.mean(axis=1)
 
 
-def wigner(state: SpectralDecomp, phi_points: int = 256) -> WignerGrid:
+def wigner(state: SpectralDecomp, phi_points: int) -> WignerGrid:
     """Evaluate the quasi-probability of a state (p, V) on the (z, phi) cylinder."""
     if phi_points < 4:
         raise ValueError(f"phi_points must be >= 4, got {phi_points}")

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -205,6 +206,68 @@ def test_cli_output_file_that_is_a_directory_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(tmp_path / name) in err
     assert "Traceback" not in err
+
+
+def refused_path(tmp_path: Path, case: str) -> tuple[Path, int]:
+    """A path the system refuses even to root, and the errno it refuses it with."""
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    return {
+        "long_name": (tmp_path / ("a" * 300) / "x", errno.ENAMETOOLONG),
+        "symlink_loop": (loop / "x", errno.ELOOP),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["long_name", "symlink_loop"])
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_cli_refused_paths_are_config_errors(tmp_path, capsys, flag, case):
+    bad, code = refused_path(tmp_path, case)
+    assert main(["catqubit", "--out", str(tmp_path / "out"), flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(bad) in err and os.strerror(code) in err
+    assert "Traceback" not in err
+
+
+def test_refused_out_exits_2_from_the_process(tmp_path):
+    # an exception main() did not catch would end the process with status 1
+    bad, _ = refused_path(tmp_path, "long_name")
+    result = subprocess.run(
+        [sys.executable, "-m", "catlab.cli", "catqubit", "--out", str(bad)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error:") and "Traceback" not in result.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "--lambda-cl", "3"],
+        ["distribution", "--state", "pi"],
+        ["time-sweep", "--state", "pi"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_a_coupling_whose_t_pi_overflows(tmp_path, capsys, argv):
+    # ln(8N) / (N u) is inf at u = 1e-320: T_pi overflows, and the manifest would hold Infinity
+    assert main([*argv, "--u", "1e-320", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: u_int")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def _no_constant(name):
+    raise AssertionError(f"manifest holds {name}, which strict JSON rejects")
+
+
+def test_default_run_manifests_are_strict_json(tmp_path, monkeypatch):
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    assert main(["all-figures", "--out", str(tmp_path)]) == 0
+    manifests = sorted(tmp_path.rglob("manifest.json"))
+    assert len(manifests) == len(harness.COMMANDS) + 1
+    for path in manifests:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize(

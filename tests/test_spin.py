@@ -452,6 +452,15 @@ def test_thermal_state_zero_temperature_proxy():
     assert fidelity > 0.999
 
 
+def test_exp_underflow_is_float64s_underflow_exponent():
+    # e^{-x} is exactly 0.0 from EXP_UNDERFLOW on, and still a subnormal 0.01 below it
+    assert np.exp(-spin.EXP_UNDERFLOW) == 0.0
+    assert np.exp(-(spin.EXP_UNDERFLOW - 0.01)) > 0
+    # so the pure-state beta leaves one column: every lower weight underflows
+    assert dynamics.PURE_STATE_BETA > spin.EXP_UNDERFLOW
+    assert thermal_state(SpinSpace(40), dynamics.PURE_STATE_BETA, 0.3, -1.2).values.size == 1
+
+
 def test_thermal_state_rejects_bad_inputs():
     sp = SpinSpace(4)
     with pytest.raises(ValueError):
