@@ -18,7 +18,8 @@ Josephson oscillations from self-trapped winding orbits.  For
 spans the whole cylinder.
 
 Stability is always classified from the Jacobian of the flow, never from a
-closed-form coupling threshold.
+closed-form coupling threshold, and like z_c(phi) = 0 at the saddle's azimuth
+it is decided exactly, with no slack.
 
 Every orbit steps in one RK4 loop on Python floats (`_steps`); a step it
 refuses is retried as 2^r substeps through the same loop (`_orbit`).  Only
@@ -27,6 +28,7 @@ refuses is retried as 2^r substeps through the same loop (`_orbit`).  Only
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -127,22 +129,18 @@ def classical_energy(p: PhasePoint, params: MeanFieldParams) -> float:
     return float(_energy(p.z, p.phi, params.lambda_cl))
 
 
-def _jacobian(z: float, phi: float, lam: float) -> np.ndarray:
-    """Analytic Jacobian of the flow, evaluated at (z, phi)."""
-    root = np.sqrt(1.0 - z * z)
-    dzdot_dz = z * np.sin(phi) / root
-    dzdot_dphi = -root * np.cos(phi)
-    dphidot_dz = lam + np.cos(phi) * (1.0 / root + z * z / root**3)
-    dphidot_dphi = -z * np.sin(phi) / root
-    return np.array([[dzdot_dz, dzdot_dphi], [dphidot_dz, dphidot_dphi]])
-
-
 def _classify(z: float, phi: float, lam: float) -> FixedPoint:
-    eig = np.linalg.eigvals(_jacobian(z, phi, lam))
-    # a saddle has a real +/- pair; centers have purely imaginary pairs
-    saddle = np.abs(eig.real).max() > TOLERANCES["saddle_real_part"] * max(1.0, np.abs(eig).max())
-    stability = Stability.SADDLE if saddle else Stability.CENTER
-    return FixedPoint(PhasePoint(z, phi), stability, (complex(eig[0]), complex(eig[1])))
+    """Stability from the flow's Jacobian [[a, b], [c, -a]], traceless as the flow is Hamiltonian.
+
+    Its eigenvalues are +/- sqrt(q), q = a^2 + b c: a real pair (a saddle) for q > 0.
+    """
+    root = math.sqrt(1.0 - z * z)
+    a = z * math.sin(phi) / root  # dzdot/dz = -dphidot/dphi
+    b = -root * math.cos(phi)  # dzdot/dphi
+    c = lam + math.cos(phi) * (1.0 / root + z * z / root**3)  # dphidot/dz
+    q = a * a + b * c
+    stability = Stability.SADDLE if q > 0 else Stability.CENTER
+    return FixedPoint(PhasePoint(z, phi), stability, (cmath.sqrt(q), -cmath.sqrt(q)))
 
 
 def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
@@ -170,8 +168,9 @@ def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
 def separatrix(phi: float, params: MeanFieldParams) -> float:
     """Separatrix height z_c(phi) >= 0, the smallest root of H_cl(z, phi) = 1.
 
-    Solved by bracketed bisection to TOLERANCES["separatrix_bisection"].  Raises
-    SeparatrixAbsentError when lambda_cl <= 1 (no saddle) or when the separatrix
+    It is 0 where H_cl(0, phi) = -cos(phi) is 1 (cos(phi) = -1.0, as at phi = +/- pi);
+    elsewhere it is solved by bracketed bisection to TOLERANCES["separatrix_bisection"].
+    Raises SeparatrixAbsentError when lambda_cl <= 1 (no saddle) or when the separatrix
     does not extend to the requested azimuth (possible for 1 < lambda_cl < 2).
     """
     lam = params.lambda_cl
@@ -179,10 +178,9 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
         raise SeparatrixAbsentError(
             f"no separatrix: lambda_cl = {lam} <= 1 has no unstable fixed point"
         )
-    if abs(_energy(0.0, phi, lam) - 1.0) < TOLERANCES["separatrix_at_saddle"]:
+    if _energy(0.0, phi, lam) >= 1.0:  # -cos(phi) <= 1: the saddle's own azimuth
         return 0.0
-    # H_cl(0, phi) = -cos(phi) < 1 always; scan for the first upward crossing
-    # of H_cl = 1 to bracket the smallest root, then bisect.
+    # from H_cl(0, phi) < 1, bracket the first upward crossing of H_cl = 1 and bisect
     grid = np.linspace(0.0, 1.0, 4097)
     above = _energy(grid, phi, lam) >= 1.0
     cross = np.nonzero(~above[:-1] & above[1:])[0]

@@ -84,9 +84,9 @@ class RunConfig:
             entries = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.n_particles < 2 or self.n_particles % 2:
+        if not 2 <= self.n_particles <= 2**53 or self.n_particles % 2:  # 2^53: every m exact
             raise ConfigError(
-                f"n_particles must be an even integer >= 2, got {self.n_particles!r}"
+                f"n_particles must be an even integer in [2, 2**53], got {self.n_particles!r}"
             )
         if not self.u_int > 0:
             raise ConfigError(f"u_int must be > 0, got {self.u_int!r}")

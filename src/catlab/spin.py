@@ -62,7 +62,8 @@ import numpy as np
 #: float64's underflow exponent: e^{-x} is exactly 0.0 from x = 745.14 on, and not at 745.13
 EXP_UNDERFLOW = 745.14
 
-#: every numerical slack in catlab, by name; each run's manifest records the table
+#: every numerical slack in catlab, by name; each run's manifest records the table.
+#: Exact decisions take none: a saddle is q > 0 in its +/- sqrt(q), z_c = 0 is cos(phi) = -1.
 TOLERANCES = {
     "hermiticity": 1e-10,  # max|A - A^dag|, relative to max|A|
     "unitarity": 1e-9,  # max|U^dag U - I|
@@ -77,8 +78,6 @@ TOLERANCES = {
     "wigner_imag_residue": 1e-9,  # max|Im W|
     "energy_drift": 1e-6,  # max|H_cl(t) - H_cl(0)| of a mean-field orbit
     "separatrix_bisection": 1e-12,  # width of the final bracket on z_c(phi)
-    "separatrix_at_saddle": 1e-15,  # |H_cl(0, phi) - 1| below it gives z_c(phi) = 0
-    "saddle_real_part": 1e-9,  # max|Re| of a saddle's Jacobian eigenvalues, rel. to max(1, |eig|)
     "cat_split_at_mean": 1e-9,  # |m - <m>| of a bin in neither half, rel. to max(1, |<m>|)
     "branch_orthogonality": 1e-10,  # |<a|d>| and |<a|J_z|d>| of a synthetic cat's branches
 }

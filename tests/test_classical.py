@@ -25,14 +25,35 @@ import test_mean_field_oracle as oracle
 
 def closed_form_separatrix(lam: float, phi: float) -> float:
     """Independent oracle: H_cl(z, phi) = 1 reduces to a quadratic in
-    s = sqrt(1 - z^2), valid whenever the discriminant admits a root."""
+    s = sqrt(1 - z^2), valid whenever the discriminant admits a root.
+
+    z^2 = (1 - s)(1 + s) with 1 - s = 2 (1 + cos phi) / (lam + cos phi + sqrt(disc))
+    and 1 + cos phi = 2 cos^2(phi / 2), so near the saddle no nearby numbers cancel."""
     disc = np.cos(phi) ** 2 + lam * (lam - 2.0)
     if disc < 0:
         raise ValueError("no crossing at this azimuth")
     s = (-np.cos(phi) + np.sqrt(disc)) / lam
     if not 0.0 <= s <= 1.0:
         raise ValueError("no crossing at this azimuth")
-    return float(np.sqrt(1.0 - s * s))
+    one_minus_s = 4.0 * np.cos(phi / 2) ** 2 / (lam + np.cos(phi) + np.sqrt(disc))
+    return float(np.sqrt(one_minus_s * (1.0 + s)))
+
+
+def oracle_eigenvalues(z: float, phi: float, lam: float) -> np.ndarray:
+    """Independent oracle: the flow's Jacobian at (z, phi), diagonalized by LAPACK."""
+    root = np.sqrt(1.0 - z * z)
+    return np.linalg.eigvals(np.array([
+        [z * np.sin(phi) / root, -root * np.cos(phi)],
+        [lam + np.cos(phi) * (1.0 / root + z * z / root**3), -z * np.sin(phi) / root],
+    ]))
+
+
+# both sides of lambda_cl = 1 (the saddle appears) and 2 (the separatrix closes), up
+# to just below where the self-trapped centers round onto the pole
+COUPLINGS = [
+    0.0, 0.5, 0.999999, 1.0, np.nextafter(1.0, 2.0), 1 + 1e-7, 1.5, 2.0, 2 + 1e-7, 3.7,
+    10.0, 20.0, 1e3, 1e5, 1e7, 5e7,
+]
 
 
 def test_classical_energy_reference_points():
@@ -69,6 +90,38 @@ def test_fixed_points_subcritical():
     pts = fixed_points(MeanFieldParams(0.5))
     assert len(pts) == 2
     assert all(fp.stability is Stability.CENTER for fp in pts)
+
+
+@pytest.mark.parametrize("lam", COUPLINGS)
+def test_stability_matches_the_eigenvalue_oracle(lam):
+    for fp in fixed_points(MeanFieldParams(lam)):
+        eig = oracle_eigenvalues(fp.point.z, fp.point.phi, lam)
+        # LAPACK leaves round-off on a center's real parts (1.8e-40 just above lambda_cl = 1)
+        saddle = np.abs(eig.real).max() > 1e-9 * max(1.0, np.abs(eig).max())
+        assert fp.stability is (Stability.SADDLE if saddle else Stability.CENTER)
+        ours = sorted(fp.jacobian_eigenvalues, key=lambda ev: (ev.imag, ev.real))
+        assert ours == pytest.approx(sorted(eig, key=lambda ev: (ev.imag, ev.real)), rel=1e-12)
+        if fp.stability is Stability.CENTER:
+            assert [ev.real for ev in fp.jacobian_eigenvalues] == [0.0, 0.0]
+
+
+def test_fixed_points_call_no_eigensolver(monkeypatch):
+    def no_eigensolver(*args):
+        raise AssertionError("stability is in closed form")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eig", no_eigensolver)
+    kinds = [fp.stability for fp in fixed_points(MeanFieldParams(20.0))]
+    assert kinds == [Stability.CENTER, Stability.SADDLE, Stability.CENTER, Stability.CENTER]
+
+
+def test_separatrix_is_zero_exactly_at_the_saddle_azimuth():
+    mf = MeanFieldParams(20.0)
+    assert separatrix(np.pi, mf) == 0.0 and separatrix(-np.pi, mf) == 0.0
+    # 3e-8 from pi, -cos(phi) is 4.4e-16 below 1, so the root is bisected, not read
+    # as 0; H_cl rounds by ~1e-16 near 1, which resolves that root only to ~1e-9
+    phi = np.pi - 3e-8
+    assert separatrix(phi, mf) == pytest.approx(closed_form_separatrix(20.0, phi), abs=1e-9)
 
 
 def test_separatrix_reference_values():

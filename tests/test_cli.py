@@ -425,6 +425,30 @@ def test_cli_refuses_runs_past_available_memory(tmp_path, capsys, monkeypatch, a
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n", [10**200, 10**400, 2**53 + 2], ids=["1e200", "1e400", "2^53+2"])
+@pytest.mark.parametrize("command", ["classical", "catqubit", "distribution"])
+def test_cli_rejects_n_past_exact_floats(tmp_path, capsys, monkeypatch, command, n):
+    # past 2^53 the lattice m = -N/2 .. N/2 is not exact in float64, and N u or the
+    # memory estimate's byte count can overflow a float
+    monkeypatch.setattr(harness, "_mem_available", lambda: 3 * 10**9)
+    monkeypatch.setattr(harness, "COMMANDS", dict.fromkeys(harness.COMMANDS, _unreachable))
+    assert main([command, "--n", str(n), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_particles")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_n_is_refused_by_the_memory_check(tmp_path, capsys, monkeypatch):
+    assert RunConfig(n_particles=2**53).n_particles == 2**53
+    monkeypatch.setattr(harness, "_mem_available", lambda: 3 * 10**9)
+    monkeypatch.setattr(harness, "COMMANDS", dict.fromkeys(harness.COMMANDS, _unreachable))
+    assert main(["distribution", "--n", str(2**53), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: distribution at N = 9007199254740992 needs an estimated")
+    assert "Traceback" not in err
+
+
 def test_memory_check_passes_small_runs_and_skips_without_a_reading(tmp_path, monkeypatch):
     # catqubit and classical hold no spin state, so no reading refuses them
     monkeypatch.setattr(harness, "_mem_available", lambda: 1)

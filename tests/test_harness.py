@@ -127,8 +127,7 @@ def test_manifest_records_the_whole_tolerance_table(tmp_path):
     assert manifest["tolerances"] == spin.TOLERANCES
     checked_inline_before = {
         "wigner_imag_residue", "probability_sum", "fisher_ratio", "fisher_chain_rel",
-        "fisher_chain_abs", "saddle_real_part", "separatrix_at_saddle", "cat_split_at_mean",
-        "branch_orthogonality",
+        "fisher_chain_abs", "cat_split_at_mean", "branch_orthogonality",
     }
     assert checked_inline_before <= set(manifest["tolerances"])
 
@@ -143,12 +142,10 @@ def _verdict(check):
 
 # checks that decide rather than reject, each on an input its default slack decides
 DECIDING_CHECKS = {
-    # (0, 0) is a center; under a negative slack every fixed point reads as a saddle
-    "saddle_real_part": lambda: classical.fixed_points(classical.MeanFieldParams(2.0))[0].stability,
-    # H_cl(0, pi) = 1 gives z_c(pi) = 0; no grid crossing brackets that root
-    "separatrix_at_saddle": lambda: _verdict(
-        lambda: classical.separatrix(np.pi, classical.MeanFieldParams(20.0))
-    ),
+    # p = 1/2 in both bins is above the cutoff; under a cutoff of 1 every bin is skipped
+    "fisher_weight_cutoff": lambda: metrology._cfi(np.array([0.5, 0.5]), np.array([1.0, -1.0])),
+    # a bracket 1 wide ends the bisection after its first halving
+    "separatrix_bisection": lambda: classical.separatrix(0.0, classical.MeanFieldParams(20.0)),
     # the bin at m = 0, 1e-12 below the mean, is in neither half
     "cat_split_at_mean": lambda: metrology.cat_split(metrology.JzDistribution(
         spin.SpinSpace(2), np.array([0.25 - 5e-13, 0.5, 0.25 + 5e-13])
@@ -159,29 +156,56 @@ DECIDING_CHECKS = {
     ),
 }
 
+# checks that reject, each on an exact input outside the state path below
+REJECTING_CHECKS = {
+    "hermiticity": lambda: spin.spectral_decomp(np.eye(2)),
+    "unitarity": lambda: spin.assert_unitary(np.eye(2)),
+    "trace": lambda: spin.state_factor(np.array([1.0, 0.0]), np.eye(2)),
+    "eigenvalue_floor": lambda: spin.state_eigensystem(np.diag([1.0, 0.0])),
+    "probability_floor": lambda: metrology.JzDistribution(
+        spin.SpinSpace(2), np.array([0.25, 0.5, 0.25])
+    ),
+    "energy_drift": lambda: classical.integrate_trajectory(
+        classical.PhasePoint(0.2, 0.0), classical.MeanFieldParams(10.0), 0.1
+    ),
+}
 
-@pytest.mark.parametrize(
-    "key,value",
-    [
-        ("wigner_imag_residue", -1.0),
-        ("probability_sum", -1.0),
-        ("fisher_ratio", -2.0),
-        ("fisher_chain_rel", -2.0),
-        ("fisher_chain_abs", -1e300),
-        ("saddle_real_part", -1.0),
-        ("separatrix_at_saddle", -1.0),
-        ("cat_split_at_mean", -1.0),
-        ("branch_orthogonality", -1.0),
-    ],
-)
+# one value per key that flips the check reading it
+TOLERANCE_FLIPS = [
+    ("hermiticity", -1.0),
+    ("unitarity", -1.0),
+    ("trace", -1.0),
+    ("eigenvalue_floor", 1.0),
+    ("probability_floor", 1.0),
+    ("probability_sum", -1.0),
+    ("fisher_weight_cutoff", 1.0),
+    ("fisher_ratio", -2.0),
+    ("fisher_chain_rel", -2.0),
+    ("fisher_chain_abs", -1e300),
+    ("wigner_imag_residue", -1.0),
+    ("energy_drift", -1.0),
+    ("separatrix_bisection", 1.0),
+    ("cat_split_at_mean", -1.0),
+    ("branch_orthogonality", -1.0),
+]
+
+
+@pytest.mark.parametrize("key,value", TOLERANCE_FLIPS)
 def test_checks_read_the_tolerance_table(monkeypatch, key, value):
     # a slack no input can meet flips the check that reads it: a state check
-    # fails, and a deciding check decides the other way
+    # fails, and a deciding check decides the other way; so no key goes unread
+    assert {k for k, _ in TOLERANCE_FLIPS} == set(spin.TOLERANCES)
     if key in DECIDING_CHECKS:
         decide = DECIDING_CHECKS[key]
         default = decide()
         monkeypatch.setitem(spin.TOLERANCES, key, value)
         assert decide() != default
+    elif key in REJECTING_CHECKS:
+        check = REJECTING_CHECKS[key]
+        check()
+        monkeypatch.setitem(spin.TOLERANCES, key, value)
+        with pytest.raises(spin.NumericalInvariantError):
+            check()
     else:
         state = next(dynamics.prepare_and_evolve(
             dynamics.StateLabel.PI, 1.0, [0.5], dynamics.TwistTurnParams(spin.SpinSpace(20))
