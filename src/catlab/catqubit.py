@@ -36,6 +36,11 @@ import numpy as np
 
 from .spin import TOLERANCES, SpectralDecomp, SpinSpace, state_factor
 
+#: the CLI's cat: peak width PW = 2 sqrt(Var_a(J_z)) = 10, twice a Gaussian branch width
+#: of 5, with Lambda = alpha PW, over 25 entanglement angles eta = k pi / 48 in [0, pi/2]
+PEAK_WIDTH = 10.0
+ETA_GRID = tuple(min(k * np.pi / 48, np.pi / 2) for k in range(25))
+
 
 def _check_eta(eta: float) -> float:
     """Validate the entanglement angle, absorbing float round-off at the edges."""

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .catqubit import PEAK_WIDTH
+
 
 class ConfigError(ValueError):
     """A configuration field is out of range or inconsistent."""
@@ -41,10 +43,6 @@ def _default_beta_inv_grid() -> list[float]:
     return [float(f"{10 ** (-1 + 3 * k / 12):.12g}") for k in range(13)]
 
 
-def _default_eta_grid() -> list[float]:
-    return [min(k * math.pi / 48, math.pi / 2) for k in range(25)]
-
-
 @dataclass
 class RunConfig:
     """Parameter bundle for the batch front-end."""
@@ -55,9 +53,6 @@ class RunConfig:
     state_label: str = "zero"  # "pi" or "zero"
     beta_inv_over_eps: float = 0.0  # 0 means the spin coherent state (dynamics.PURE_STATE_BETA)
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
-    readout_angle: float = math.pi / 2
-    readout_theta: float = math.pi / 2
-    readout_phi: float = 0.0
     grid_theta: int = 64
     grid_phi: int = 128
     out_dir: str = "catlab_out"
@@ -66,11 +61,8 @@ class RunConfig:
     time_factors: list[float] = field(default_factory=_default_time_factors)
     beta_inv_grid: list[float] = field(default_factory=_default_beta_inv_grid)
     optimize_time_factor: bool = False
-    eta_grid: list[float] = field(default_factory=_default_eta_grid)
     cat_alpha: float = 6.6
-    cat_width: float = 5.0
     lambda_cl: float | None = None  # classical-portrait override; None derives u N / t
-    wigner_phi_points: int = 256
 
     def __post_init__(self):
         self.validate()
@@ -127,22 +119,17 @@ class RunConfig:
             raise ConfigError("time_factors must be a non-empty list of factors >= 0")
         if not self.beta_inv_grid or any(b <= 0 for b in self.beta_inv_grid):
             raise ConfigError("beta_inv_grid must be a non-empty list of positive temperatures")
-        if not self.eta_grid or any(not 0 <= e <= math.pi / 2 + 1e-12 for e in self.eta_grid):
-            raise ConfigError("eta_grid entries must lie in [0, pi/2]")
-        if self.cat_alpha <= 0 or self.cat_width <= 0:
-            raise ConfigError("cat_alpha and cat_width must be positive")
-        # PW = 2 w and Lambda = alpha PW as catqubit forms them: F_q <= Lambda^2 + PW^2
-        pw = 2.0 * self.cat_width
-        lam = self.cat_alpha * pw
-        if not math.isfinite(lam * lam + pw * pw + (lam / pw) * (lam / pw)):
+        if not self.cat_alpha > 0:
+            raise ConfigError(f"cat_alpha must be > 0, got {self.cat_alpha!r}")
+        # Lambda = alpha PW as cmd_catqubit forms it: F_q <= Lambda^2 + PW^2, alpha^2 < Lambda^2
+        lam = self.cat_alpha * PEAK_WIDTH
+        if math.isinf(lam * lam):
             raise ConfigError(
-                f"cat_alpha {self.cat_alpha!r} and cat_width {self.cat_width!r}: "
-                "Lambda^2, PW^2 or alpha^2 overflows"
+                f"cat_alpha {self.cat_alpha!r}: Lambda^2 = (cat_alpha PW)^2 overflows "
+                f"at PW = {PEAK_WIDTH}"
             )
         if self.lambda_cl is not None and self.lambda_cl < 0:
             raise ConfigError(f"lambda_cl must be >= 0, got {self.lambda_cl!r}")
-        if self.wigner_phi_points < 4:
-            raise ConfigError(f"wigner_phi_points must be >= 4, got {self.wigner_phi_points!r}")
 
     def effective_time_factor(self, state_label: str | None = None) -> float:
         label = state_label if state_label is not None else self.state_label

@@ -29,7 +29,15 @@ from .classical import (
     phase_portrait,
     separatrix,
 )
-from .catqubit import CatQubitModel, analytic_qfi, analytic_rq, lg_violation, reduced_extdiff
+from .catqubit import (
+    ETA_GRID,
+    PEAK_WIDTH,
+    CatQubitModel,
+    analytic_qfi,
+    analytic_rq,
+    lg_violation,
+    reduced_extdiff,
+)
 from .config import ConfigError, RunConfig
 from .dynamics import (
     SignConvention,
@@ -39,15 +47,9 @@ from .dynamics import (
     prepare_and_evolve,
     t_pi,
 )
-from .metrology import (
-    ReadoutSpec,
-    default_axis_grids,
-    jz_distribution,
-    metrology_reports,
-    qfi_axis_map,
-)
-from .spin import SpinAxis, SpinSpace, thermal_weights
-from .wigner import wigner
+from .metrology import default_axis_grids, jz_distribution, metrology_reports, qfi_axis_map
+from .spin import SpinSpace, thermal_weights
+from .wigner import alias_free_phi_points, wigner
 
 #: a run's peak, fitted to every command's peak RSS at N = 1600 and 3200, cold and hot, and
 #: rounded up: real (N+1)^2 float64 matrices (H's phase holds about 0.8 of one with dstevd,
@@ -143,11 +145,6 @@ def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
     ))
 
 
-def _wigner_phi_points(config: RunConfig) -> int:
-    """At least N + 1 phi points, so no e^{i 2 n phi} harmonic aliases."""
-    return max(config.wigner_phi_points, config.n_particles + 1)
-
-
 def _lambda_cl(config: RunConfig) -> float:
     """The classical-portrait coupling: the configured override, else u N / t."""
     if config.lambda_cl is not None:
@@ -165,7 +162,7 @@ def derived_quantities(config: RunConfig) -> dict:
         "t_pi": t_pi(SpinSpace(config.n_particles), config.u_int),
         "lambda_cl": lam_cl,
         "z_c0": z_c0,
-        "wigner_phi_points": _wigner_phi_points(config),
+        "wigner_phi_count": alias_free_phi_points(config.n_particles),
     }
 
 
@@ -177,14 +174,14 @@ def _reports(config: RunConfig, state_label: str, beta_invs: list[float], factor
 
     The label's thermal states share one tilted Dicke basis: the hottest
     state's is evolved, and each temperature is its thermal weights on it.
+    The read-out is metrology's default: a pi/2 turn about x, so F_c is J_y's.
     """
-    readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
     params = _params_from_config(config)
     betas = [beta_scaled_of(b) for b in beta_invs]
     weights = [thermal_weights(params.space, beta) for beta in betas]
     states = prepare_and_evolve(StateLabel(state_label), min(betas), factors, params)
     for factor, (_, v) in zip(factors, states):
-        yield factor, metrology_reports(v, [p[-v.shape[1]:] for p in weights], readout)
+        yield factor, metrology_reports(v, [p[-v.shape[1]:] for p in weights])
 
 
 def _time_sweep_point(args: tuple) -> list[tuple]:
@@ -248,7 +245,7 @@ def cmd_qfi_map(config: RunConfig) -> tuple:
 
 
 def cmd_wigner(config: RunConfig) -> tuple:
-    grid = wigner(_evolved_state(config), _wigner_phi_points(config))
+    grid = wigner(_evolved_state(config), alias_free_phi_points(config.n_particles))
     return "wigner.csv", ["z", "phi", "w"], Grid(grid.z_values, grid.phi_values, grid.values)
 
 
@@ -271,11 +268,10 @@ def cmd_classical(config: RunConfig) -> tuple:
 
 
 def cmd_catqubit(config: RunConfig) -> tuple:
-    peak_width = 2.0 * config.cat_width
-    lam = config.cat_alpha * peak_width
+    lam = config.cat_alpha * PEAK_WIDTH
     rows = []
-    for eta in sorted(config.eta_grid):
-        model = CatQubitModel(lam=lam, peak_width=peak_width, eta=eta)
+    for eta in ETA_GRID:
+        model = CatQubitModel(lam=lam, peak_width=PEAK_WIDTH, eta=eta)
         rows.append(
             (eta, analytic_qfi(model), analytic_rq(model), reduced_extdiff(model),
              lg_violation(eta))
@@ -347,7 +343,7 @@ def memory_estimate(command: str, config: RunConfig) -> int:
     # the hottest support holds every colder one; e^{-beta k} is 0.0 past spin.EXP_UNDERFLOW
     limit = spin.EXP_UNDERFLOW / min(map(beta_scaled_of, temps))
     rank = dim if limit >= dim else int(limit) + 1
-    phi_points = _wigner_phi_points(config)
+    phi_points = alias_free_phi_points(config.n_particles)
     cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
     grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}
     grid_bytes["all-figures"] = max(grid_bytes.values())

@@ -66,10 +66,6 @@ class ReadoutSpec:
     angle: float = np.pi / 2
 
 
-def trivial_readout() -> ReadoutSpec:
-    return ReadoutSpec(angle=0.0)
-
-
 @dataclass(frozen=True)
 class JzDistribution:
     """Probabilities over the J_z lattice m = -j ... +j."""
@@ -337,21 +333,21 @@ def qfi_quadratic_form(state: SpectralDecomp) -> np.ndarray:
 
 def qfi_axis_map(
     state: SpectralDecomp,
-    theta_grid: np.ndarray,
-    phi_grid: np.ndarray,
+    thetas: np.ndarray,
+    phis: np.ndarray,
 ) -> AxisMap:
     """Evaluate F_q / (4N) over the axis grid from one quadratic form."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    if theta_grid.size == 0 or phi_grid.size == 0:
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    if thetas.size == 0 or phis.size == 0:
         raise ValueError("axis grids must be non-empty")
     space = SpinSpace(state.vectors.shape[0] - 1)
     m_form = qfi_quadratic_form(state)
-    th, ph = np.meshgrid(theta_grid, phi_grid, indexing="ij")
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
     u = np.stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
     f = np.einsum("aij,ab,bij->ij", u, m_form, u, optimize=True)
     values = f / (4.0 * space.n_particles)
-    return AxisMap(theta_grid, phi_grid, values, *_argmax_axis(theta_grid, phi_grid, values))
+    return AxisMap(thetas, phis, values, *_argmax_axis(thetas, phis, values))
 
 
 def _argmax_axis(thetas, phis, values: np.ndarray) -> tuple[SpinAxis, float]:

@@ -462,14 +462,16 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
     if alpha == 0:
         return x
     eigensystem, zeta = jx_eigensystem(space), axis.theta - np.pi / 2
-    d, d_y = _gauge(space, axis.phi)[:, None], _gauge(space, np.pi / 2)[:, None]
+    d = _gauge(space, axis.phi)[:, None]
     y = d.conj() * x  # the one copy: every later gauge is in place
-    if zeta != 0:  # T^dag
+    if zeta == 0:
+        y = turn(eigensystem, alpha, y)
+    else:  # T e^{-i alpha J_x} T^dag
+        d_y = _gauge(space, np.pi / 2)[:, None]
         y *= d_y.conj()
         y = turn(eigensystem, -zeta, y)
         y *= d_y
-    y = turn(eigensystem, alpha, y)
-    if zeta != 0:  # T
+        y = turn(eigensystem, alpha, y)
         y *= d_y.conj()
         y = turn(eigensystem, zeta, y)
         y *= d_y

@@ -39,6 +39,11 @@ class WignerGrid:
         return self.values.mean(axis=1)
 
 
+def alias_free_phi_points(n_particles: int) -> int:
+    """The CLI's phi grid: 256 points, or N + 1 where more are needed so no harmonic aliases."""
+    return max(256, n_particles + 1)
+
+
 def wigner(state: SpectralDecomp, phi_points: int) -> WignerGrid:
     """Evaluate the quasi-probability of a state (p, V) on the (z, phi) cylinder."""
     if phi_points < 4:

@@ -344,8 +344,6 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
         beta_inv_grid=[0.5, 5.0],
         grid_theta=12,
         grid_phi=16,
-        eta_grid=[0.0, 0.5, 1.0],
-        wigner_phi_points=48,
         workers=1,
     )
     cfg = RunConfig(**base, out_dir=str(tmp_path / "run"))

@@ -14,6 +14,7 @@ from catlab import (
     reduced_density,
     reduced_extdiff,
 )
+from catlab.catqubit import ETA_GRID, PEAK_WIDTH
 from catlab.spin import state_eigensystem
 
 from conftest import dense
@@ -114,6 +115,20 @@ def test_analytic_limits():
     decohered = CatQubitModel(lam=66.0, peak_width=10.0, eta=np.pi / 2)
     assert analytic_qfi(decohered) == pytest.approx(100.0)
     assert analytic_rq(decohered) == pytest.approx(1 / np.sqrt(1 + 6.6**2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_rq_survives_underflowing_widths():
+    # r_q depends on alpha alone; Lambda^2 and PW^2 are subnormal at PW = 2e-160
+    def rq(peak_width):
+        return np.array([
+            analytic_rq(CatQubitModel(lam=6.6 * peak_width, peak_width=peak_width, eta=eta))
+            for eta in ETA_GRID
+        ])
+
+    default = rq(PEAK_WIDTH)
+    assert np.abs(rq(2e-160) - default).max() < 1e-12
+    assert np.isfinite(rq(2e-320)).all()
 
 
 def test_analytic_qfi_matches_spectral_oracle(cat, space):

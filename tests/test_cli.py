@@ -26,8 +26,6 @@ SMALL = dict(
     beta_inv_grid=[0.5, 5.0],
     grid_theta=12,
     grid_phi=16,
-    eta_grid=[0.0, 0.5, 1.0],
-    wigner_phi_points=48,
 )
 
 
@@ -56,7 +54,6 @@ def test_config_round_trip_bit_exact():
         ("sign_convention", "upside_down", "sign_convention"),
         ("time_factors", [], "time_factors"),
         ("beta_inv_grid", [0.0], "beta_inv_grid"),
-        ("wigner_phi_points", 2, "wigner_phi_points"),
     ],
 )
 def test_config_validation_messages(field, value, fragment):
@@ -323,7 +320,7 @@ def test_wigner_phi_grid_sized_from_n(tmp_path):
     rows = (tmp_path / "wigner.csv").read_text().strip().splitlines()[1:]
     assert len({row.split(",")[1] for row in rows}) == 301
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["derived"]["wigner_phi_points"] == 301
+    assert manifest["derived"]["wigner_phi_count"] == 301
 
 
 def test_cli_optimize_time_through_zero_factor(tmp_path):
@@ -336,6 +333,36 @@ def test_cli_optimize_time_through_zero_factor(tmp_path):
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         RunConfig.from_dict({"n_particle": 200})
+
+
+def test_every_config_field_is_the_dest_of_a_flag():
+    # a field without a flag could only be set in a config file
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for command in [*harness.COMMANDS, "all-figures"]:
+        assert fields <= set(vars(build_parser().parse_args([command]))), command
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("readout_angle", 0.0),
+        ("readout_theta", 1.0),
+        ("readout_phi", 0.5),
+        ("wigner_phi_points", 512),
+        ("cat_width", 5.0),
+        ("eta_grid", [0.0, 0.5]),
+    ],
+)
+def test_config_naming_a_removed_field_exits_2(tmp_path, capsys, field, value):
+    # the read-out, the Wigner grid and the cat-qubit model are fixed by their modules
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    argv = ["catqubit", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config fields") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -403,7 +430,7 @@ def _unreachable(config):
     "argv,config",
     [
         (["distribution", "--n", "2000000"], {}),
-        (["wigner"], {"wigner_phi_points": 10**9}),
+        (["wigner", "--n", "8000"], {}),  # its (N+1)^2 grid: a distribution at 8000 fits
         (["qfi-map", "--grid-theta", "100000", "--grid-phi", "100000"], {}),
         (["all-figures", "--n", "2000000"], {}),
         (["distribution", "--n", "1000000000000"], {}),
@@ -553,34 +580,13 @@ def test_cli_rejects_a_hamiltonian_or_phase_that_overflows(tmp_path, capsys, arg
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
-@pytest.mark.parametrize(
-    "argv,config",
-    [(["--alpha", "1e154"], {}), ([], {"cat_width": 1e300})],
-    ids=["alpha", "cat_width"],
-)
-def test_catqubit_overflow_is_a_config_error(tmp_path, capsys, argv, config):
-    # Lambda^2 = (2 alpha w)^2 overflows
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["catqubit", "--config", str(cfg_path), *argv, "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("alpha", ["1e154"], ids=["alpha"])
+def test_catqubit_overflow_is_a_config_error(tmp_path, capsys, alpha):
+    # Lambda^2 = (alpha PW)^2 overflows
+    assert main(["catqubit", "--alpha", alpha, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "cat_alpha" in err and "cat_width" in err
+    assert err.startswith("config error: cat_alpha") and "Lambda^2" in err and "overflows" in err
     assert "Traceback" not in err
-
-
-def _catqubit_rq(out: Path, **config) -> np.ndarray:
-    out.mkdir()
-    (out / "cfg.json").write_text(json.dumps(config))
-    assert main(["catqubit", "--config", str(out / "cfg.json"), "--out", str(out)]) == 0
-    return np.loadtxt(out / "catqubit.csv", delimiter=",", skiprows=1)[:, 2]
-
-
-@pytest.mark.filterwarnings("error")
-def test_catqubit_rq_survives_underflowing_widths(tmp_path):
-    # r_q depends on alpha alone; Lambda^2 and PW^2 are subnormal at w = 1e-160
-    default = _catqubit_rq(tmp_path / "default")
-    assert np.abs(_catqubit_rq(tmp_path / "tiny", cat_width=1e-160) - default).max() < 1e-12
-    assert np.isfinite(_catqubit_rq(tmp_path / "subnormal", cat_width=1e-320)).all()
 
 
 def test_mem_available_reads_meminfo_or_gives_none(monkeypatch):

@@ -12,7 +12,6 @@ import pytest
 from scipy.linalg import expm
 
 from catlab import (
-    ReadoutSpec,
     RunConfig,
     SignConvention,
     SpinAxis,
@@ -149,13 +148,12 @@ def test_shared_basis_reports_match_per_state_reports(label, convention):
     factors = [float(f) for f in rng.uniform(0.0, 2.0, size=2)]
     config = RunConfig(n_particles=40, sign_convention=convention.value)
     params = harness._params_from_config(config)
-    readout = ReadoutSpec(SpinAxis(config.readout_theta, config.readout_phi), config.readout_angle)
     swept = list(harness._reports(config, label.value, beta_invs, factors))
     assert [factor for factor, _ in swept] == factors
     for factor, reports in swept:
         for beta_inv, report in zip(beta_invs, reports):
             [state] = prepare_and_evolve(label, beta_scaled_of(beta_inv), [factor], params)
-            own = metrology_report(state, readout)
+            own = metrology_report(state)
             for name in ("f_q", "f_c", "lam", "r_q", "r_c"):
                 assert_close(name, getattr(report, name), getattr(own, name))
 
@@ -180,9 +178,9 @@ def test_cold_grid_reports_on_the_hottest_support(monkeypatch):
     """beta_inv 0.05 and 0.1 at N = 200: the basis is beta = 10's 75 columns, not 201."""
     seen = []
 
-    def recording(v, weights, readout):
+    def recording(v, weights):
         seen.append((v.shape, [np.count_nonzero(p) for p in weights]))
-        return metrology_reports(v, weights, readout)
+        return metrology_reports(v, weights)
 
     monkeypatch.setattr(harness, "metrology_reports", recording)
     config = RunConfig(beta_inv_grid=[0.05, 0.1])

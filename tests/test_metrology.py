@@ -33,7 +33,6 @@ from catlab.metrology import (
     _qfi_form,
     default_axis_grids,
     qfi_quadratic_form,
-    trivial_readout,
 )
 from catlab.spin import jx_eigensystem, state_eigensystem
 
@@ -58,7 +57,7 @@ def point_mass(space: SpinSpace, m: int) -> JzDistribution:
 def test_protocol_distribution_trivial_readout_is_diagonal():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 11)
-    dist = protocol_distribution(state_eigensystem(rho), 0.0, Z_AXIS, trivial_readout())
+    dist = protocol_distribution(state_eigensystem(rho), 0.0, Z_AXIS, ReadoutSpec(angle=0.0))
     assert np.abs(dist.probs - np.real(np.diag(rho))).max() < 1e-12
 
 
