@@ -44,7 +44,8 @@ ETA_GRID = tuple(min(k * np.pi / 48, np.pi / 2) for k in range(25))
 
 def _check_eta(eta: float) -> float:
     """Validate the entanglement angle, absorbing float round-off at the edges."""
-    if not (-1e-9 <= eta <= np.pi / 2 + 1e-9):
+    slack = TOLERANCES["eta_range"]
+    if not (-slack <= eta <= np.pi / 2 + slack):
         raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
     return float(min(max(eta, 0.0), np.pi / 2))
 
@@ -58,10 +59,10 @@ class CatQubitModel:
     eta: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.peak_width <= 0:
-            raise ValueError(f"peak_width must be > 0, got {self.peak_width}")
+        if not (0 <= self.lam < np.inf):  # NaN fails
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (0 < self.peak_width < np.inf):
+            raise ValueError(f"peak_width must be finite and > 0, got {self.peak_width}")
         object.__setattr__(self, "eta", _check_eta(self.eta))
 
     @property
@@ -97,8 +98,8 @@ def make_synthetic_cat(space: SpinSpace, center: float, width: float) -> Synthet
     the mirror pair is orthogonal to machine precision; center - 3*width must
     stay positive to keep the truncation negligible.
     """
-    if center <= 0 or width <= 0:
-        raise ValueError("center and width must be positive")
+    if not (0 < center < np.inf and 0 < width < np.inf):  # NaN fails
+        raise ValueError(f"center and width must be finite and positive, got {center}, {width}")
     if center - 3.0 * width <= 0:
         raise ValueError(
             f"peaks overlap: center - 3*width = {center - 3.0 * width:.3g} must be > 0"
@@ -108,7 +109,10 @@ def make_synthetic_cat(space: SpinSpace, center: float, width: float) -> Synthet
     m = space.m_values
     alive = np.where(m < 0, np.exp(-((m + center) ** 2) / (4.0 * width**2)), 0.0)
     alive = alive.astype(complex)
-    alive /= np.linalg.norm(alive)
+    norm = np.linalg.norm(alive)
+    if not norm > 0:
+        raise ValueError(f"the branch underflows to norm 0 at center {center}, width {width}")
+    alive /= norm
     dead = alive[::-1].copy()
     overlap = abs(np.vdot(alive, dead))
     cross = abs(np.vdot(alive, m * dead))

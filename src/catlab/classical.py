@@ -21,9 +21,10 @@ Stability is always classified from the Jacobian of the flow, never from a
 closed-form coupling threshold, and like z_c(phi) = 0 at the saddle's azimuth
 it is decided exactly, with no slack.
 
-Every orbit steps in one RK4 loop on Python floats (`_steps`); a step it
-refuses is retried as 2^r substeps through the same loop (`_orbit`).  Only
-`classify_batch` steps the floored flow (`_rk4`).
+Every orbit, the portrait's and classify_batch's alike, steps in one RK4
+loop on Python floats (`_steps`); a step it refuses is retried as 2^r
+substeps through the same loop (`_orbit`).  classify_batch calls a start
+off z = 0 that never changes the sign of z self-trapped, pole starts included.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class PhasePoint:
     phi: float
 
     def __post_init__(self):
-        if abs(self.z) > 1:
-            raise ValueError(f"|z| must be <= 1, got {self.z}")
+        if not (abs(self.z) <= 1 and math.isfinite(self.phi)):  # NaN fails both
+            raise ValueError(f"need |z| <= 1 and a finite phi, got ({self.z}, {self.phi})")
 
 
 class Stability(enum.Enum):
@@ -104,24 +105,6 @@ def _energy(z, phi, lam):
     bit, and the integrator's accept decisions at its energy budget follow it.
     """
     return 0.5 * lam * z**2 - np.sqrt(np.maximum(1.0 - z**2, 0.0)) * np.cos(phi)
-
-
-def _flow(z, phi, lam):
-    """Canonical flow (dz/dtau, dphi/dtau) on Python floats, 1 - z^2 floored at 1e-18."""
-    root = math.sqrt(max(1.0 - z * z, 1e-18))
-    return -root * math.sin(phi), lam * z + z * math.cos(phi) / root
-
-
-def _rk4(z, phi, lam, dt):
-    """One classical RK4 step of the floored flow, on Python floats."""
-    k1z, k1p = _flow(z, phi, lam)
-    k2z, k2p = _flow(z + 0.5 * dt * k1z, phi + 0.5 * dt * k1p, lam)
-    k3z, k3p = _flow(z + 0.5 * dt * k2z, phi + 0.5 * dt * k2p, lam)
-    k4z, k4p = _flow(z + dt * k3z, phi + dt * k3p, lam)
-    return (
-        z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
-        phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p),
-    )
 
 
 def classical_energy(p: PhasePoint, params: MeanFieldParams) -> float:
@@ -203,9 +186,9 @@ def separatrix(phi: float, params: MeanFieldParams) -> float:
 def _steps(zs, phis, energies, lam, dt, n_steps, budget):
     """Extend one orbit's z, phi and energy lists by up to n_steps plain RK4 steps.
 
-    Steps Python floats from the lists' last entries.  A step is `_rk4`
-    without its floor and its energy is `_energy`, written out inline operand
-    for operand, so both keep numpy's bits.  Stops at the first step it
+    Steps Python floats from the lists' last entries.  A step is classical
+    RK4 of the canonical flow and its energy is `_energy`, written out inline
+    operand for operand, so both keep numpy's bits.  Stops at the first step it
     cannot take: a stage that raises (it reached |z| >= 1), a result outside
     |z| < 1, or an energy change beyond budget.  Returns the steps taken.
     """
@@ -347,32 +330,41 @@ def integrate_trajectory(
     return trajectory
 
 
+def _fate(z0: float, phi0: float, lam: float, n_steps: int) -> TrajectoryClass:
+    """One start's class from the first event of its orbit, checked block by block."""
+    zs, phis, energies = [z0], [phi0], [float(_energy(z0, phi0, lam))]
+    while n_steps > 0:
+        block = min(ORBIT_BLOCK, n_steps)
+        _orbit(zs, phis, energies, lam, CLASSIFY_DT, block, math.inf)
+        for z, phi in zip(zs[1:], phis[1:]):
+            if z < 0.0 < z0 or z0 < 0.0 < z:
+                return TrajectoryClass.FREE_OSCILLATION
+            if abs(phi - phi0) > 2 * np.pi:
+                return TrajectoryClass.SELF_TRAPPING
+        if len(zs) <= block:  # the orbit stopped: it can take no further step
+            break
+        n_steps -= block
+        del zs[:-1], phis[:-1], energies[:-1]
+    # z never changed sign: trapped, unless it started on z = 0, where H_cl = -cos(phi) <= 1
+    return TrajectoryClass.SELF_TRAPPING if z0 != 0.0 else TrajectoryClass.FREE_OSCILLATION
+
+
 def classify_batch(points: list[PhasePoint], params: MeanFieldParams) -> list[TrajectoryClass]:
     """Classify many initial points, each with its own early exit.
 
-    Each point is stepped with the floored RK4 kernel, z clipped to [-1, 1],
-    by CLASSIFY_DT up to CLASSIFY_T_MAX; it is classed FREE_OSCILLATION the
-    moment its z changes sign and SELF_TRAPPING the moment its phase has
-    wound by more than 2 pi without a sign change.  Points undecided at the
-    horizon (stationary or critically slowed) fall back to FREE_OSCILLATION.
+    Each start steps through `_orbit` with no energy budget, by CLASSIFY_DT up
+    to CLASSIFY_T_MAX, ORBIT_BLOCK steps at a time.  It is FREE_OSCILLATION at
+    the first point where z has the sign opposite to z0's, and SELF_TRAPPING
+    at the first where its phase has wound by more than 2 pi.  A start still
+    undecided at the horizon, or whose orbit can take no further step (a pole
+    start takes none: the flow is singular there), is SELF_TRAPPING unless it
+    started on z = 0.  So pi-phase trapped orbits, which never wind, and the
+    self-trapped centers are SELF_TRAPPING.  For lambda_cl >= 2 that is the
+    energy criterion H_cl > 1: such an orbit never reaches z = 0, and one
+    with H_cl < 1 cannot reach phi = pi, so it must cross z = 0.
     """
-    lam = params.lambda_cl
-    n_steps = int(round(CLASSIFY_T_MAX / CLASSIFY_DT))
-    classes = []
-    for p in points:
-        z0, phi0 = float(p.z), float(p.phi)
-        z, phi = z0, phi0
-        cls = TrajectoryClass.FREE_OSCILLATION
-        for _ in range(n_steps):
-            z, phi = _rk4(z, phi, lam, CLASSIFY_DT)
-            z = min(max(z, -1.0), 1.0)
-            if z < 0.0 < z0 or z0 < 0.0 < z:
-                break
-            if abs(phi - phi0) > 2 * np.pi:
-                cls = TrajectoryClass.SELF_TRAPPING
-                break
-        classes.append(cls)
-    return classes
+    lam, n_steps = float(params.lambda_cl), int(round(CLASSIFY_T_MAX / CLASSIFY_DT))
+    return [_fate(float(p.z), float(p.phi), lam, n_steps) for p in points]
 
 
 def phase_portrait(params: MeanFieldParams) -> PhasePortrait:

@@ -80,6 +80,7 @@ TOLERANCES = {
     "separatrix_bisection": 1e-12,  # width of the final bracket on z_c(phi)
     "cat_split_at_mean": 1e-9,  # |m - <m>| of a bin in neither half, rel. to max(1, |<m>|)
     "branch_orthogonality": 1e-10,  # |<a|d>| and |<a|J_z|d>| of a synthetic cat's branches
+    "eta_range": 1e-9,  # round-off an entanglement angle may lie outside [0, pi/2]
 }
 
 

@@ -51,6 +51,29 @@ def test_fixture_rejects_overlapping_peaks(space):
         make_synthetic_cat(space, center=5.0, width=5.0)
 
 
+@pytest.mark.parametrize("center,width", [
+    (np.nan, 5.0), (33.0, np.nan), (np.inf, 5.0), (33.0, np.inf), (-33.0, 5.0), (33.0, 0.0),
+])
+def test_fixture_rejects_non_finite_or_non_positive_shapes(space, center, width):
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_synthetic_cat(space, center=center, width=width)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixture_rejects_a_branch_that_underflows():
+    # every m < 0 lies at least 0.5 from -1.5, so each amplitude is exp(-62500) = 0
+    with pytest.raises(ValueError, match="norm 0"):
+        make_synthetic_cat(SpinSpace(10), center=1.5, width=1e-3)
+
+
+@pytest.mark.parametrize("lam,peak_width", [
+    (np.nan, 10.0), (np.inf, 10.0), (-1.0, 10.0), (66.0, np.nan), (66.0, np.inf), (66.0, 0.0),
+])
+def test_model_rejects_non_finite_parameters(lam, peak_width):
+    with pytest.raises(ValueError, match="must be finite"):
+        CatQubitModel(lam=lam, peak_width=peak_width, eta=0.0)
+
+
 def test_triangle_identity(cat, space):
     # PW^2 + Lambda^2 = 4 <c+-| J_z^2 |c+->
     m = space.m_values

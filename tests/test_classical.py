@@ -343,3 +343,58 @@ def test_classification_matches_energy_criterion():
             else TrajectoryClass.FREE_OSCILLATION
         )
         assert cls is expected, f"mismatch at z={p.z:.4f}, phi={p.phi:.4f}"
+
+
+@pytest.mark.parametrize("lam", [2.5, 10.0, 200.0])
+def test_classification_is_the_energy_criterion_across_the_cylinder(lam):
+    # above lambda_cl = 2 an orbit with H_cl > 1 never reaches z = 0, and one with H_cl < 1
+    # never reaches phi = pi, so it crosses z = 0; pi-phase trapped orbits never wind
+    mf, rng = MeanFieldParams(lam), np.random.default_rng(3)
+    pts = []
+    while len(pts) < 200:
+        p = PhasePoint(rng.uniform(-0.999, 0.999), rng.uniform(-np.pi, np.pi))
+        near = abs(abs(p.z) - separatrix(p.phi, mf)) < 1e-3
+        if near or abs(classical_energy(p, mf) - 1.0) < 1e-3:
+            continue
+        pts.append(p)
+    for p, cls in zip(pts, classify_batch(pts, mf)):
+        trapped = classical_energy(p, mf) > 1.0
+        assert (cls is TrajectoryClass.SELF_TRAPPING) == trapped, f"z={p.z:.4f}, phi={p.phi:.4f}"
+
+
+def test_pi_phase_trapped_orbits_centers_and_poles_are_trapped():
+    mf = MeanFieldParams(10.0)
+    z_st = np.sqrt(1.0 - 1.0 / 10.0**2)
+    # (0.99, pi) librates in z in [0.990, 0.998] and through 0.85 rad of phi: no event
+    starts = [PhasePoint(0.99, np.pi), PhasePoint(z_st, np.pi), PhasePoint(-z_st, np.pi)]
+    starts += [PhasePoint(pole, phi) for pole in (1.0, -1.0) for phi in (0.0, 1.0, np.pi)]
+    assert classify_batch(starts, mf) == [TrajectoryClass.SELF_TRAPPING] * len(starts)
+    # a start on z = 0 never changes the sign of z either; the saddle stays put
+    assert classify_batch([PhasePoint(0.0, np.pi)], mf) == [TrajectoryClass.FREE_OSCILLATION]
+
+
+def mirror_steps(zs, phis, energies, lam, dt, n_steps, budget):
+    """A stand-in loop whose every step flips the sign of z."""
+    for _ in range(n_steps):
+        zs.append(-zs[-1])
+        phis.append(phis[-1])
+        energies.append(energies[-1])
+    return n_steps
+
+
+@pytest.mark.parametrize("steps,expected", [
+    (lambda *args: 0, TrajectoryClass.SELF_TRAPPING),  # no step: undecided off z = 0
+    (mirror_steps, TrajectoryClass.FREE_OSCILLATION),
+])
+def test_classify_batch_steps_only_through_the_orbit_loop(monkeypatch, steps, expected):
+    # a deeply trapped start and a small free oscillation: any other kernel classes one
+    # of them otherwise
+    monkeypatch.setattr(classical, "_steps", steps)
+    starts = [PhasePoint(0.9, 0.0), PhasePoint(0.1, 0.0)]
+    assert classify_batch(starts, MeanFieldParams(10.0)) == [expected, expected]
+
+
+@pytest.mark.parametrize("z,phi", [(np.nan, 0.0), (0.1, np.nan), (0.1, np.inf), (1.5, 0.0)])
+def test_phase_point_rejects_nan_and_non_finite_phases(z, phi):
+    with pytest.raises(ValueError, match="finite phi"):
+        PhasePoint(z, phi)

@@ -1,9 +1,13 @@
-"""README stays in step with the code it lists: tolerance keys, commands and CLI flags."""
+"""README stays in step with the code it lists: tolerance keys, commands, CLI flags and
+the module constants it quotes."""
 
 import argparse
 import re
 from pathlib import Path
 
+import pytest
+
+from catlab import classical, dynamics, spin
 from catlab.cli import build_parser
 from catlab.harness import COMMANDS
 from catlab.spin import TOLERANCES
@@ -43,3 +47,19 @@ def test_readme_lists_every_command():
     # the list is the paragraph's first sentence
     commands = re.findall(r"`([a-z-]+)`", paragraph_after("Commands:").split(".")[0])
     assert commands == [*COMMANDS, "all-figures"]
+
+
+@pytest.mark.parametrize("name,module", [
+    ("PORTRAIT_AZIMUTHS", classical),
+    ("PORTRAIT_T_FINAL", classical),
+    ("PORTRAIT_DT", classical),
+    ("CLASSIFY_T_MAX", classical),
+    ("CLASSIFY_DT", classical),
+    ("spin.CHECK_PANEL", spin),
+    ("dynamics.PURE_STATE_BETA", dynamics),
+])
+def test_readme_quotes_constants_at_their_values(name, module):
+    quoted = re.findall(rf"`{re.escape(name)} = ([^`]+)`", README)
+    assert quoted, f"README quotes no `{name} = ...`"
+    value = getattr(module, name.rpartition(".")[2])
+    assert [float(q) for q in quoted] == [value] * len(quoted)

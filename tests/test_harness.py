@@ -154,6 +154,8 @@ DECIDING_CHECKS = {
     "branch_orthogonality": lambda: _verdict(
         lambda: type(catqubit.make_synthetic_cat(spin.SpinSpace(40), 8.0, 2.0))
     ),
+    # an angle 1e-12 below 0 is round-off at the edge, read as eta = 0
+    "eta_range": lambda: _verdict(lambda: catqubit.lg_violation(-1e-12)),
 }
 
 # checks that reject, each on an exact input outside the state path below
@@ -187,6 +189,7 @@ TOLERANCE_FLIPS = [
     ("separatrix_bisection", 1.0),
     ("cat_split_at_mean", -1.0),
     ("branch_orthogonality", -1.0),
+    ("eta_range", -1.0),
 ]
 
 
