@@ -5,7 +5,7 @@ gives the dimensionless energy
 
     H_cl(z, phi) = (lambda_cl / 2) z^2 - sqrt(1 - z^2) cos(phi),
 
-with lambda_cl = u N / t, canonical flow
+with lambda_cl = u N (u in units of the hopping energy t = 1), canonical flow
 
     dz/dtau   = -dH/dphi = -sqrt(1 - z^2) sin(phi)
     dphi/dtau = +dH/dz   = lambda_cl z + z cos(phi) / sqrt(1 - z^2).
@@ -23,8 +23,9 @@ it is decided exactly, with no slack.
 
 Every orbit, the portrait's and classify_batch's alike, steps in one RK4
 loop on Python floats (`_steps`); a step it refuses is retried as 2^r
-substeps through the same loop (`_orbit`).  classify_batch calls a start
-off z = 0 that never changes the sign of z self-trapped, pole starts included.
+substeps through the same loop (`_orbit`).  Every orbit is classed by one
+rule (`_verdict`): its first event, or self-trapped if it has none and did not
+start on z = 0, pole starts included.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _integrate(
     the energy budget is retried as 2^k substeps, k <= 10.  Once a step k
     fails every refinement, no orbit steps past k - 1, and the run gives up
     at the earliest failing step of all.  Each orbit's energy drift must stay
-    below TOLERANCES["energy_drift"].
+    below TOLERANCES["energy_drift"], and `_verdict` classes it from all its points.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -298,13 +299,10 @@ def _integrate(
         )
     trajectories = []
     for zs, phis, energies in orbits:
-        zs, phis = np.array(zs), np.array(phis)
-        # trapped: the phase winds past 2 pi while z never takes both signs
-        trapped = not zs.min() < 0.0 < zs.max() and np.abs(phis - phis[0]).max() > 2 * np.pi
         trajectories.append(Trajectory(
             times.copy(),
             np.column_stack([zs, phis]),
-            TrajectoryClass.SELF_TRAPPING if trapped else TrajectoryClass.FREE_OSCILLATION,
+            _verdict(zs[0], phis[0], zs, phis, ended=True),
             float(np.abs(np.subtract(energies, energies[0])).max()),
         ))
     drift = max(t.energy_drift for t in trajectories)
@@ -330,23 +328,37 @@ def integrate_trajectory(
     return trajectory
 
 
+def _verdict(z0: float, phi0: float, zs, phis, ended: bool) -> TrajectoryClass | None:
+    """The class of the orbit from (z0, phi0) whose points so far are zs, phis.
+
+    Its first event decides: z with the sign opposite to z0's is FREE_OSCILLATION,
+    a phase wound by more than 2 pi from phi0 SELF_TRAPPING.  With no event, an
+    orbit that has ended is SELF_TRAPPING, as z never changed sign, unless it
+    started on z = 0, where H_cl = -cos(phi) <= 1; one that has not ended is
+    undecided (None).
+    """
+    for z, phi in zip(zs, phis):
+        if z < 0.0 < z0 or z0 < 0.0 < z:
+            return TrajectoryClass.FREE_OSCILLATION
+        if abs(phi - phi0) > 2 * np.pi:
+            return TrajectoryClass.SELF_TRAPPING
+    if not ended:
+        return None
+    return TrajectoryClass.SELF_TRAPPING if z0 != 0.0 else TrajectoryClass.FREE_OSCILLATION
+
+
 def _fate(z0: float, phi0: float, lam: float, n_steps: int) -> TrajectoryClass:
     """One start's class from the first event of its orbit, checked block by block."""
     zs, phis, energies = [z0], [phi0], [float(_energy(z0, phi0, lam))]
-    while n_steps > 0:
+    while True:
         block = min(ORBIT_BLOCK, n_steps)
         _orbit(zs, phis, energies, lam, CLASSIFY_DT, block, math.inf)
-        for z, phi in zip(zs[1:], phis[1:]):
-            if z < 0.0 < z0 or z0 < 0.0 < z:
-                return TrajectoryClass.FREE_OSCILLATION
-            if abs(phi - phi0) > 2 * np.pi:
-                return TrajectoryClass.SELF_TRAPPING
-        if len(zs) <= block:  # the orbit stopped: it can take no further step
-            break
         n_steps -= block
+        # it ends at the horizon, or where it can take no further step
+        verdict = _verdict(z0, phi0, zs, phis, ended=n_steps == 0 or len(zs) <= block)
+        if verdict is not None:
+            return verdict
         del zs[:-1], phis[:-1], energies[:-1]
-    # z never changed sign: trapped, unless it started on z = 0, where H_cl = -cos(phi) <= 1
-    return TrajectoryClass.SELF_TRAPPING if z0 != 0.0 else TrajectoryClass.FREE_OSCILLATION
 
 
 def classify_batch(points: list[PhasePoint], params: MeanFieldParams) -> list[TrajectoryClass]:

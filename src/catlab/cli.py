@@ -4,7 +4,8 @@
 
 Commands: distribution | time-sweep | temp-sweep | qfi-map | wigner |
 classical | catqubit | all-figures.  Each run writes figure-ready CSV files
-plus a manifest.json with config echo and per-file checksums.
+plus a manifest.json with config echo and per-file checksums.  The hopping
+energy t = 1 is the unit, so --u and --n fix the one coupling lambda_cl = u N.
 
 Exit codes: 0 success, 2 configuration error (including any --config or
 --out path the system refuses, a requested state that does not exist for
@@ -41,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--n", dest="n_particles", type=int, help="particle number N (even)")
-        p.add_argument("--u", dest="u_int", type=float, help="interaction energy u")
-        p.add_argument("--t-hop", type=float, help="hopping energy t")
+        p.add_argument("--u", dest="u_int", type=float,
+                       help="interaction energy u, in units of the hopping energy t")
         p.add_argument("--state", dest="state_label", choices=["pi", "zero"])
         p.add_argument(
             "--beta-inv", dest="beta_inv_over_eps", type=float,
@@ -59,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="temperature-sweep grid (beta_inv values)")
         p.add_argument("--alpha", dest="cat_alpha", type=float,
                        help="cat-qubit ratio Lambda / PW")
-        p.add_argument("--lambda-cl", type=float,
-                       help="classical-portrait coupling override")
         p.add_argument("--sign-convention", choices=["figure_one", "literal_eq5"])
         p.add_argument("--optimize-time", dest="optimize_time_factor", action="store_const",
                        const=True,

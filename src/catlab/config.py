@@ -2,7 +2,9 @@
 
 The configuration round-trips through JSON bit-exactly (floats are written
 with repr-level precision), so a saved config plus the tool version pins a
-run completely.  Command-line flags override individual fields.
+run completely.  Command-line flags override individual fields, and each
+field is the target of one.  Energies are in units of the hopping energy
+t = 1, so u_int and n_particles fix the mean-field coupling lambda_cl = u N.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class RunConfig:
 
     n_particles: int = 200
     u_int: float = 0.1
-    t_hop: float = 1.0
     state_label: str = "zero"  # "pi" or "zero"
     beta_inv_over_eps: float = 0.0  # 0 means the spin coherent state (dynamics.PURE_STATE_BETA)
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
@@ -62,7 +63,6 @@ class RunConfig:
     beta_inv_grid: list[float] = field(default_factory=_default_beta_inv_grid)
     optimize_time_factor: bool = False
     cat_alpha: float = 6.6
-    lambda_cl: float | None = None  # classical-portrait override; None derives u N / t
 
     def __post_init__(self):
         self.validate()
@@ -82,8 +82,6 @@ class RunConfig:
             )
         if not self.u_int > 0:
             raise ConfigError(f"u_int must be > 0, got {self.u_int!r}")
-        if not self.t_hop > 0:
-            raise ConfigError(f"t_hop must be > 0, got {self.t_hop!r}")
         if self.state_label not in ("pi", "zero"):
             raise ConfigError(f"state_label must be 'pi' or 'zero', got {self.state_label!r}")
         if self.beta_inv_over_eps < 0:
@@ -128,8 +126,6 @@ class RunConfig:
                 f"cat_alpha {self.cat_alpha!r}: Lambda^2 = (cat_alpha PW)^2 overflows "
                 f"at PW = {PEAK_WIDTH}"
             )
-        if self.lambda_cl is not None and self.lambda_cl < 0:
-            raise ConfigError(f"lambda_cl must be >= 0, got {self.lambda_cl!r}")
 
     def effective_time_factor(self, state_label: str | None = None) -> float:
         label = state_label if state_label is not None else self.state_label

@@ -8,7 +8,9 @@ which in collective-spin form (n_1 - n_2 = 2 J_z, mode exchange = 2 J_x) reads
 
     H = 2 u J_z^2 + sigma * 2 t J_x.
 
-The default sign sigma = -1 places the unstable mean-field fixed point at
+The hopping energy sets the time unit, t = 1, so u is in units of t and one
+coupling, lambda_cl = u N, fixes the mean-field portrait and the 0 state's
+start.  The default sign sigma = -1 places the unstable mean-field fixed point at
 (z = 0, phi = pi); the literal sigma = +1 variant is gauge-equivalent under
 conjugation by exp(i pi J_z) together with phi -> phi + pi, and leaves every
 counting statistic and Fisher information unchanged.
@@ -69,27 +71,22 @@ class StateLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class TwistTurnParams:
-    """Couplings of the twist-and-turn Hamiltonian on a given spin space."""
+    """Couplings of the twist-and-turn Hamiltonian on a given spin space, in units of t."""
 
     space: SpinSpace
-    t_hop: float = 1.0
     u_int: float = 0.1
     sign_convention: SignConvention = SignConvention.FIGURE_ONE
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_hop) and self.t_hop > 0):
-            raise ValueError(f"t_hop must be > 0, got {self.t_hop}")
         if not (np.isfinite(self.u_int) and self.u_int >= 0):
             raise ValueError(f"u_int must be >= 0, got {self.u_int}")
 
     @property
     def lambda_cl(self) -> float:
-        """Mean-field coupling u N / t controlling the classical phase portrait."""
-        lam = self.u_int * self.space.n_particles / self.t_hop
+        """Mean-field coupling u N controlling the classical phase portrait."""
+        lam = self.u_int * self.space.n_particles
         if not math.isfinite(lam):
-            raise ValueError(
-                f"u_int {self.u_int!r} and t_hop {self.t_hop!r}: lambda_cl = u N / t overflows"
-            )
+            raise ValueError(f"u_int {self.u_int!r}: lambda_cl = u N overflows")
         return lam
 
 
@@ -97,16 +94,14 @@ Bands = tuple[np.ndarray, np.ndarray]
 
 
 def build_hamiltonian(params: TwistTurnParams) -> Bands:
-    """Twist-and-turn H as its real Dicke bands: (2u m^2, sigma 2t <m+1| J_x |m>)."""
+    """Twist-and-turn H as its real Dicke bands: (2u m^2, sigma 2 <m+1| J_x |m>)."""
     space, j = params.space, params.space.j
     # a finite Gershgorin bound keeps every entry and eigenvalue of H finite
-    if not math.isfinite(2.0 * params.u_int * j * j + 2.0 * params.t_hop * math.sqrt(j * j + j)):
-        raise ValueError(f"u_int {params.u_int!r} and t_hop {params.t_hop!r}: H overflows")
+    if not math.isfinite(2.0 * params.u_int * j * j + 2.0 * math.sqrt(j * j + j)):
+        raise ValueError(f"u_int {params.u_int!r}: H overflows")
     sigma = -1.0 if params.sign_convention is SignConvention.FIGURE_ONE else 1.0
-    return (
-        2.0 * params.u_int * space.m_values**2,
-        sigma * 2.0 * params.t_hop * (0.5 * space.j_band),
-    )
+    # 2 <m+1| J_x |m> is J_+'s band
+    return 2.0 * params.u_int * space.m_values**2, sigma * space.j_band
 
 
 def t_pi(space: SpinSpace, u_int: float) -> float:

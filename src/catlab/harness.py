@@ -131,7 +131,6 @@ def parallel_map(func, items: list, n_workers: int) -> list:
 def _params_from_config(config: RunConfig) -> TwistTurnParams:
     return TwistTurnParams(
         space=SpinSpace(config.n_particles),
-        t_hop=config.t_hop,
         u_int=config.u_int,
         sign_convention=SignConvention(config.sign_convention),
     )
@@ -145,15 +144,8 @@ def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
     ))
 
 
-def _lambda_cl(config: RunConfig) -> float:
-    """The classical-portrait coupling: the configured override, else u N / t."""
-    if config.lambda_cl is not None:
-        return config.lambda_cl
-    return _params_from_config(config).lambda_cl
-
-
 def derived_quantities(config: RunConfig) -> dict:
-    lam_cl = _lambda_cl(config)
+    lam_cl = _params_from_config(config).lambda_cl
     try:
         z_c0 = separatrix(0.0, MeanFieldParams(lam_cl))
     except SeparatrixAbsentError:
@@ -250,7 +242,7 @@ def cmd_wigner(config: RunConfig) -> tuple:
 
 
 def cmd_classical(config: RunConfig) -> tuple:
-    portrait = phase_portrait(MeanFieldParams(_lambda_cl(config)))
+    portrait = phase_portrait(MeanFieldParams(_params_from_config(config).lambda_cl))
     rows: list[tuple] = []
     for i, fp in enumerate(portrait.fixed_points):
         rows.append((f"fixed_point_{i}", 0, fp.point.z, fp.point.phi, fp.stability.value))

@@ -21,7 +21,7 @@ def space200():
 
 @pytest.fixture(scope="session")
 def params200(space200):
-    return TwistTurnParams(space=space200, t_hop=1.0, u_int=0.1)
+    return TwistTurnParams(space=space200, u_int=0.1)
 
 
 @pytest.fixture(scope="session")

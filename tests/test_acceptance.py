@@ -147,7 +147,7 @@ def test_criterion_05_n_scaling():
     lams = []
     for n in ns:
         space = SpinSpace(int(n))
-        params = TwistTurnParams(space, t_hop=1.0, u_int=20.0 / n)
+        params = TwistTurnParams(space, u_int=20.0 / n)
         state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
         lams.append(cat_split(jz_distribution(state)).extensive_difference)
     lams = np.array(lams)
@@ -166,7 +166,7 @@ def test_n_scaling_holds_at_n4000():
     # and its measurable indefiniteness r_c stays near its N = 800 value
     reports = {}
     for n in (800, 4000):
-        params = TwistTurnParams(SpinSpace(n), t_hop=1.0, u_int=20.0 / n)
+        params = TwistTurnParams(SpinSpace(n), u_int=20.0 / n)
         state = next(prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.4], params))
         reports[n] = metrology_report(state)
     big = reports[4000]

@@ -189,6 +189,13 @@ def test_trajectory_classification_examples():
     trapped = integrate_trajectory(PhasePoint(0.8, 0.0), mf, t_final=6.0)
     assert trapped.classification is TrajectoryClass.SELF_TRAPPING
     assert free.energy_drift < 1e-6 and trapped.energy_drift < 1e-6
+    # classify_batch's rule: a pi-phase trapped orbit and the self-trapped center never
+    # wind or change the sign of z; a start on z = 0 (about (0, 0), or the saddle) is free
+    starts = [PhasePoint(0.99, np.pi), PhasePoint(np.sqrt(0.99), np.pi),
+              PhasePoint(0.0, 1.0), PhasePoint(0.0, np.pi)]
+    got = [integrate_trajectory(p, mf, 12.0).classification for p in starts]
+    assert got == [TrajectoryClass.SELF_TRAPPING] * 2 + [TrajectoryClass.FREE_OSCILLATION] * 2
+    assert got == classify_batch(starts, mf)
 
 
 def test_portrait_orbits_match_single_orbit_integration():

@@ -47,7 +47,7 @@ def test_config_round_trip_bit_exact():
         ("n_particles", 41, "even"),
         ("n_particles", 0, "even"),
         ("u_int", -1.0, "u_int"),
-        ("t_hop", 0.0, "t_hop"),
+        ("u_int", 0.0, "u_int"),
         ("state_label", "cat", "state_label"),
         ("beta_inv_over_eps", -2.0, "beta_inv_over_eps"),
         ("workers", 0, "workers"),
@@ -69,7 +69,6 @@ def test_config_validation_messages(field, value, fragment):
         ("--beta-inv", "nan"),
         ("--u", "inf"),
         ("--time-factor", "inf"),
-        ("--lambda-cl", "nan"),
         ("--betas", "nan"),
         ("--factors", "inf"),
     ],
@@ -151,7 +150,7 @@ def test_cli_import_leaves_the_process_pool_out():
 
 @pytest.mark.parametrize("command", ["distribution", "wigner", "time-sweep"])
 def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
-    # the 0 state sits on the separatrix, which needs lambda_cl = u N / t > 1
+    # the 0 state sits on the separatrix, which needs lambda_cl = u N > 1
     argv = [command, "--n", "20", "--u", "0.001", "--state", "zero", "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -240,7 +239,7 @@ def test_refused_out_exits_2_from_the_process(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["classical", "--lambda-cl", "3"],
+        ["classical"],
         ["distribution", "--state", "pi"],
         ["time-sweep", "--state", "pi"],
     ],
@@ -275,7 +274,9 @@ def test_default_run_manifests_are_strict_json(tmp_path, monkeypatch):
     ],
 )
 def test_cli_unintegrable_coupling_is_a_numerical_failure(tmp_path, capsys, lambda_cl, cause):
-    assert main(["classical", "--lambda-cl", lambda_cl, "--out", str(tmp_path)]) == 3
+    # halving is exact, so N = 2 and u = lambda_cl / 2 give lambda_cl = u N bit for bit
+    u = str(float(lambda_cl) / 2)
+    assert main(["classical", "--n", "2", "--u", u, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant failure: " + cause)
     assert "Traceback" not in err
@@ -351,10 +352,13 @@ def test_every_config_field_is_the_dest_of_a_flag():
         ("wigner_phi_points", 512),
         ("cat_width", 5.0),
         ("eta_grid", [0.0, 0.5]),
+        ("t_hop", 1.5),
+        ("lambda_cl", 3.0),
     ],
 )
 def test_config_naming_a_removed_field_exits_2(tmp_path, capsys, field, value):
-    # the read-out, the Wigner grid and the cat-qubit model are fixed by their modules
+    # the read-out, the Wigner grid and the cat-qubit model are fixed by their modules,
+    # and the hopping energy t = 1 is the unit, so lambda_cl = u N
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({field: value}))
     argv = ["catqubit", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -394,7 +398,6 @@ def test_cli_flag_overrides(tmp_path):
     [
         (["--n", "20"], "n_particles", 20),
         (["--u", "0.25"], "u_int", 0.25),
-        (["--t-hop", "1.5"], "t_hop", 1.5),
         (["--state", "pi"], "state_label", "pi"),
         (["--beta-inv", "2.0"], "beta_inv_over_eps", 2.0),
         (["--time-factor", "0.5"], "time_factor", 0.5),
@@ -405,7 +408,6 @@ def test_cli_flag_overrides(tmp_path):
         (["--factors", "0.5", "1.5"], "time_factors", [0.5, 1.5]),
         (["--betas", "1", "10"], "beta_inv_grid", [1.0, 10.0]),
         (["--alpha", "2.0"], "cat_alpha", 2.0),
-        (["--lambda-cl", "3.0"], "lambda_cl", 3.0),
         (["--sign-convention", "literal_eq5"], "sign_convention", "literal_eq5"),
         (["--optimize-time"], "optimize_time_factor", True),
     ],
@@ -566,11 +568,11 @@ def test_cli_rejects_an_evolution_time_that_overflows(tmp_path, capsys, argv):
     "argv,name",
     [
         (["--u", "1e305"], "u_int"),
-        (["--state", "pi", "--t-hop", "1e307"], "t_hop"),
-        (["--state", "pi", "--t-hop", "1e305", "--time-factor", "100"], "time factor 100"),
+        # H is finite and f T_pi is 3.7e4, but the phases w f T_pi reach 7.4e308
+        (["--state", "pi", "--u", "1e300", "--time-factor", "1e306"], "time factor 1e+306"),
         (["--u", "1e307"], "u_int"),
     ],
-    ids=["u", "t_hop", "phase", "lambda_cl"],
+    ids=["u", "phase", "lambda_cl"],
 )
 def test_cli_rejects_a_hamiltonian_or_phase_that_overflows(tmp_path, capsys, argv, name):
     # H's entries, or the phases w tau of its eigenvalues, would be inf
@@ -614,13 +616,37 @@ def test_manifest_lists_outputs_with_checksums(tmp_path):
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         assert manifest["outputs"][rel] == digest
     assert manifest["derived"]["t_pi"] > 0
-    assert manifest["derived"]["lambda_cl"] == pytest.approx(
-        cfg.u_int * cfg.n_particles / cfg.t_hop
-    )
+    assert manifest["derived"]["lambda_cl"] == cfg.u_int * cfg.n_particles
+
+
+@pytest.mark.parametrize("command", ["distribution", "all-figures"])
+def test_manifest_derives_the_coupling_the_run_used(tmp_path, command):
+    # one coupling per run: the manifest's lambda_cl is u N, and its z_c(0) is the 0 state's start
+    argv = [command, "--n", "40", "--u", "0.125", "--grid-theta", "4", "--grid-phi", "4",
+            "--factors", "1.4", "--betas", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    params = dynamics.TwistTurnParams(SpinSpace(40), u_int=0.125)
+    z0, _ = dynamics.initial_condition(dynamics.StateLabel.ZERO, params)
+    manifests = sorted(tmp_path.rglob("manifest.json"))
+    assert len(manifests) == (len(harness.COMMANDS) + 1 if command == "all-figures" else 1)
+    for path in manifests:
+        derived = json.loads(path.read_text(encoding="utf-8"))["derived"]
+        assert derived["lambda_cl"] == 0.125 * 40
+        assert derived["z_c0"].hex() == z0.hex()
+
+
+@pytest.mark.parametrize("flag", ["--t-hop", "--lambda-cl"])
+def test_removed_coupling_flags_exit_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classical", flag, "1.0", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_classical_command_with_explicit_coupling(tmp_path):
-    cfg = small_config(tmp_path, lambda_cl=10.0)
+    # lambda_cl = u N = 10
+    cfg = small_config(tmp_path, n_particles=20, u_int=0.5)
     run_command("classical", cfg)
     rows = (Path(cfg.out_dir) / "portrait.csv").read_text().strip().splitlines()
     sep_at_zero = [

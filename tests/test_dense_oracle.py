@@ -51,7 +51,7 @@ def dense_evolved(label, beta, factor, params):
     rho = expm(beta * (j_axis - sp.j * np.eye(sp.dim)))  # spectrum shifted to <= 0
     rho /= np.trace(rho).real
     mats = spin_matrices(sp.n_particles)
-    h = 2.0 * params.u_int * mats.jz @ mats.jz + sigma * 2.0 * params.t_hop * mats.jx
+    h = 2.0 * params.u_int * mats.jz @ mats.jz + sigma * 2.0 * mats.jx
     u = expm(-1j * h * factor * t_pi(sp, params.u_int))
     return u @ rho @ u.conj().T
 

@@ -28,41 +28,45 @@ from conftest import PURE_BETA, dense, random_density, skew, spin_matrices, trid
 
 def test_hamiltonian_structure():
     sp = SpinSpace(20)
-    params = TwistTurnParams(sp, t_hop=1.0, u_int=0.1)
+    params = TwistTurnParams(sp, u_int=0.1)
     h = tridiagonal(*build_hamiltonian(params))
     # tridiagonal in the Dicke basis
     off = np.triu(np.abs(h), 2)
     assert off.max() == 0
     # diagonal carries the interaction: (u/2) (n1 - n2)^2 = 2 u m^2
     assert np.abs(np.diag(h).real - 2 * params.u_int * sp.m_values**2).max() < 1e-12
-    # hopping block: the free spectrum is the single-particle splitting 2t
-    free = tridiagonal(*build_hamiltonian(TwistTurnParams(sp, t_hop=0.7, u_int=0.0)))
+    # hopping block: the free spectrum is the single-particle splitting 2t, t = 1
+    free = tridiagonal(*build_hamiltonian(TwistTurnParams(sp, u_int=0.0)))
     w = np.linalg.eigvalsh(free)
-    assert np.abs(w - 2 * 0.7 * sp.m_values).max() < 1e-9
+    assert np.abs(w - 2 * sp.m_values).max() < 1e-9
 
 
 @pytest.mark.parametrize("convention", list(SignConvention))
 def test_hamiltonian_bands_form_the_dense_h(convention):
-    # the bands, laid out densely, are bit for bit 2u Jz^2 + sigma 2t Jx
+    # the bands, laid out densely, are bit for bit 2u Jz^2 + sigma 2 Jx
     sp = SpinSpace(40)
-    params = TwistTurnParams(sp, t_hop=0.7, u_int=0.3, sign_convention=convention)
+    params = TwistTurnParams(sp, u_int=0.3, sign_convention=convention)
     sigma = -1.0 if convention is SignConvention.FIGURE_ONE else 1.0
     jx = spin_matrices(40).jx.real
-    h = 2.0 * params.u_int * np.diag(sp.m_values**2) + sigma * 2.0 * params.t_hop * jx
+    h = 2.0 * params.u_int * np.diag(sp.m_values**2) + sigma * 2.0 * jx
     assert np.array_equal(tridiagonal(*build_hamiltonian(params)), h)
 
 
 def test_params_validation():
     sp = SpinSpace(4)
     with pytest.raises(ValueError):
-        TwistTurnParams(sp, t_hop=0.0)
+        TwistTurnParams(sp, u_int=-0.1)
     with pytest.raises(ValueError):
-        TwistTurnParams(sp, t_hop=1.0, u_int=-0.1)
+        TwistTurnParams(sp, u_int=float("nan"))
 
 
 def test_lambda_cl_derivation():
-    params = TwistTurnParams(SpinSpace(200), t_hop=1.0, u_int=0.1)
-    assert params.lambda_cl == pytest.approx(20.0)
+    params = TwistTurnParams(SpinSpace(200), u_int=0.1)
+    assert params.lambda_cl == 0.1 * 200
+    # halving is exact, so N = 2 reaches any coupling bit for bit
+    assert TwistTurnParams(SpinSpace(2), u_int=1.5).lambda_cl == 3.0
+    with pytest.raises(ValueError, match="lambda_cl = u N overflows"):
+        TwistTurnParams(SpinSpace(200), u_int=1e307).lambda_cl
 
 
 def test_t_pi_values():
@@ -213,7 +217,7 @@ def test_zero_time_factor_keeps_single_peak():
 
 
 def test_subcritical_coupling_propagates_error():
-    params = TwistTurnParams(SpinSpace(40), t_hop=1.0, u_int=0.02)  # lambda_cl = 0.8
+    params = TwistTurnParams(SpinSpace(40), u_int=0.02)  # lambda_cl = 0.8
     with pytest.raises(SeparatrixAbsentError):
         prepare_and_evolve(StateLabel.ZERO, PURE_BETA, [1.0], params)
     # the pi state needs no separatrix and still works

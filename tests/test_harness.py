@@ -115,7 +115,7 @@ def test_qfi_map_csv_shape_and_manifest(tmp_path):
     assert header == ["theta", "phi", "value"]
     assert len(rows) == 9 * 12
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # lambda_cl = u N / t = 4: the crossing solves 2 z^2 - sqrt(1 - z^2) = 1
+    # lambda_cl = u N = 4: the crossing solves 2 z^2 - sqrt(1 - z^2) = 1
     assert manifest["derived"]["lambda_cl"] == pytest.approx(4.0)
     assert manifest["derived"]["z_c0"] == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
     assert manifest["time_factor_zero"] == 1.4

@@ -80,10 +80,14 @@ def oracle_integrate(starts, params, t_final, dt):
                 )
             zs[k, i], phis[k, i], energies[k, i] = z, phi, e
     drifts = np.abs(energies - energies[0]).max(axis=0)
-    signs = np.sign(zs)
-    first = signs[(signs != 0).argmax(axis=0), np.arange(len(starts))]
-    sign_changed = ((signs != 0) & (signs != first)).any(axis=0)
-    trapped = ~sign_changed & (np.abs(phis - phis[0]).max(axis=0) > 2 * np.pi)
+    # the first event decides, the sign tested first: z of the sign opposite to z0's is
+    # free, a phase wound past 2 pi trapped; an orbit with neither is trapped unless z0 = 0
+    never = n_steps + 1
+    crossed = np.sign(zs) * np.sign(zs[0]) < 0
+    wound = np.abs(phis - phis[0]) > 2 * np.pi
+    first_cross = np.where(crossed.any(axis=0), crossed.argmax(axis=0), never)
+    first_wound = np.where(wound.any(axis=0), wound.argmax(axis=0), never)
+    trapped = (first_wound < first_cross) | ((first_cross == never) & (zs[0] != 0))
     return [
         Trajectory(
             times,

@@ -19,7 +19,7 @@ from catlab import (
 )
 from catlab.dynamics import propagator
 
-# N >= 24 keeps lambda_cl = u N / t above 2, so the 0 state exists
+# N >= 24 keeps lambda_cl = u N above 2, so the 0 state exists
 n_particles = st.integers(12, 40).map(lambda k: 2 * k)
 betas = st.floats(-2.0, np.log10(50.0)).map(lambda x: 10.0**x)
 zs = st.floats(-1.0, 1.0)
