@@ -23,7 +23,6 @@ from .spin import (
 )
 from .dynamics import (
     Propagator,
-    SignConvention,
     StateLabel,
     TwistTurnParams,
     build_hamiltonian,

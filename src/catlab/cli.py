@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="initial temperature in units of eps_tau (0 = pure state)",
         )
         p.add_argument("--time-factor", type=float, help="multiple of T_pi")
-        p.add_argument("--grid-theta", type=int)
-        p.add_argument("--grid-phi", type=int)
         p.add_argument("--out", dest="out_dir", type=str, help="output directory")
         p.add_argument("--workers", type=int)
         p.add_argument("--factors", dest="time_factors", type=float, nargs="+",
@@ -60,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="temperature-sweep grid (beta_inv values)")
         p.add_argument("--alpha", dest="cat_alpha", type=float,
                        help="cat-qubit ratio Lambda / PW")
-        p.add_argument("--sign-convention", choices=["figure_one", "literal_eq5"])
         p.add_argument("--optimize-time", dest="optimize_time_factor", action="store_const",
                        const=True,
                        help="pick the extensive-difference maximizing time per sweep point")

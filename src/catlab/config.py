@@ -36,6 +36,22 @@ _TYPE_CHECKS = {
 }
 
 
+def _finite_floats(name: str, value: float | list[float]) -> float | list[float]:
+    """A float field's number or list of numbers as finite floats.
+
+    A JSON int is exact at any size: past float range it has no float, and inside it
+    Python's int arithmetic (N u) can still leave float range, so every entry is a float.
+    """
+    entries = value if isinstance(value, list) else [value]
+    try:
+        floats = [float(v) for v in entries]
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be finite, got an int past float range") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return floats if isinstance(value, list) else floats[0]
+
+
 def _default_time_factors() -> list[float]:
     return [round(0.1 * k, 10) for k in range(0, 21)]
 
@@ -54,11 +70,8 @@ class RunConfig:
     state_label: str = "zero"  # "pi" or "zero"
     beta_inv_over_eps: float = 0.0  # 0 means the spin coherent state (dynamics.PURE_STATE_BETA)
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
-    grid_theta: int = 64
-    grid_phi: int = 128
     out_dir: str = "catlab_out"
     workers: int = 1
-    sign_convention: str = "figure_one"
     time_factors: list[float] = field(default_factory=_default_time_factors)
     beta_inv_grid: list[float] = field(default_factory=_default_beta_inv_grid)
     optimize_time_factor: bool = False
@@ -68,14 +81,13 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        # a wrong type or NaN/inf would slip past or crash the range checks below
+        # a wrong type, NaN/inf or an int would slip past or crash the range checks below
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not _TYPE_CHECKS[f.type](value):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-            entries = value if isinstance(value, list) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if "float" in f.type and value is not None:
+                setattr(self, f.name, _finite_floats(f.name, value))
         if not 2 <= self.n_particles <= 2**53 or self.n_particles % 2:  # 2^53: every m exact
             raise ConfigError(
                 f"n_particles must be an even integer in [2, 2**53], got {self.n_particles!r}"
@@ -102,17 +114,8 @@ class RunConfig:
             )
         if self.time_factor is not None and self.time_factor < 0:
             raise ConfigError(f"time_factor must be >= 0, got {self.time_factor!r}")
-        if self.grid_theta < 2 or self.grid_phi < 2:
-            raise ConfigError(
-                f"axis grids need >= 2 points, got {self.grid_theta} x {self.grid_phi}"
-            )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
-        if self.sign_convention not in ("figure_one", "literal_eq5"):
-            raise ConfigError(
-                f"sign_convention must be 'figure_one' or 'literal_eq5', "
-                f"got {self.sign_convention!r}"
-            )
         if not self.time_factors or any(f < 0 for f in self.time_factors):
             raise ConfigError("time_factors must be a non-empty list of factors >= 0")
         if not self.beta_inv_grid or any(b <= 0 for b in self.beta_inv_grid):

@@ -2,18 +2,20 @@
 
 The two-mode Hamiltonian with hopping energy t and interaction energy u is
 
-    H = (u/2) (n_1 - n_2)^2 + sigma * t * (a1^dag a2 + a2^dag a1)
+    H = (u/2) (n_1 - n_2)^2 - t (a1^dag a2 + a2^dag a1)
 
 which in collective-spin form (n_1 - n_2 = 2 J_z, mode exchange = 2 J_x) reads
 
-    H = 2 u J_z^2 + sigma * 2 t J_x.
+    H = 2 u J_z^2 - 2 J_x.
 
 The hopping energy sets the time unit, t = 1, so u is in units of t and one
 coupling, lambda_cl = u N, fixes the mean-field portrait and the 0 state's
-start.  The default sign sigma = -1 places the unstable mean-field fixed point at
-(z = 0, phi = pi); the literal sigma = +1 variant is gauge-equivalent under
-conjugation by exp(i pi J_z) together with phi -> phi + pi, and leaves every
-counting statistic and Fisher information unchanged.
+start.  This sign puts the unstable mean-field fixed point at (z = 0, phi = pi),
+as in the paper's Figure 1.  The paper's Eq. 5 writes the hopping with the
+other sign, 2 u J_z^2 + 2 J_x, which is this H conjugated by exp(i pi J_z)
+(J_x -> -J_x, J_y -> -J_y): a state started at (z, phi + pi) under it is the
+gauge image of this H's state started at (z, phi).  Every counting statistic
+and Fisher information agrees, and the axis map turns by pi in phi.
 
 Starting a coherent (or partially condensed thermal) state on the separatrix
 and evolving for the schedule time
@@ -55,13 +57,6 @@ def beta_scaled_of(beta_inv: float) -> float:
     return PURE_STATE_BETA if beta_inv == 0 else 1.0 / beta_inv
 
 
-class SignConvention(enum.Enum):
-    """Sign of the hopping term; FIGURE_ONE puts the saddle at phi = pi."""
-
-    FIGURE_ONE = "figure_one"
-    LITERAL_EQ5 = "literal_eq5"
-
-
 class StateLabel(enum.Enum):
     """Canonical initial states, named by their phase-space azimuth."""
 
@@ -75,7 +70,6 @@ class TwistTurnParams:
 
     space: SpinSpace
     u_int: float = 0.1
-    sign_convention: SignConvention = SignConvention.FIGURE_ONE
 
     def __post_init__(self):
         if not (np.isfinite(self.u_int) and self.u_int >= 0):
@@ -94,14 +88,13 @@ Bands = tuple[np.ndarray, np.ndarray]
 
 
 def build_hamiltonian(params: TwistTurnParams) -> Bands:
-    """Twist-and-turn H as its real Dicke bands: (2u m^2, sigma 2 <m+1| J_x |m>)."""
+    """Twist-and-turn H as its real Dicke bands: (2u m^2, -2 <m+1| J_x |m>)."""
     space, j = params.space, params.space.j
     # a finite Gershgorin bound keeps every entry and eigenvalue of H finite
     if not math.isfinite(2.0 * params.u_int * j * j + 2.0 * math.sqrt(j * j + j)):
         raise ValueError(f"u_int {params.u_int!r}: H overflows")
-    sigma = -1.0 if params.sign_convention is SignConvention.FIGURE_ONE else 1.0
     # 2 <m+1| J_x |m> is J_+'s band
-    return 2.0 * params.u_int * space.m_values**2, sigma * space.j_band
+    return 2.0 * params.u_int * space.m_values**2, -space.j_band
 
 
 def t_pi(space: SpinSpace, u_int: float) -> float:
@@ -184,9 +177,6 @@ def prepare_and_evolve(
     factors = list(time_factors)
     tpi = t_pi(params.space, params.u_int)
     z, phi = initial_condition(state_label, params)
-    if params.sign_convention is SignConvention.LITERAL_EQ5:
-        # same physics in the gauge where the saddle sits at phi = 0
-        phi = phi + np.pi
     # H's eigensystem first, while nothing else is held: its solver's workspace is freed
     # before a hot state's columns are allocated, and the peak is lower
     prop = propagator(params)

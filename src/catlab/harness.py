@@ -4,10 +4,11 @@ Each command returns (file name, header, table), the table being rows or a
 Grid of values over two axes; run_command streams it to a CSV file, a block
 of rows or one grid row at a time, next to a manifest.json recording the
 config echo, the conventions and the whole spin.TOLERANCES table, derived
-quantities (T_pi, lambda_cl, z_c(0)), and a sha256 checksum for each output
-file. Floats are serialized with 17 significant digits so repeated runs are
-byte-identical regardless of worker count: sweep points are distributed to
-a process pool but assembled in deterministic key order before writing.
+quantities (T_pi, lambda_cl, z_c(0), wigner_phi_count), and a sha256
+checksum for each output file. Floats are serialized with 17 significant
+digits so repeated runs are byte-identical regardless of worker count: sweep
+points are distributed to a process pool but assembled in deterministic key
+order before writing.
 A run whose estimated memory exceeds MemAvailable is refused before it
 allocates.
 """
@@ -40,7 +41,6 @@ from .catqubit import (
 )
 from .config import ConfigError, RunConfig
 from .dynamics import (
-    SignConvention,
     StateLabel,
     TwistTurnParams,
     beta_scaled_of,
@@ -129,11 +129,7 @@ def parallel_map(func, items: list, n_workers: int) -> list:
 
 
 def _params_from_config(config: RunConfig) -> TwistTurnParams:
-    return TwistTurnParams(
-        space=SpinSpace(config.n_particles),
-        u_int=config.u_int,
-        sign_convention=SignConvention(config.sign_convention),
-    )
+    return TwistTurnParams(space=SpinSpace(config.n_particles), u_int=config.u_int)
 
 
 def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
@@ -231,7 +227,7 @@ def cmd_temp_sweep(config: RunConfig) -> tuple:
 
 
 def cmd_qfi_map(config: RunConfig) -> tuple:
-    thetas, phis = default_axis_grids(config.grid_theta, config.grid_phi)
+    thetas, phis = default_axis_grids()
     amap = qfi_axis_map(_evolved_state(config), thetas, phis)
     return "neff_map.csv", ["theta", "phi", "value"], Grid(thetas, phis, amap.values)
 
@@ -309,7 +305,6 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
         "version": __version__,
         "command": command,
         "config": config.to_dict(),
-        "sign_convention": config.sign_convention,
         "thermal_exponent_sign": "+1 (beta -> inf selects the top eigenstate)",
         "tolerances": spin.TOLERANCES,
         "derived": derived_quantities(config),
@@ -336,7 +331,8 @@ def memory_estimate(command: str, config: RunConfig) -> int:
     limit = spin.EXP_UNDERFLOW / min(map(beta_scaled_of, temps))
     rank = dim if limit >= dim else int(limit) + 1
     phi_points = alias_free_phi_points(config.n_particles)
-    cells = {"qfi-map": config.grid_theta * config.grid_phi, "wigner": dim * phi_points}
+    thetas, phis = default_axis_grids()
+    cells = {"qfi-map": len(thetas) * len(phis), "wigner": dim * phi_points}
     grid_bytes = {name: 8 * GRID_ARRAYS * n for name, n in cells.items()}
     grid_bytes["all-figures"] = max(grid_bytes.values())
     # a process per pool item at most: a time sweep's chunks of factors, a temp sweep's 2 states

@@ -360,9 +360,14 @@ def _argmax_axis(thetas, phis, values: np.ndarray) -> tuple[SpinAxis, float]:
     return axis, float(values[i, k])
 
 
-def default_axis_grids(n_theta: int = 64, n_phi: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Default map resolution; resolves the equatorial band below 3 degrees."""
-    return np.linspace(0.0, np.pi, n_theta), np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
+#: the CLI's axis-map grid, polar angles by azimuths: its cells are below 3 degrees
+AXIS_THETA_POINTS, AXIS_PHI_POINTS = 64, 128
+
+
+def default_axis_grids() -> tuple[np.ndarray, np.ndarray]:
+    """The CLI's axis-map grid: thetas over [0, pi], phis over [-pi, pi)."""
+    return (np.linspace(0.0, np.pi, AXIS_THETA_POINTS),
+            np.linspace(-np.pi, np.pi, AXIS_PHI_POINTS, endpoint=False))
 
 
 def n_eff(state: SpectralDecomp) -> tuple[float, SpinAxis]:

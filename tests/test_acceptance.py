@@ -342,8 +342,6 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
         n_particles=40,
         time_factors=[0.0, 0.7, 1.4],
         beta_inv_grid=[0.5, 5.0],
-        grid_theta=12,
-        grid_phi=16,
         workers=1,
     )
     cfg = RunConfig(**base, out_dir=str(tmp_path / "run"))

@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import subprocess
@@ -24,8 +25,6 @@ SMALL = dict(
     n_particles=40,
     time_factors=[0.0, 0.7, 1.4],
     beta_inv_grid=[0.5, 5.0],
-    grid_theta=12,
-    grid_phi=16,
 )
 
 
@@ -51,7 +50,7 @@ def test_config_round_trip_bit_exact():
         ("state_label", "cat", "state_label"),
         ("beta_inv_over_eps", -2.0, "beta_inv_over_eps"),
         ("workers", 0, "workers"),
-        ("sign_convention", "upside_down", "sign_convention"),
+        ("cat_alpha", 0.0, "cat_alpha"),
         ("time_factors", [], "time_factors"),
         ("beta_inv_grid", [0.0], "beta_inv_grid"),
     ],
@@ -164,7 +163,7 @@ def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
         {"u_int": "abc"},
         {"time_factors": 1.0},
         {"workers": "2"},
-        {"grid_theta": 2.5},
+        {"n_particles": 40.5},
         {"optimize_time_factor": "yes"},
     ],
     ids=lambda bad: next(iter(bad)),
@@ -315,6 +314,30 @@ def test_config_rejects_any_wrong_typed_field(data):
             RunConfig.from_dict(config)
 
 
+def test_float_fields_take_json_ints_as_floats(tmp_path, capsys):
+    # a JSON int is exact at any size: past float range (10**400) it is refused before the
+    # run starts, and inside it (10**308) it runs as its float, so no int product such as
+    # N u can leave float range
+    float_fields = [f for f in dataclasses.fields(RunConfig) if "float" in f.type]
+    assert {f.name for f in float_fields} >= {"u_int", "time_factors", "beta_inv_grid"}
+    outs = (tmp_path / f"out{k}" for k in itertools.count())
+
+    def run(field, entry):
+        cfg_path, out = tmp_path / "cfg.json", next(outs)
+        value = [1.0, entry] if field.type.startswith("list") else entry
+        cfg_path.write_text(json.dumps({field.name: value}))
+        code = main(["all-figures", "--n", "20", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, field.name
+        return code, err, out
+
+    for f in float_fields:
+        code, err, out = run(f, 10**400)
+        assert code == 2 and err.startswith(f"config error: {f.name} must be finite"), f.name
+        assert not out.exists(), f.name
+        assert run(f, 10**308)[:2] == run(f, 1e308)[:2], f.name
+
+
 def test_wigner_phi_grid_sized_from_n(tmp_path):
     # the default 256 points would alias the e^{i 2 n phi} harmonics at N = 300
     assert main(["wigner", "--n", "300", "--out", str(tmp_path)]) == 0
@@ -354,11 +377,15 @@ def test_every_config_field_is_the_dest_of_a_flag():
         ("eta_grid", [0.0, 0.5]),
         ("t_hop", 1.5),
         ("lambda_cl", 3.0),
+        ("sign_convention", "literal_eq5"),
+        ("grid_theta", 64),
+        ("grid_phi", 128),
     ],
 )
 def test_config_naming_a_removed_field_exits_2(tmp_path, capsys, field, value):
-    # the read-out, the Wigner grid and the cat-qubit model are fixed by their modules,
-    # and the hopping energy t = 1 is the unit, so lambda_cl = u N
+    # the read-out, the Wigner and axis-map grids and the cat-qubit model are fixed by
+    # their modules, the hopping energy t = 1 is the unit, so lambda_cl = u N, and the
+    # hopping sign is the one of H = 2u Jz^2 - 2Jx
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({field: value}))
     argv = ["catqubit", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -401,14 +428,11 @@ def test_cli_flag_overrides(tmp_path):
         (["--state", "pi"], "state_label", "pi"),
         (["--beta-inv", "2.0"], "beta_inv_over_eps", 2.0),
         (["--time-factor", "0.5"], "time_factor", 0.5),
-        (["--grid-theta", "9"], "grid_theta", 9),
-        (["--grid-phi", "12"], "grid_phi", 12),
         (["--out", "elsewhere"], "out_dir", "elsewhere"),
         (["--workers", "3"], "workers", 3),
         (["--factors", "0.5", "1.5"], "time_factors", [0.5, 1.5]),
         (["--betas", "1", "10"], "beta_inv_grid", [1.0, 10.0]),
         (["--alpha", "2.0"], "cat_alpha", 2.0),
-        (["--sign-convention", "literal_eq5"], "sign_convention", "literal_eq5"),
         (["--optimize-time"], "optimize_time_factor", True),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
@@ -433,7 +457,7 @@ def _unreachable(config):
     [
         (["distribution", "--n", "2000000"], {}),
         (["wigner", "--n", "8000"], {}),  # its (N+1)^2 grid: a distribution at 8000 fits
-        (["qfi-map", "--grid-theta", "100000", "--grid-phi", "100000"], {}),
+        (["qfi-map", "--n", "2000000"], {}),
         (["all-figures", "--n", "2000000"], {}),
         (["distribution", "--n", "1000000000000"], {}),
     ],
@@ -496,6 +520,9 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * 1)
     assert hot == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * (n + 1))
     assert memory_estimate("time-sweep", RunConfig(n_particles=n, workers=2)) == 2 * cold
+    # the axis map adds its 64 x 128 grid to the state's bytes
+    grid_bytes = 8 * harness.GRID_ARRAYS * 64 * 128
+    assert memory_estimate("qfi-map", RunConfig(n_particles=n)) == cold + grid_bytes
     # the default run stays far below any machine's memory
     assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
 
@@ -622,8 +649,8 @@ def test_manifest_lists_outputs_with_checksums(tmp_path):
 @pytest.mark.parametrize("command", ["distribution", "all-figures"])
 def test_manifest_derives_the_coupling_the_run_used(tmp_path, command):
     # one coupling per run: the manifest's lambda_cl is u N, and its z_c(0) is the 0 state's start
-    argv = [command, "--n", "40", "--u", "0.125", "--grid-theta", "4", "--grid-phi", "4",
-            "--factors", "1.4", "--betas", "1", "--out", str(tmp_path)]
+    argv = [command, "--n", "40", "--u", "0.125", "--factors", "1.4", "--betas", "1",
+            "--out", str(tmp_path)]
     assert main(argv) == 0
     params = dynamics.TwistTurnParams(SpinSpace(40), u_int=0.125)
     z0, _ = dynamics.initial_condition(dynamics.StateLabel.ZERO, params)
@@ -635,8 +662,11 @@ def test_manifest_derives_the_coupling_the_run_used(tmp_path, command):
         assert derived["z_c0"].hex() == z0.hex()
 
 
-@pytest.mark.parametrize("flag", ["--t-hop", "--lambda-cl"])
+@pytest.mark.parametrize(
+    "flag", ["--t-hop", "--lambda-cl", "--sign-convention", "--grid-theta", "--grid-phi"]
+)
 def test_removed_coupling_flags_exit_2(tmp_path, capsys, flag):
+    # one coupling u N, one hopping sign and one axis-map grid: none is an option
     with pytest.raises(SystemExit) as exit_info:
         main(["classical", flag, "1.0", "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2

@@ -13,13 +13,13 @@ from scipy.linalg import expm
 
 from catlab import (
     RunConfig,
-    SignConvention,
     SpinAxis,
     SpinSpace,
     StateLabel,
     TwistTurnParams,
     Z_AXIS,
     cat_split,
+    jz_distribution,
     metrology_report,
     prepare_and_evolve,
     qfi,
@@ -41,17 +41,18 @@ from conftest import dense_j, spin_matrices
 REL = 1e-12
 
 
-def dense_evolved(label, beta, factor, params):
+def dense_evolved(label, beta, factor, params, hopping=-1.0):
+    """rho(t) under 2u Jz^2 + hopping 2Jx; with the + sign (Eq. 5's) the start's
+    azimuth turns by pi, as the gauge exp(i pi Jz) maps one sign onto the other."""
     sp = params.space
     z, phi = initial_condition(label, params)
-    sigma = -1.0
-    if params.sign_convention is SignConvention.LITERAL_EQ5:
-        phi, sigma = phi + np.pi, 1.0
+    if hopping > 0:
+        phi += np.pi
     j_axis = dense_j(sp.n_particles, SpinAxis(float(np.arccos(z)), phi))
     rho = expm(beta * (j_axis - sp.j * np.eye(sp.dim)))  # spectrum shifted to <= 0
     rho /= np.trace(rho).real
     mats = spin_matrices(sp.n_particles)
-    h = 2.0 * params.u_int * mats.jz @ mats.jz + sigma * 2.0 * mats.jx
+    h = 2.0 * params.u_int * mats.jz @ mats.jz + hopping * 2.0 * mats.jx
     u = expm(-1j * h * factor * t_pi(sp, params.u_int))
     return u @ rho @ u.conj().T
 
@@ -104,24 +105,43 @@ def _cases():
     rng = np.random.default_rng(6)
     cases = []
     for label in StateLabel:
-        for convention in SignConvention:
-            for _ in range(2):
-                n = int(rng.choice([40, 100, 200]))
-                beta = float(rng.choice([PURE_STATE_BETA, 10.0 ** rng.uniform(-2, 1)]))
-                factor = float(rng.uniform(0.0, 2.0))
-                cases.append((label, convention, n, beta, factor))
+        # seed 6's stream gives four draws per label; the first two are run
+        for k in range(4):
+            n = int(rng.choice([40, 100, 200]))
+            beta = float(rng.choice([PURE_STATE_BETA, 10.0 ** rng.uniform(-2, 1)]))
+            factor = float(rng.uniform(0.0, 2.0))
+            if k < 2:
+                cases.append((label, n, beta, factor))
     return cases
 
 
-@pytest.mark.parametrize("label,convention,n,beta,factor", _cases())
-def test_factored_path_matches_dense_oracle(label, convention, n, beta, factor):
-    params = TwistTurnParams(SpinSpace(n), sign_convention=convention)
-    check_against_oracle(label, beta, factor, params)
+@pytest.mark.parametrize("label,n,beta,factor", _cases())
+def test_factored_path_matches_dense_oracle(label, n, beta, factor):
+    check_against_oracle(label, beta, factor, TwistTurnParams(SpinSpace(n)))
 
 
 def test_factored_path_matches_dense_oracle_n800():
     params = TwistTurnParams(SpinSpace(800))
     check_against_oracle(StateLabel.ZERO, PURE_STATE_BETA, 1.4, params)
+
+
+def test_eq5_hopping_sign_is_the_gauge_image():
+    """Eq. 5's 2u Jz^2 + 2Jx from (z, phi + pi) is catlab's state from (z, phi) conjugated
+    by exp(i pi Jz), which maps (Jx, Jy) to (-Jx, -Jy): P(j_z) and Lambda agree, and the
+    QFI form (z, x, y) agrees once conjugated by diag(1, -1, -1)."""
+    params = TwistTurnParams(SpinSpace(40))
+    mats = spin_matrices(40)
+    flip = np.diag([1.0, -1.0, -1.0])
+    for label in StateLabel:
+        rho = dense_evolved(label, 2.0, 1.2, params, hopping=1.0)
+        state = next(prepare_and_evolve(label, 2.0, [1.2], params))
+        dist = JzDistribution(params.space, np.real(np.diag(rho)))
+        assert np.abs(jz_distribution(state).probs - dist.probs).max() <= 1e-14
+        lam = cat_split(dist).extensive_difference
+        assert_close("Lambda", cat_split(jz_distribution(state)).extensive_difference, lam)
+        form = full_pair_form(rho, [mats.jz, mats.jx, mats.jy])
+        gauged = flip @ qfi_quadratic_form(state) @ flip
+        assert np.abs(gauged - form).max() <= REL * np.abs(form).max(), label
 
 
 def test_qfi_has_no_pair_cutoff_error():
@@ -140,13 +160,12 @@ def test_qfi_has_no_pair_cutoff_error():
 
 
 @pytest.mark.parametrize("label", list(StateLabel))
-@pytest.mark.parametrize("convention", list(SignConvention))
-def test_shared_basis_reports_match_per_state_reports(label, convention):
+def test_shared_basis_reports_match_per_state_reports(label):
     """Every temperature from the hottest state's evolved basis, against its own state."""
-    rng = np.random.default_rng([6, len(label.value), len(convention.value)])
+    rng = np.random.default_rng([6, len(label.value), 10])
     beta_invs = sorted(float(b) for b in 10.0 ** rng.uniform(-2, 2, size=3)) + [0.0]
     factors = [float(f) for f in rng.uniform(0.0, 2.0, size=2)]
-    config = RunConfig(n_particles=40, sign_convention=convention.value)
+    config = RunConfig(n_particles=40)
     params = harness._params_from_config(config)
     swept = list(harness._reports(config, label.value, beta_invs, factors))
     assert [factor for factor, _ in swept] == factors

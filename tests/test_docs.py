@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catlab import classical, dynamics, spin
+from catlab import classical, dynamics, metrology, spin
 from catlab.cli import build_parser
 from catlab.harness import COMMANDS
 from catlab.spin import TOLERANCES
@@ -57,6 +57,8 @@ def test_readme_lists_every_command():
     ("CLASSIFY_DT", classical),
     ("spin.CHECK_PANEL", spin),
     ("dynamics.PURE_STATE_BETA", dynamics),
+    ("metrology.AXIS_THETA_POINTS", metrology),
+    ("metrology.AXIS_PHI_POINTS", metrology),
 ])
 def test_readme_quotes_constants_at_their_values(name, module):
     quoted = re.findall(rf"`{re.escape(name)} = ([^`]+)`", README)

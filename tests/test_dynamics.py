@@ -3,8 +3,6 @@ import pytest
 
 from catlab import (
     NumericalInvariantError,
-    Z_AXIS,
-    SignConvention,
     SpinSpace,
     StateLabel,
     TwistTurnParams,
@@ -13,7 +11,6 @@ from catlab import (
     evolve,
     jz_distribution,
     prepare_and_evolve,
-    qfi,
     t_pi,
     thermal_state,
 )
@@ -41,14 +38,12 @@ def test_hamiltonian_structure():
     assert np.abs(w - 2 * sp.m_values).max() < 1e-9
 
 
-@pytest.mark.parametrize("convention", list(SignConvention))
-def test_hamiltonian_bands_form_the_dense_h(convention):
-    # the bands, laid out densely, are bit for bit 2u Jz^2 + sigma 2 Jx
+def test_hamiltonian_bands_form_the_dense_h():
+    # the bands, laid out densely, are bit for bit 2u Jz^2 - 2 Jx
     sp = SpinSpace(40)
-    params = TwistTurnParams(sp, u_int=0.3, sign_convention=convention)
-    sigma = -1.0 if convention is SignConvention.FIGURE_ONE else 1.0
+    params = TwistTurnParams(sp, u_int=0.3)
     jx = spin_matrices(40).jx.real
-    h = 2.0 * params.u_int * np.diag(sp.m_values**2) + sigma * 2.0 * jx
+    h = 2.0 * params.u_int * np.diag(sp.m_values**2) - 2.0 * jx
     assert np.array_equal(tridiagonal(*build_hamiltonian(params)), h)
 
 
@@ -148,23 +143,22 @@ def test_propagator_panels_are_the_dense_blocks(n, monkeypatch):
     monkeypatch.setattr(
         spin, "real_matmul", lambda r, z, out: panels_turned.append(r.shape) or product(r, z, out)
     )
-    for convention in SignConvention:
-        for u in (0.0, 0.1, 1e3):
-            params = TwistTurnParams(SpinSpace(n), u_int=u, sign_convention=convention)
-            dense_blocks = spin.tridiagonal_eigensystem(*build_hamiltonian(params))
-            prop = Propagator(build_hamiltonian(params))
-            for block, (w, v) in zip(prop._eigensystem, dense_blocks):
-                rebuilt = np.zeros_like(v)
-                for panel in block.panels:
-                    assert not (panel.vectors.flags.writeable or block.values.flags.writeable)
-                    rebuilt[panel.rows, panel.cols] = panel.vectors
-                unsort = np.argsort(block.values, kind="stable")
-                assert np.array_equal(block.values[unsort], w), (convention, u)
-                assert np.array_equal(rebuilt[:, unsort], v), (convention, u)
-            panels_turned.clear()
-            evolved = prop.evolve(spin.SpectralDecomp(np.full(3, 1 / 3), x), 0.7).vectors
-            assert len(panels_turned) == 2 * sum(len(b.panels) for b in prop._eigensystem)
-            assert np.abs(evolved - spin.turn(dense_blocks, 0.7, x)).max() <= 1e-13, (convention, u)
+    for u in (0.0, 0.1, 1e3):
+        params = TwistTurnParams(SpinSpace(n), u_int=u)
+        dense_blocks = spin.tridiagonal_eigensystem(*build_hamiltonian(params))
+        prop = Propagator(build_hamiltonian(params))
+        for block, (w, v) in zip(prop._eigensystem, dense_blocks):
+            rebuilt = np.zeros_like(v)
+            for panel in block.panels:
+                assert not (panel.vectors.flags.writeable or block.values.flags.writeable)
+                rebuilt[panel.rows, panel.cols] = panel.vectors
+            unsort = np.argsort(block.values, kind="stable")
+            assert np.array_equal(block.values[unsort], w), u
+            assert np.array_equal(rebuilt[:, unsort], v), u
+        panels_turned.clear()
+        evolved = prop.evolve(spin.SpectralDecomp(np.full(3, 1 / 3), x), 0.7).vectors
+        assert len(panels_turned) == 2 * sum(len(b.panels) for b in prop._eigensystem)
+        assert np.abs(evolved - spin.turn(dense_blocks, 0.7, x)).max() <= 1e-13, u
 
 
 def test_prepare_and_evolve_yields_each_factor():
@@ -223,24 +217,6 @@ def test_subcritical_coupling_propagates_error():
     # the pi state needs no separatrix and still works
     state = next(prepare_and_evolve(StateLabel.PI, PURE_BETA, [0.5], params))
     assert state.vectors.shape[0] == 41
-
-
-def test_sign_convention_gauge_equivalence():
-    sp = SpinSpace(40)
-    fig = TwistTurnParams(sp, sign_convention=SignConvention.FIGURE_ONE)
-    lit = TwistTurnParams(sp, sign_convention=SignConvention.LITERAL_EQ5)
-    for label in (StateLabel.PI, StateLabel.ZERO):
-        a = next(prepare_and_evolve(label, 2.0, [1.2], fig))
-        b = next(prepare_and_evolve(label, 2.0, [1.2], lit))
-        pa = jz_distribution(a).probs
-        pb = jz_distribution(b).probs
-        assert np.abs(pa - pb).max() < 1e-8
-        assert abs(
-            cat_split(jz_distribution(a)).extensive_difference
-            - cat_split(jz_distribution(b)).extensive_difference
-        ) < 1e-8
-        f_q = qfi(a, Z_AXIS)
-        assert abs(f_q - qfi(b, Z_AXIS)) < 1e-8 * max(1.0, f_q)
 
 
 def test_evolved_cat_double_peak(cold_zero_cat):

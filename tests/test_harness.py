@@ -107,13 +107,15 @@ def test_optimize_time_factor_records_choice(tmp_path):
 
 
 def test_qfi_map_csv_shape_and_manifest(tmp_path):
-    cfg = RunConfig(
-        n_particles=40, grid_theta=9, grid_phi=12, out_dir=str(tmp_path)
-    )
+    cfg = RunConfig(n_particles=40, out_dir=str(tmp_path))
     run_command("qfi-map", cfg)
     header, rows = read_csv(tmp_path / "neff_map.csv")
     assert header == ["theta", "phi", "value"]
-    assert len(rows) == 9 * 12
+    # the CLI's one grid, theta outermost
+    thetas, phis = metrology.default_axis_grids()
+    assert len(rows) == len(thetas) * len(phis) == 64 * 128
+    assert [float(r[0]) for r in rows[::len(phis)]] == thetas.tolist()
+    assert [float(r[1]) for r in rows[:len(phis)]] == phis.tolist()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     # lambda_cl = u N = 4: the crossing solves 2 z^2 - sqrt(1 - z^2) = 1
     assert manifest["derived"]["lambda_cl"] == pytest.approx(4.0)

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catlab import (
-    SignConvention,
     SpinSpace,
     StateLabel,
     TwistTurnParams,
+    build_hamiltonian,
     cat_split,
     jz_distribution,
     metrology_report,
@@ -17,7 +17,7 @@ from catlab import (
     thermal_state,
     wigner,
 )
-from catlab.dynamics import propagator
+from catlab.dynamics import Propagator, initial_condition, propagator
 
 # N >= 24 keeps lambda_cl = u N above 2, so the 0 state exists
 n_particles = st.integers(12, 40).map(lambda k: 2 * k)
@@ -44,12 +44,18 @@ def test_fisher_chain(n, beta, z, phi, factor):
 
 @given(n_particles, betas, st.sampled_from(list(StateLabel)), factors)
 def test_counting_statistics_are_gauge_invariant(n, beta, label, factor):
-    reports, dists = [], []
-    for convention in SignConvention:
-        params = TwistTurnParams(SpinSpace(n), sign_convention=convention)
-        state = next(prepare_and_evolve(label, beta, [factor], params))
-        reports.append(metrology_report(state))
-        dists.append(jz_distribution(state))
+    # Eq. 5's hopping sign, 2u Jz^2 + 2Jx from (z, phi + pi), is catlab's H gauged by
+    # exp(i pi Jz)
+    params = TwistTurnParams(SpinSpace(n))
+    d, e = build_hamiltonian(params)
+    z, phi = initial_condition(label, params)
+    eq5 = Propagator((d, -e)).evolve(
+        thermal_state(params.space, beta, z, phi + np.pi),
+        factor * t_pi(params.space, params.u_int),
+    )
+    states = [next(prepare_and_evolve(label, beta, [factor], params)), eq5]
+    reports = [metrology_report(state) for state in states]
+    dists = [jz_distribution(state) for state in states]
     a, b = reports
     assert np.abs(dists[0].probs - dists[1].probs).max() < 1e-10
     split_a, split_b = (cat_split(d) for d in dists)

@@ -15,7 +15,6 @@ from catlab import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    SignConvention,
     TwistTurnParams,
     apply_j,
     build_hamiltonian,
@@ -157,13 +156,11 @@ def test_axis_operator_is_gauged_real_tridiagonal(n):
 
 
 def parity_bands(n: int) -> dict:
-    """The mirror-symmetric bands diagonalized in a run: H in both conventions, and J_x."""
-    bands = {
-        c.value: build_hamiltonian(TwistTurnParams(SpinSpace(n), sign_convention=c))
-        for c in SignConvention
+    """The mirror-symmetric bands diagonalized in a run: H and J_x."""
+    return {
+        "h": build_hamiltonian(TwistTurnParams(SpinSpace(n))),
+        "jx": (np.zeros(n + 1), 0.5 * SpinSpace(n).j_band),
     }
-    bands["jx"] = (np.zeros(n + 1), 0.5 * SpinSpace(n).j_band)
-    return bands
 
 
 def unfolded(blocks: spin.ParityEigensystem) -> tuple[np.ndarray, np.ndarray]:
@@ -211,15 +208,13 @@ def solver_path(request, monkeypatch):
 @pytest.mark.parametrize("n", [2, 10, 200, 800])
 def test_hamiltonian_blocks_are_eigh_bit_for_bit(n, solver_path):
     assert (spin._lapack_stevd() is None) == (solver_path == "fallback")
-    for convention in SignConvention:
-        for u in (0.0, 0.1, 1e3):
-            params = TwistTurnParams(SpinSpace(n), u_int=u, sign_convention=convention)
-            d, e = build_hamiltonian(params)
-            blocks = spin.tridiagonal_eigensystem(d, e)
-            oracle = spin.tridiagonal_eigensystem(d, e, spin._eigh)
-            for (w, v), (w_ref, v_ref) in zip(blocks, oracle):
-                assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (convention, u)
-                assert v.flags.c_contiguous and not (v.flags.writeable or w.flags.writeable)
+    for u in (0.0, 0.1, 1e3):
+        d, e = build_hamiltonian(TwistTurnParams(SpinSpace(n), u_int=u))
+        blocks = spin.tridiagonal_eigensystem(d, e)
+        oracle = spin.tridiagonal_eigensystem(d, e, spin._eigh)
+        for (w, v), (w_ref, v_ref) in zip(blocks, oracle):
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), u
+            assert v.flags.c_contiguous and not (v.flags.writeable or w.flags.writeable)
 
 
 def test_resolving_dstevd_maps_no_new_shared_object():
