@@ -26,6 +26,14 @@ loop on Python floats (`_steps`); a step it refuses is retried as 2^r
 substeps through the same loop (`_orbit`).  Every orbit is classed by one
 rule (`_verdict`): its first event, or self-trapped if it has none and did not
 start on z = 0, pole starts included.
+
+The flow is odd under (z, phi) -> (-z, -phi): sqrt(1 - z^2) and cos are
+even, sin is odd, and rounding to nearest is sign-symmetric, so each RK4
+step maps to its mirror image bit for bit, with the same energy, and the
+accept tests, which read only |z| and energy changes, decide alike.  So the
+portrait integrates its five starts (z, 0) with z > 0 and mirrors the two
+(-z, 0) orbits from their twins; integrate_trajectory(PhasePoint(-z, 0.0))
+still gives a mirrored orbit's bits.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,9 +108,9 @@ class PhasePortrait:
 
 
 def _energy(z, phi, lam):
-    """H_cl(z, phi) on scalars or arrays; `_steps` writes it out on floats.
+    """H_cl(z, phi) on scalars or arrays; `_steps` and `separatrix` write it out on floats.
 
-    Keep the operand order in both: `0.5 * lam * z * z` differs in the last
+    Keep the operand order in each: `0.5 * lam * z * z` differs in the last
     bit, and the integrator's accept decisions at its energy budget follow it.
     """
     return 0.5 * lam * z**2 - np.sqrt(np.maximum(1.0 - z**2, 0.0)) * np.cos(phi)
@@ -149,39 +157,48 @@ def fixed_points(params: MeanFieldParams) -> list[FixedPoint]:
     return pts
 
 
+#: separatrix's scan of z over [0, 1], with z^2 and sqrt(1 - z^2) formed as `_energy` forms them
+_SCAN_Z = np.linspace(0.0, 1.0, 4097)
+_SCAN_Z2 = _SCAN_Z**2
+_SCAN_ROOT = np.sqrt(np.maximum(1.0 - _SCAN_Z2, 0.0))
+
+
 def separatrix(phi: float, params: MeanFieldParams) -> float:
     """Separatrix height z_c(phi) >= 0, the smallest root of H_cl(z, phi) = 1.
 
     It is 0 where H_cl(0, phi) = -cos(phi) is 1 (cos(phi) = -1.0, as at phi = +/- pi);
     elsewhere it is solved by bracketed bisection to TOLERANCES["separatrix_bisection"].
-    Raises SeparatrixAbsentError when lambda_cl <= 1 (no saddle) or when the separatrix
-    does not extend to the requested azimuth (possible for 1 < lambda_cl < 2).
+    The scan and the bisection evaluate `_energy` operand for operand, the bisection on
+    Python floats.  Raises SeparatrixAbsentError when lambda_cl <= 1 (no saddle) or when
+    the separatrix does not extend to the requested azimuth (possible for 1 < lambda_cl < 2).
     """
     lam = params.lambda_cl
     if lam <= 1.0:
         raise SeparatrixAbsentError(
             f"no separatrix: lambda_cl = {lam} <= 1 has no unstable fixed point"
         )
-    if _energy(0.0, phi, lam) >= 1.0:  # -cos(phi) <= 1: the saddle's own azimuth
+    cos_phi = float(np.cos(phi))
+    if cos_phi <= -1.0:  # H_cl(0, phi) = -cos(phi) reaches 1: the saddle's own azimuth
         return 0.0
     # from H_cl(0, phi) < 1, bracket the first upward crossing of H_cl = 1 and bisect
-    grid = np.linspace(0.0, 1.0, 4097)
-    above = _energy(grid, phi, lam) >= 1.0
-    cross = np.nonzero(~above[:-1] & above[1:])[0]
-    if cross.size == 0:
+    above = 0.5 * lam * _SCAN_Z2 - _SCAN_ROOT * cos_phi >= 1.0
+    k = int(above.argmax())
+    if not above[k]:
         raise SeparatrixAbsentError(
             f"separatrix does not reach phi = {phi:.6g} at lambda_cl = {lam:.6g}"
         )
-    lo, hi = grid[cross[0]], grid[cross[0] + 1]
+    lo, hi = float(_SCAN_Z[k - 1]), float(_SCAN_Z[k])
+    half_lam, width = 0.5 * float(lam), TOLERANCES["separatrix_bisection"]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _energy(mid, phi, lam) < 1.0:
+        z2 = mid**2  # pow, as numpy's scalar power is: it differs from mid * mid in the last bit
+        if half_lam * z2 - math.sqrt(max(1.0 - z2, 0.0)) * cos_phi < 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < TOLERANCES["separatrix_bisection"]:
+        if hi - lo < width:
             break
-    return float(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def _steps(zs, phis, energies, lam, dt, n_steps, budget):
@@ -189,39 +206,43 @@ def _steps(zs, phis, energies, lam, dt, n_steps, budget):
 
     Steps Python floats from the lists' last entries.  A step is classical
     RK4 of the canonical flow and its energy is `_energy`, written out inline
-    operand for operand, so both keep numpy's bits.  Stops at the first step it
-    cannot take: a stage that raises (it reached |z| >= 1), a result outside
-    |z| < 1, or an energy change beyond budget.  Returns the steps taken.
+    operand for operand, so both keep numpy's bits.  The energy's sqrt(1 - z^2)
+    and cos(phi) are the next step's k1 terms, so they are carried, not redone.
+    Stops at the first step it cannot take: a stage that raises (it reached
+    |z| >= 1), a result outside |z| < 1, or an energy change beyond budget.
+    Returns the steps taken.
     """
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
     h2, h6, half_lam = 0.5 * dt, dt / 6.0, 0.5 * lam
     z, phi, e = zs[-1], phis[-1], energies[-1]
-    for taken in range(n_steps):
-        try:
-            r = sqrt(1.0 - z * z)
-            k1z, k1p = -r * sin(phi), lam * z + z * cos(phi) / r
+    start = len(zs)
+    try:
+        r, c = sqrt(1.0 - z * z), cos(phi)
+        for _ in range(n_steps):
+            k1z, k1p = -r * sin(phi), lam * z + z * c / r
             y, q = z + h2 * k1z, phi + h2 * k1p
-            r = sqrt(1.0 - y * y)
-            k2z, k2p = -r * sin(q), lam * y + y * cos(q) / r
+            s = sqrt(1.0 - y * y)
+            k2z, k2p = -s * sin(q), lam * y + y * cos(q) / s
             y, q = z + h2 * k2z, phi + h2 * k2p
-            r = sqrt(1.0 - y * y)
-            k3z, k3p = -r * sin(q), lam * y + y * cos(q) / r
+            s = sqrt(1.0 - y * y)
+            k3z, k3p = -s * sin(q), lam * y + y * cos(q) / s
             y, q = z + dt * k3z, phi + dt * k3p
-            r = sqrt(1.0 - y * y)
-            k4z, k4p = -r * sin(q), lam * y + y * cos(q) / r
+            s = sqrt(1.0 - y * y)
+            k4z, k4p = -s * sin(q), lam * y + y * cos(q) / s
             y = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             q = phi + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             # for |y| < 1, 1 - y * y > 0 and _energy's clamp is a no-op; past it sqrt raises
-            en = half_lam * (y * y) - sqrt(1.0 - y * y) * cos(q)
-        except (ValueError, ZeroDivisionError):
-            return taken
-        if not (abs(y) < 1.0 and abs(en - e) <= budget):
-            return taken
-        z, phi, e = y, q, en
-        zs.append(z)
-        phis.append(phi)
-        energies.append(e)
-    return n_steps
+            r, c = sqrt(1.0 - y * y), cos(q)
+            en = half_lam * (y * y) - r * c
+            if not (abs(y) < 1.0 and abs(en - e) <= budget):
+                break
+            z, phi, e = y, q, en
+            zs.append(z)
+            phis.append(phi)
+            energies.append(e)
+    except (ValueError, ZeroDivisionError):
+        pass
+    return len(zs) - start
 
 
 def _orbit(zs, phis, energies, lam, dt, n_steps, step_budget):
@@ -383,7 +404,13 @@ def phase_portrait(params: MeanFieldParams) -> PhasePortrait:
     """Fixed points, the separatrix at the sampled azimuths it reaches, and orbits.
 
     Above lambda_cl = 2, seven orbits from phi = 0 run to PORTRAIT_T_FINAL by
-    PORTRAIT_DT; integrate_trajectory runs any other start.
+    PORTRAIT_DT: from 0.3, 0.6 and 0.9 z_c(0), then +z and -z for z = 1.2 and
+    1.5 z_c(0) (capped at 0.98 and 0.99).  Only the five starts z > 0 are
+    integrated; each -z orbit is its twin's points mirrored, 0.0 - (z, phi),
+    with the twin's times, class and energy drift.  That is exact (see the
+    module docstring): a mirrored orbit fails where its twin does, and
+    integrate_trajectory(PhasePoint(-z, 0.0)) gives its bits too.
+    integrate_trajectory runs any other start.
     """
     fps = fixed_points(params)
     phis = np.linspace(-np.pi, np.pi, PORTRAIT_AZIMUTHS)
@@ -398,10 +425,13 @@ def phase_portrait(params: MeanFieldParams) -> PhasePortrait:
     starts = []
     if params.lambda_cl > 2.0:
         z_c0 = separatrix(0.0, params)
-        for frac in (0.3, 0.6, 0.9):
-            starts.append(PhasePoint(frac * z_c0, 0.0))
-        for z in (min(1.2 * z_c0, 0.98), min(1.5 * z_c0, 0.99)):
-            starts.append(PhasePoint(z, 0.0))
-            starts.append(PhasePoint(-z, 0.0))
+        starts = [PhasePoint(frac * z_c0, 0.0) for frac in (0.3, 0.6, 0.9)]
+        starts += [PhasePoint(min(1.2 * z_c0, 0.98), 0.0), PhasePoint(min(1.5 * z_c0, 0.99), 0.0)]
     trajectories = _integrate(starts, params, PORTRAIT_T_FINAL, PORTRAIT_DT)
+    # 0.0 - x keeps phi0 = 0.0 where -x would give -0.0
+    trajectories[3:] = [
+        orbit
+        for twin in trajectories[3:]
+        for orbit in (twin, replace(twin, times=twin.times.copy(), points=0.0 - twin.points))
+    ]
     return PhasePortrait(params, fps, phis, zsep, trajectories)

@@ -10,7 +10,8 @@ digits so repeated runs are byte-identical regardless of worker count: sweep
 points are distributed to a process pool but assembled in deterministic key
 order before writing.
 A run whose estimated memory exceeds MemAvailable is refused before it
-allocates.
+allocates, and one that prepares a 0 state with no separatrix start before
+it writes; a command's directory is made only once its table is computed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .dynamics import (
     StateLabel,
     TwistTurnParams,
     beta_scaled_of,
+    initial_condition,
     prepare_and_evolve,
     t_pi,
 )
@@ -63,6 +65,9 @@ REAL_MATRICES, COMPLEX_BLOCKS, GRID_ARRAYS = 2, 13, 8
 #: way: peaks exceed the rest of the estimate by at most 15.3 MiB (cold N = 1600), and
 #: catqubit, which holds no state, peaks at 33.4 MiB
 PROCESS_BYTES = 40 * 2**20
+
+#: the commands that prepare no spin state
+STATELESS = ("classical", "catqubit")
 
 #: rows per formatted block of an ordinary table
 BLOCK_ROWS = 4096
@@ -323,8 +328,8 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
 
 def memory_estimate(command: str, config: RunConfig) -> int:
     """Bytes a command holds at its peak, from N, the state's rank, its grid and its processes."""
-    if command in ("classical", "catqubit"):
-        return 0  # no spin state
+    if command in STATELESS:
+        return 0
     dim, beta_inv, grid = config.n_particles + 1, config.beta_inv_over_eps, config.beta_inv_grid
     temps = {"temp-sweep": grid, "all-figures": [*grid, beta_inv]}.get(command, [beta_inv])
     # the hottest support holds every colder one; e^{-beta k} is 0.0 past spin.EXP_UNDERFLOW
@@ -354,9 +359,9 @@ def _mem_available() -> int | None:
 
 
 def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]:
-    """Run one command into out_dir: its CSV, then its manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one command, then make out_dir and write its CSV and manifest there."""
     name, header, table = COMMANDS[command](config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     write_csv(path, header, table)
     return [path, write_manifest(config, command, out_dir, [path])]
@@ -365,7 +370,9 @@ def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]
 def run_command(command: str, config: RunConfig) -> list[Path]:
     """Execute one command (or all-figures) and write its manifest.
 
-    A run estimated to need more than MemAvailable is refused before it allocates.
+    A run estimated to need more than MemAvailable is refused before it allocates,
+    and one that prepares the 0 state, which has no start where the separatrix
+    does not reach phi = 0, before it writes.
     """
     if command != "all-figures" and command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -375,6 +382,10 @@ def run_command(command: str, config: RunConfig) -> list[Path]:
             f"{command} at N = {config.n_particles} needs an estimated {need:.3g} bytes, "
             f"more than the {available:.3g} bytes of MemAvailable"
         )
+    if command in ("temp-sweep", "all-figures") or (
+        config.state_label == "zero" and command not in STATELESS
+    ):
+        initial_condition(StateLabel.ZERO, _params_from_config(config))
     out_root = Path(config.out_dir)
     if command != "all-figures":
         return _write_command(command, config, out_root)

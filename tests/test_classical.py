@@ -198,16 +198,19 @@ def test_trajectory_classification_examples():
     assert got == classify_batch(starts, mf)
 
 
-def test_portrait_orbits_match_single_orbit_integration():
-    # at lambda_cl = 200 the default starts need refined steps, each orbit its own
-    mf = MeanFieldParams(200.0)
+@pytest.mark.parametrize("lam", [3.0, 200.0, 1e3])
+def test_portrait_orbits_match_single_orbit_integration(lam):
+    # the -z orbits are their twins mirrored, not integrated, and must still be the bits
+    # integrating their own starts gives; bytes, as np.array_equal takes -0.0 for 0.0.
+    # At lambda_cl = 200 and 1e3 the default starts need refined steps, each orbit its own
+    mf = MeanFieldParams(lam)
     portrait = phase_portrait(mf)
-    assert len(portrait.trajectories) == 7
+    assert [np.sign(t.points[0, 0]) for t in portrait.trajectories] == [1, 1, 1, 1, -1, 1, -1]
     for traj in portrait.trajectories:
-        z0, phi0 = traj.points[0]
-        alone = integrate_trajectory(PhasePoint(float(z0), float(phi0)), mf, 12.0)
-        assert np.array_equal(alone.times, traj.times)
-        assert np.array_equal(alone.points, traj.points)
+        # every start is (z, 0.0); a mirror by -x would start at phi = -0.0
+        alone = integrate_trajectory(PhasePoint(float(traj.points[0, 0]), 0.0), mf, 12.0)
+        assert alone.times.tobytes() == traj.times.tobytes()
+        assert alone.points.tobytes() == traj.points.tobytes()
         assert alone.classification is traj.classification
         assert alone.energy_drift == traj.energy_drift
 
@@ -247,8 +250,8 @@ def test_default_portrait_steps_python_floats(monkeypatch):
     monkeypatch.setattr(classical, "_orbit", checking_orbit)
     monkeypatch.setattr(classical, "_steps", counting_steps)
     portrait = phase_portrait(MeanFieldParams(20.0))
-    # one kernel call per orbit and block of steps
-    assert float_args == [True] * 7 * (12_000 // classical.ORBIT_BLOCK)
+    # one kernel call per integrated orbit and block of steps: the two -z orbits are mirrored
+    assert float_args == [True] * 5 * (12_000 // classical.ORBIT_BLOCK)
     assert ladder_calls == []  # every default step is a plain inline step
     assert all(len(t.points) == 12_001 for t in portrait.trajectories)
 
@@ -314,6 +317,35 @@ def test_inline_step_is_rk4_and_step_energy(z, phi, lam, dt, step_budget):
     else:
         assert taken == 0
         assert (zs, phis, energies) == ([z], [phi], [e0])
+
+
+@given(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True) | _near_pole,
+    st.floats(-10.0, 10.0),
+    st.floats(0.0, 1e4),
+    st.floats(1e-6, 0.1),
+    st.floats(0.0, 1.0) | st.just(np.inf),
+    st.integers(3, 5),
+)
+def test_steps_carry_their_k1_terms_bit_for_bit(z, phi, lam, dt, step_budget, n_steps):
+    # each step's k1 stage reuses sqrt(1 - z^2) and cos(phi) from the last step's energy;
+    # every step of one call must be the bits of the oracle's RK4 step and energy, repeated
+    za, phia = np.array([z]), np.array([phi])
+    e = oracle._energy(za, phia, lam)
+    want = [(za, phia, e)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n_steps):
+            za, phia = oracle._rk4(za, phia, lam, dt)
+            e_next = oracle._energy(za, phia, lam)
+            if not (abs(za[0]) < 1.0 and abs(e_next[0] - e[0]) <= step_budget):
+                break
+            e = e_next
+            want.append((za, phia, e))
+    zs, phis, energies = [z], [phi], [float(want[0][2][0])]
+    taken = classical._steps(zs, phis, energies, lam, dt, n_steps, step_budget)
+    assert taken == len(want) - 1
+    assert np.array([np.r_[w] for w in want]).tobytes() == np.array(
+        [zs, phis, energies]).T.tobytes()
 
 
 def test_trajectory_stationary_at_fixed_point():

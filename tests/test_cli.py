@@ -158,6 +158,35 @@ def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["all-figures", "--u", "1e308"],  # lambda_cl = u N overflows
+        ["classical", "--u", "1e308"],
+        # lambda_cl = 0.02: the 0 state that temp-sweep prepares has no separatrix start
+        ["all-figures", "--u", "0.001", "--state", "pi"],
+        ["temp-sweep", "--u", "0.001", "--state", "pi"],
+        ["qfi-map", "--u", "0.001", "--state", "zero"],
+    ],
+    ids=["all-figures-overflow", "classical-overflow", "all-figures-no-separatrix",
+         "temp-sweep-no-separatrix", "qfi-map-no-separatrix"],
+)
+def test_refused_runs_leave_nothing_behind(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--n", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classical", "catqubit"])
+def test_stateless_commands_need_no_separatrix(tmp_path, command):
+    # they prepare no state, so --state zero asks nothing of lambda_cl = 0.02
+    out = tmp_path / "out"
+    assert main([command, "--n", "20", "--u", "0.001", "--state", "zero", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"u_int": "abc"},
