@@ -1,21 +1,24 @@
 """Batch computations behind the CLI: sweeps, CSV output, run manifests.
 
-Each command returns (file name, header, table), the table being rows or a
-Grid of values over two axes; run_command streams it to a CSV file, a block
-of rows or one grid row at a time, next to a manifest.json recording the
-config echo, the conventions and the whole spin.TOLERANCES table, derived
-quantities (T_pi, lambda_cl, z_c(0), wigner_phi_count), and a sha256
-checksum for each output file. Floats are serialized with 17 significant
-digits so repeated runs are byte-identical regardless of worker count: sweep
-points are distributed to a process pool but assembled in deterministic key
-order before writing.
+Each command maps (config, state) to (file name, header, table), state() being
+the configured state at its configured time, evolved at most once per run, and
+the table rows or a Grid of values over two axes. run_command streams each
+table to a CSV file, a block of rows or one grid row at a time, next to a
+manifest.json recording the config echo, the conventions and the whole
+spin.TOLERANCES table, derived quantities (T_pi, lambda_cl, z_c(0),
+wigner_phi_count), and a sha256 checksum for each output file. Floats are
+serialized with 17 significant digits so repeated runs are byte-identical
+regardless of worker count: sweep points are distributed to a process pool
+but assembled in deterministic key order before writing.
 A run whose estimated memory exceeds MemAvailable is refused before it
-allocates, and one that prepares a 0 state with no separatrix start before
-it writes; a command's directory is made only once its table is computed.
+allocates. Nothing is written until every table is computed, so a refused run
+or a numerical failure leaves out_dir untouched; an OSError while writing may
+leave partial files.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,7 +48,6 @@ from .dynamics import (
     StateLabel,
     TwistTurnParams,
     beta_scaled_of,
-    initial_condition,
     prepare_and_evolve,
     t_pi,
 )
@@ -68,6 +70,9 @@ PROCESS_BYTES = 40 * 2**20
 
 #: the commands that prepare no spin state
 STATELESS = ("classical", "catqubit")
+
+#: the commands that sweep a state over times or temperatures; a run computes them first
+SWEEPS = ("time-sweep", "temp-sweep")
 
 #: rows per formatted block of an ordinary table
 BLOCK_ROWS = 4096
@@ -203,12 +208,12 @@ def _temp_sweep_point(args: tuple) -> list[tuple]:
 # ----------------------------------------------------------------------------
 # commands
 
-def cmd_distribution(config: RunConfig) -> tuple:
-    dist = jz_distribution(_evolved_state(config))
+def cmd_distribution(config: RunConfig, state) -> tuple:
+    dist = jz_distribution(state())
     return "jz_distribution.csv", ["m", "p"], list(zip(dist.m_values, dist.probs))
 
 
-def cmd_time_sweep(config: RunConfig) -> tuple:
+def cmd_time_sweep(config: RunConfig, state) -> tuple:
     factors = sorted(config.time_factors)
     n_workers = min(resolve_workers(config), len(factors))
     # one chunk of factors per worker, so each prepares its state once
@@ -219,9 +224,9 @@ def cmd_time_sweep(config: RunConfig) -> tuple:
     return "lambda_r_vs_time.csv", header, rows
 
 
-def cmd_temp_sweep(config: RunConfig) -> tuple:
+def cmd_temp_sweep(config: RunConfig, state) -> tuple:
     # one item per state: its temperatures share one evolved basis
-    items = [(config, state) for state in ("pi", "zero")]
+    items = [(config, label) for label in ("pi", "zero")]
     chunks = parallel_map(_temp_sweep_point, items, resolve_workers(config))
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: (r[0], r[1]))
     header = [
@@ -231,18 +236,18 @@ def cmd_temp_sweep(config: RunConfig) -> tuple:
     return "crossover.csv", header, rows
 
 
-def cmd_qfi_map(config: RunConfig) -> tuple:
+def cmd_qfi_map(config: RunConfig, state) -> tuple:
     thetas, phis = default_axis_grids()
-    amap = qfi_axis_map(_evolved_state(config), thetas, phis)
+    amap = qfi_axis_map(state(), thetas, phis)
     return "neff_map.csv", ["theta", "phi", "value"], Grid(thetas, phis, amap.values)
 
 
-def cmd_wigner(config: RunConfig) -> tuple:
-    grid = wigner(_evolved_state(config), alias_free_phi_points(config.n_particles))
+def cmd_wigner(config: RunConfig, state) -> tuple:
+    grid = wigner(state(), alias_free_phi_points(config.n_particles))
     return "wigner.csv", ["z", "phi", "w"], Grid(grid.z_values, grid.phi_values, grid.values)
 
 
-def cmd_classical(config: RunConfig) -> tuple:
+def cmd_classical(config: RunConfig, state) -> tuple:
     portrait = phase_portrait(MeanFieldParams(_params_from_config(config).lambda_cl))
     rows: list[tuple] = []
     for i, fp in enumerate(portrait.fixed_points):
@@ -260,7 +265,7 @@ def cmd_classical(config: RunConfig) -> tuple:
     return "portrait.csv", ["trajectory_id", "step", "z", "phi", "class"], rows
 
 
-def cmd_catqubit(config: RunConfig) -> tuple:
+def cmd_catqubit(config: RunConfig, state) -> tuple:
     lam = config.cat_alpha * PEAK_WIDTH
     rows = []
     for eta in ETA_GRID:
@@ -358,21 +363,12 @@ def _mem_available() -> int | None:
         return None
 
 
-def _write_command(command: str, config: RunConfig, out_dir: Path) -> list[Path]:
-    """Run one command, then make out_dir and write its CSV and manifest there."""
-    name, header, table = COMMANDS[command](config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_csv(path, header, table)
-    return [path, write_manifest(config, command, out_dir, [path])]
-
-
 def run_command(command: str, config: RunConfig) -> list[Path]:
     """Execute one command (or all-figures) and write its manifest.
 
-    A run estimated to need more than MemAvailable is refused before it allocates,
-    and one that prepares the 0 state, which has no start where the separatrix
-    does not reach phi = 0, before it writes.
+    A run estimated to need more than MemAvailable is refused before it allocates.
+    Every table is computed before anything is written, so a refusal or a numerical
+    failure leaves out_dir untouched; an OSError while writing may leave partial files.
     """
     if command != "all-figures" and command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -382,16 +378,19 @@ def run_command(command: str, config: RunConfig) -> list[Path]:
             f"{command} at N = {config.n_particles} needs an estimated {need:.3g} bytes, "
             f"more than the {available:.3g} bytes of MemAvailable"
         )
-    if command in ("temp-sweep", "all-figures") or (
-        config.state_label == "zero" and command not in STATELESS
-    ):
-        initial_condition(StateLabel.ZERO, _params_from_config(config))
+    names = list(COMMANDS) if command == "all-figures" else [command]
+    state = functools.cache(lambda: _evolved_state(config))
+    # the sweeps run first, so the configured state is not held while they run
+    tables = {n: COMMANDS[n](config, state) for n in sorted(names, key=lambda n: n not in SWEEPS)}
     out_root = Path(config.out_dir)
-    if command != "all-figures":
-        return _write_command(command, config, out_root)
-    outputs = [
-        path
-        for name in COMMANDS
-        for path in _write_command(name, config, out_root / name.replace("-", "_"))
-    ]
-    return outputs + [write_manifest(config, "all-figures", out_root, outputs)]
+    outputs = []
+    for name in names:
+        out_dir = out_root / name.replace("-", "_") if command == "all-figures" else out_root
+        file_name, header, table = tables[name]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / file_name
+        write_csv(path, header, table)
+        outputs += [path, write_manifest(config, name, out_dir, [path])]
+    if command == "all-figures":
+        outputs.append(write_manifest(config, command, out_root, outputs))
+    return outputs

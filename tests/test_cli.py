@@ -166,9 +166,11 @@ def test_cli_missing_state_is_a_config_error(tmp_path, capsys, command):
         ["all-figures", "--u", "0.001", "--state", "pi"],
         ["temp-sweep", "--u", "0.001", "--state", "pi"],
         ["qfi-map", "--u", "0.001", "--state", "zero"],
+        # time-sweep refuses the factor; distribution, first in COMMANDS, is not written either
+        ["all-figures", "--factors", "1e308"],
     ],
     ids=["all-figures-overflow", "classical-overflow", "all-figures-no-separatrix",
-         "temp-sweep-no-separatrix", "qfi-map-no-separatrix"],
+         "temp-sweep-no-separatrix", "qfi-map-no-separatrix", "all-figures-time-overflow"],
 )
 def test_refused_runs_leave_nothing_behind(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -477,7 +479,7 @@ def test_no_flags_give_the_defaults():
     assert config_from_args(build_parser().parse_args(["catqubit"])) == RunConfig()
 
 
-def _unreachable(config):
+def _unreachable(config, state):
     raise AssertionError("a refused run reached its command")
 
 
@@ -747,6 +749,18 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_command", boom)
     assert cli.main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 3
+
+
+def test_numerical_failure_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    # classical fails once every spin command's table is computed, before any is written
+    def boom(params):
+        raise spin.NumericalInvariantError("synthetic failure")
+
+    monkeypatch.setattr(harness, "phase_portrait", boom)
+    out = tmp_path / "out"
+    assert main(["all-figures", "--n", "20", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical invariant failure: synthetic failure")
+    assert not out.exists()
 
 
 def test_lapack_failure_exit_code(tmp_path, monkeypatch, capsys):

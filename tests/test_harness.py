@@ -251,6 +251,13 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
     assert len(read_csv(tmp_path / "lambda_r_vs_time.csv")[1]) == 4
 
 
+def test_serial_all_figures_evolves_the_configured_state_once(tmp_path, build_counts):
+    # one state per sweep chunk, one per temp-sweep label, and one that distribution,
+    # qfi-map and wigner share
+    run_command("all-figures", RunConfig(n_particles=40, out_dir=str(tmp_path)))
+    assert build_counts == {"thermal_state": 4, "propagator": 1}
+
+
 def counted_solver(monkeypatch) -> list[int]:
     """Record the size of every block the tridiagonal solver diagonalizes."""
     dims = []
