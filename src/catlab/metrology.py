@@ -278,19 +278,19 @@ class MetrologyReport:
             raise NumericalInvariantError(f"F_c = {self.f_c} exceeds F_q = {self.f_q}")
 
 
-def metrology_report(state: SpectralDecomp, readout: ReadoutSpec | None = None) -> MetrologyReport:
-    """Assemble the J_z indefiniteness report; the default read-out measures J_y."""
-    return metrology_reports(state.vectors, [state.values], readout)[0]
+def metrology_report(state: SpectralDecomp) -> MetrologyReport:
+    """Assemble the J_z indefiniteness report; the read-out, ReadoutSpec(), measures J_y."""
+    return metrology_reports(state.vectors, [state.values])[0]
 
 
-def metrology_reports(v: np.ndarray, weights: list, readout: ReadoutSpec | None = None) -> list:
+def metrology_reports(v: np.ndarray, weights: list) -> list:
     """metrology_report of each state V diag(p) V^dag, p in weights, on orthonormal columns V.
 
     The basis phase runs once; each p, a state's weights, then costs O(N^2) sums.
     """
     space = SpinSpace(v.shape[0] - 1)
     jz_v = apply_j(space, Z_AXIS, v)
-    bins, slope = _cfi_terms(v, jz_v, readout or ReadoutSpec())
+    bins, slope = _cfi_terms(v, jz_v, ReadoutSpec())
     dicke = _squared(v)
     inside, local = _projections(v, jz_v[None])
     reports = []

@@ -12,14 +12,15 @@ Conventions fixed in this module:
   * J(theta, phi) = J_z cos(theta) + J_x sin(theta) cos(phi)
                   + J_y sin(theta) sin(phi)   (unit-vector decomposition)
                   = D J(theta, 0) D^dag,  D = D(phi) = diag(e^{-i phi m}), J(theta, 0) real.
-  * Every rotation comes from the one real eigensystem of J_x (jx_eigensystem):
-    J_y = D(pi/2) J_x D(pi/2)^dag, the tilt T(zeta) = e^{-i zeta J_y} takes
-    J_z to J(zeta, 0), and J(theta, 0) = T(theta - pi/2) J_x T(theta - pi/2)^dag.
   * Rotations are U(alpha, theta, phi) = exp(-i alpha J(theta, phi)), and
-    rotation is the one routine that applies one: three turns about J_x
-    (tilt about Y_AXIS, turn, tilt back) on one copy of the columns, gauged
-    in place; a tilt by 0, as on the equator, is skipped, and a rotation by
-    alpha = 0 returns its input.
+    rotation is the one routine that applies one, by its ZXZ Euler angles
+        U = D(phi + lam) e^{-i beta J_x} D(lam - phi),
+        lam = atan2(s cos theta, c),  beta = 2 atan2(s sin theta, hypot(c, s cos theta))
+    with s, c = sin, cos(alpha/2): an SU(2) identity, so it holds for every j.
+    So every rotation is at most one turn about J_x, from its one real
+    eigensystem (jx_eigensystem), between two gauges.  On the equator
+    lam = 0 and beta = alpha solve it exactly and are used as they are; at a
+    pole beta = 0 and the turn is skipped; alpha = 0 returns the input.
   * Thermal states use a positive exponent,
         rho(beta, z, phi) = exp(beta * J(acos z, phi)) / Z,
     so beta -> inf selects the top eigenvector: the spin coherent state
@@ -383,9 +384,9 @@ def jx_eigensystem(space: SpinSpace) -> ParityEigensystem:
     """Real eigensystem R of J_x as its parity blocks, in closed form (_jx_block, no LAPACK
     call) and checked where it is made: the basis of every rotation.
 
-    J_y = D_y J_x D_y^dag with D_y = D(pi/2), and J(theta, phi) is J_x tilted
-    about J_y by theta - pi/2 and gauged by D(phi), so one eigensystem serves
-    every axis; a run has one N.
+    A rotation about any axis is one turn about J_x between the gauges of its
+    ZXZ Euler angles (rotation), so one eigensystem serves every axis; a run has
+    one N.
     """
     return tridiagonal_eigensystem(np.zeros(space.dim), 0.5 * space.j_band, _jx_block)
 
@@ -449,12 +450,12 @@ def turn(eigensystem: ParityEigensystem, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> np.ndarray:
-    """U x on a column block x, U = exp(-i alpha J(axis)) = D T e^{-i alpha J_x} T^dag D^dag.
+    """U x on columns x, U = exp(-i alpha J(axis)) = D(phi + lam) e^{-i beta J_x} D(lam - phi).
 
-    D = D(phi), T = D_y e^{-i zeta J_x} D_y^dag with D_y = D(pi/2) and zeta = theta - pi/2:
-    three turns (tilt, turn, tilt back) on one gauged copy of x, gauged in place
-    between them.  A tilt by 0, as on the equator, is skipped, and alpha = 0
-    returns x itself.
+    lam and beta are U's ZXZ Euler angles (module docstring): one turn on one gauged
+    copy of x, gauged in place after.  On the equator lam = 0 and beta = alpha, the
+    same operations as D(phi) e^{-i alpha J_x} D(phi)^dag; at a pole beta = 0 and
+    the turn is skipped; alpha = 0 returns x itself.
     """
     if not np.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
@@ -462,21 +463,17 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
         raise ValueError(f"rotation needs {space.dim} rows, got {x.shape[0]}")
     if alpha == 0:
         return x
-    eigensystem, zeta = jx_eigensystem(space), axis.theta - np.pi / 2
-    d = _gauge(space, axis.phi)[:, None]
-    y = d.conj() * x  # the one copy: every later gauge is in place
-    if zeta == 0:
-        y = turn(eigensystem, alpha, y)
-    else:  # T e^{-i alpha J_x} T^dag
-        d_y = _gauge(space, np.pi / 2)[:, None]
-        y *= d_y.conj()
-        y = turn(eigensystem, -zeta, y)
-        y *= d_y
-        y = turn(eigensystem, alpha, y)
-        y *= d_y.conj()
-        y = turn(eigensystem, zeta, y)
-        y *= d_y
-    y *= d
+    if axis.theta == np.pi / 2:
+        lam, beta = 0.0, alpha
+    else:
+        s, c = np.sin(alpha / 2), np.cos(alpha / 2)
+        # pi - theta is exact for theta >= pi/2, so sin theta is 0.0 at both poles
+        z, xy = s * np.cos(axis.theta), s * np.sin(min(axis.theta, np.pi - axis.theta))
+        lam, beta = np.arctan2(z, c), 2 * np.arctan2(xy, np.hypot(c, z))
+    y = _gauge(space, axis.phi - lam).conj()[:, None] * x  # the one copy
+    if beta:
+        y = turn(jx_eigensystem(space), beta, y)
+    y *= _gauge(space, axis.phi + lam)[:, None]
     return y
 
 

@@ -3,12 +3,13 @@ the module constants it quotes."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from catlab import classical, dynamics, metrology, spin
-from catlab.cli import build_parser
+from catlab.cli import build_parser, config_from_args
 from catlab.harness import COMMANDS
 from catlab.spin import TOLERANCES
 
@@ -31,6 +32,15 @@ def parser_flags() -> set[str]:
         for flag in action.option_strings
         if flag.startswith("--") and flag != "--help"
     }
+
+
+def readme_examples() -> list[str]:
+    """Every `catlab <command> ...` the README shows: lines of its code blocks and inline
+    code spans; the usage line's `<command>` placeholder is not a command."""
+    parts = README.split("```")
+    lines = [line for block in parts[1::2] for line in block.splitlines()]
+    spans = [span for text in parts[::2] for span in re.findall(r"`([^`\n]+)`", text)]
+    return [line for line in lines + spans if re.match(r"catlab [a-z]", line)]
 
 
 def test_readme_lists_every_tolerance_key():
@@ -65,3 +75,12 @@ def test_readme_quotes_constants_at_their_values(name, module):
     assert quoted, f"README quotes no `{name} = ...`"
     value = getattr(module, name.rpartition(".")[2])
     assert [float(q) for q in quoted] == [value] * len(quoted)
+
+
+def test_readme_examples_parse():
+    examples = readme_examples()
+    assert len(examples) >= 6, examples
+    for line in examples:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if args.config is None:  # a named config file is the reader's own
+            config_from_args(args)

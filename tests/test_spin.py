@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from catlab import (
@@ -137,10 +139,41 @@ def test_rotation_matches_expm(n):
         alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
         oracle = expm(-1j * alpha * dense_j(n, axis))
         assert np.abs(rotation(sp, alpha, axis, np.eye(sp.dim)) - oracle).max() < 1e-10
-    # a turn about Z is the gauge D(alpha) = diag(e^{-i alpha m}), three turns about J_x's frame
+    # a turn about Z is the gauge D(alpha) = diag(e^{-i alpha m}), and no turn about J_x
     alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
     gauge = np.diag(np.exp(-1j * alpha * sp.m_values))
     assert np.abs(rotation(sp, alpha, Z_AXIS, np.eye(sp.dim)) - gauge).max() < 1e-12
+
+
+@given(
+    st.sampled_from([2, 10]),
+    st.floats(0.0, np.pi),
+    st.floats(-np.pi, np.pi),
+    st.floats(-4 * np.pi, 4 * np.pi),
+)
+@example(2, 0.0, 0.3, np.pi)
+@example(10, np.pi / 2, -1.2, -np.pi)
+@example(10, np.pi, 2.5, np.pi)
+@example(2, np.pi / 2, 0.0, -np.pi)
+@example(10, 0.0, -0.7, -np.pi)
+def test_rotation_matches_expm_on_any_axis_and_angle(n, theta, phi, alpha):
+    # the Euler angles at both poles, on the equator and at alpha = +-pi, where cos(alpha/2) = 0
+    axis = SpinAxis(theta, phi)
+    oracle = expm(-1j * alpha * dense_j(n, axis))
+    assert np.abs(rotation(SpinSpace(n), alpha, axis, np.eye(n + 1)) - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, 0.7, -2.9])
+def test_equatorial_rotation_is_one_gauged_turn_bit_for_bit(phi):
+    # lam = 0 and beta = alpha exactly: D(phi) e^{-i alpha J_x} D(phi)^dag as three steps
+    sp, axis = SpinSpace(20), SpinAxis(np.pi / 2, phi)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(sp.dim, 4)) + 1j * rng.normal(size=(sp.dim, 4))
+    d = np.exp(-1j * axis.phi * sp.m_values)[:, None]  # phi as SpinAxis folds it
+    for alpha in (-np.pi / 2, 0.3, 5.0):
+        turned = spin.turn(jx_eigensystem(sp), alpha, d.conj() * x)
+        turned *= d  # in place, as rotation gauges: numpy's d * turned may differ in the last bit
+        assert np.array_equal(rotation(sp, alpha, axis, x), turned), alpha
 
 
 @pytest.mark.parametrize("n", [2, 10, 200])
@@ -324,8 +357,8 @@ def test_real_matmul_matches_complex_matmul():
 
 
 def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
-    # each turn is four half-size real GEMMs, two per parity sector: one turn on the
-    # equator, three (tilt, turn, tilt back) on any other axis; none reads an (N+1)^2 matrix
+    # each turn is four half-size real GEMMs, two per parity sector: one turn on any axis
+    # but a pole, where the rotation is a gauge alone; none reads an (N+1)^2 matrix
     sp = SpinSpace(10)
     x = np.ones((sp.dim, 3), dtype=complex)
     shapes = []
@@ -333,7 +366,9 @@ def test_rotation_is_two_real_gemms_on_any_axis(monkeypatch):
     monkeypatch.setattr(
         spin, "real_matmul", lambda r, z, out: shapes.append(r.shape) or product(r, z, out)
     )
-    for axis, turns in ((X_AXIS, 1), (Y_AXIS, 1), (SpinAxis(1.1, 0.4), 3), (Z_AXIS, 3)):
+    for axis, turns in (
+        (X_AXIS, 1), (Y_AXIS, 1), (SpinAxis(1.1, 0.4), 1), (Z_AXIS, 0), (SpinAxis(np.pi, 0.4), 0)
+    ):
         shapes.clear()
         rotation(sp, 0.3, axis, x)
         assert shapes == [(6, 6), (6, 6), (5, 5), (5, 5)] * turns, axis
@@ -384,7 +419,7 @@ def test_rotation_memory_below_one_dense_complex_matrix():
 @pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS, Z_AXIS, SpinAxis(1.0, 0.3)])
 def test_rotation_holds_one_gauged_copy(axis):
     # a turn holds two column blocks beyond its input, the folded columns and the
-    # sectors; a rotation adds one gauged copy on every axis, its tilts included
+    # sectors; a rotation adds one gauged copy on every axis
     sp = SpinSpace(800)
     x = np.ones((sp.dim, 2 * sp.dim), dtype=complex)  # [V, J_z V] of a full-rank state
     eigensystem = jx_eigensystem(sp)
