@@ -6,6 +6,13 @@ distributions, and quantifies how macroscopic (extensive difference) and how
 genuinely quantum (Fisher-information indefiniteness) the result is.
 """
 
+# bound as _os so that the dir()-built __all__ does not export it
+import os as _os
+
+# an idle OpenBLAS thread sleeps after 2^4 cycles instead of spinning for 2^28;
+# OpenBLAS reads this once, when numpy loads it, so it is set before any import of numpy
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 __version__ = "0.1.0"
 
 from .spin import (

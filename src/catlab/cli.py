@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration error (including any --config or
 --out path the system refuses, a requested state that does not exist for
 the couplings, and a run estimated to need more memory than MemAvailable),
 3 numerical-invariant or LAPACK failure (numpy.linalg.LinAlgError).  The
-CATLAB_WORKERS environment variable overrides the configured worker count.
+CATLAB_WORKERS environment variable overrides the configured worker count;
+importing catlab sets OPENBLAS_THREAD_TIMEOUT=4 (idle BLAS threads sleep at
+once) unless the environment already sets it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -102,16 +103,20 @@ def _grid_blocks(xs: np.ndarray, ys: np.ndarray, values: np.ndarray):
         yield ("%.17g," % x).join(cells) % tuple(row.tolist())
 
 
-def write_csv(path: Path, header: list[str], table: list[tuple] | Grid) -> None:
+def write_csv(path: Path, header: list[str], table: list[tuple] | Grid) -> str:
     """Stream rows, or a grid a row at a time, with floats at 17 significant digits.
 
     '%.17g' % v is format(float(v), '.17g'), which round-trips every double;
-    no text holds more than one block.
+    no text holds more than one block.  Returns the sha256 of the bytes written.
     """
     blocks = _grid_blocks(*table) if isinstance(table, Grid) else _row_blocks(table)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        out.writelines(blocks)
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        for text in itertools.chain([",".join(header) + "\n"], blocks):
+            data = text.encode("utf-8")
+            digest.update(data)
+            out.write(data)
+    return digest.hexdigest()
 
 
 def resolve_workers(config: RunConfig) -> int:
@@ -288,17 +293,14 @@ COMMANDS = {
 }
 
 
-def _sha256(path: Path) -> str:
-    """The file's sha256, read in 1 MiB blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as data:
-        for block in iter(lambda: data.read(2**20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def write_manifest(
+    config: RunConfig, command: str, out_dir: Path, outputs: dict[Path, str]
+) -> dict[Path, str]:
+    """Emit manifest.json into out_dir, listing each output's sha256 by relative path.
 
-
-def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list[Path]) -> Path:
-    """Emit manifest.json into out_dir; output files are keyed by relative path."""
+    outputs maps each file to the sha256 its writer returned; the result is
+    {manifest path: its sha256}, an entry for a parent manifest's outputs.
+    """
     notes = []
     if command in ("temp-sweep", "all-figures"):
         notes.append(
@@ -322,13 +324,13 @@ def write_manifest(config: RunConfig, command: str, out_dir: Path, outputs: list
         "time_factor_zero": config.effective_time_factor("zero"),
         "notes": notes,
         "outputs": {
-            p.relative_to(out_dir).as_posix(): _sha256(p) for p in sorted(outputs)
+            p.relative_to(out_dir).as_posix(): outputs[p] for p in sorted(outputs)
         },
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return path
+    data = (json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return {path: hashlib.sha256(data).hexdigest()}
 
 
 def memory_estimate(command: str, config: RunConfig) -> int:
@@ -383,14 +385,15 @@ def run_command(command: str, config: RunConfig) -> list[Path]:
     # the sweeps run first, so the configured state is not held while they run
     tables = {n: COMMANDS[n](config, state) for n in sorted(names, key=lambda n: n not in SWEEPS)}
     out_root = Path(config.out_dir)
-    outputs = []
+    # each written file's sha256, in writing order
+    digests: dict[Path, str] = {}
     for name in names:
         out_dir = out_root / name.replace("-", "_") if command == "all-figures" else out_root
         file_name, header, table = tables[name]
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / file_name
-        write_csv(path, header, table)
-        outputs += [path, write_manifest(config, name, out_dir, [path])]
+        written = {path: write_csv(path, header, table)}
+        digests |= written | write_manifest(config, name, out_dir, written)
     if command == "all-figures":
-        outputs.append(write_manifest(config, command, out_root, outputs))
-    return outputs
+        digests |= write_manifest(config, command, out_root, digests)
+    return list(digests)

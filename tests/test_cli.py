@@ -102,6 +102,52 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def blas_env(timeout: str | None) -> dict:
+    """This process's environment with OPENBLAS_THREAD_TIMEOUT unset, or preset to timeout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return env if timeout is None else {**env, "OPENBLAS_THREAD_TIMEOUT": timeout}
+
+
+def test_idle_blas_threads_sleep_after_import():
+    # at OpenBLAS's default timeout an idle helper thread spins for 2^28 cycles after a
+    # burst of calls, about 0.12 s of CPU in this sleep; a single-core machine starts no helper
+    code = (
+        "import resource, time, catlab, numpy as np\n"
+        "a = np.random.default_rng(0).normal(size=(400, 400))\n"
+        "products = [a @ a for _ in range(3)]\n"
+        "def cpu():\n"
+        "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    return usage.ru_utime + usage.ru_stime\n"
+        "start = cpu(); time.sleep(0.3); print(cpu() - start)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=blas_env(None),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 0.03
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])
+def test_import_sets_the_thread_timeout_unless_preset(preset, expected):
+    code = "import os, catlab; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    result = subprocess.run([sys.executable, "-c", code], env=blas_env(preset),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == expected
+
+
+def test_thread_timeout_moves_no_byte(tmp_path):
+    trees = {}
+    for workers, timeout in itertools.product(["1", "2"], [None, "28"]):
+        out = tmp_path / f"w{workers}-{timeout}"
+        argv = ["all-figures", "--n", "40", "--workers", workers, "--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "catlab.cli", *argv],
+                                env=blas_env(timeout), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        trees[workers, timeout] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+    assert len(trees["1", None]) == len(harness.COMMANDS)
+    assert all(tree == trees["1", None] for tree in trees.values())
+
+
 def test_a_run_never_imports_scipy_or_the_pool(tmp_path):
     # scipy.linalg alone adds about 29 MiB, which would lift all-figures' peak RSS
     runs = [

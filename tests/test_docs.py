@@ -13,7 +13,8 @@ from catlab.cli import build_parser, config_from_args
 from catlab.harness import COMMANDS
 from catlab.spin import TOLERANCES
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def paragraph_after(marker: str) -> str:
@@ -84,3 +85,14 @@ def test_readme_examples_parse():
         args = build_parser().parse_args(shlex.split(line)[1:])
         if args.config is None:  # a named config file is the reader's own
             config_from_args(args)
+
+
+def test_readme_names_every_environment_variable():
+    # every variable src/catlab reads or sets, each access naming it by a string literal
+    sources = [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "catlab").glob("*.py")]
+    names = [name for text in sources
+             for name in re.findall(r'os\.environ(?:\.\w+\(|\[)"(\w+)"', text)]
+    assert len(names) == sum(text.count("os.environ") for text in sources)
+    assert {"CATLAB_WORKERS", "OPENBLAS_THREAD_TIMEOUT"} <= set(names)
+    for name in names:
+        assert re.search(rf"`{name}\b", README), f"README does not name `{name}`"
