@@ -9,8 +9,10 @@ genuinely quantum (Fisher-information indefiniteness) the result is.
 # bound as _os so that the dir()-built __all__ does not export it
 import os as _os
 
-# an idle OpenBLAS thread sleeps after 2^4 cycles instead of spinning for 2^28;
-# OpenBLAS reads this once, when numpy loads it, so it is set before any import of numpy
+# an idle OpenBLAS thread sleeps after 2^4 cycles instead of spinning for 2^28.  spin pins
+# BLAS to one thread (spin.BLAS_PINNED), but the helper thread OpenBLAS starts when it
+# loads still spins once without this, about 0.07 s of CPU per process.  OpenBLAS reads
+# the variable once, when numpy loads it, so it is set before any import of numpy
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"

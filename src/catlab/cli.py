@@ -11,9 +11,12 @@ Exit codes: 0 success, 2 configuration error (including any --config or
 --out path the system refuses, a requested state that does not exist for
 the couplings, and a run estimated to need more memory than MemAvailable),
 3 numerical-invariant or LAPACK failure (numpy.linalg.LinAlgError).  The
-CATLAB_WORKERS environment variable overrides the configured worker count;
-importing catlab sets OPENBLAS_THREAD_TIMEOUT=4 (idle BLAS threads sleep at
-once) unless the environment already sets it.
+worker pool is the only parallelism: --workers defaults to one worker per
+usable core, and the CATLAB_WORKERS environment variable overrides the
+configured count.  Importing catlab pins OpenBLAS to one thread per process
+(spin.BLAS_PINNED; where no setter resolves, the environment's count holds)
+and sets OPENBLAS_THREAD_TIMEOUT=4 (idle BLAS threads sleep at once) unless
+the environment already sets it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--time-factor", type=float, help="multiple of T_pi")
         p.add_argument("--out", dest="out_dir", type=str, help="output directory")
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int,
+                       help="worker processes (default: one per usable core)")
         p.add_argument("--factors", dest="time_factors", type=float, nargs="+",
                        help="time-sweep factors (multiples of T_pi)")
         p.add_argument("--betas", dest="beta_inv_grid", type=float, nargs="+",

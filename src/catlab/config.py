@@ -21,13 +21,18 @@ class ConfigError(ValueError):
     """A configuration field is out of range or inconsistent."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 #: the values each field annotation admits; bool is an int subclass, so it is excluded
 _TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
     "float": _is_number,
     "float | None": lambda v: v is None or _is_number(v),
     "str": lambda v: isinstance(v, str),
@@ -71,7 +76,7 @@ class RunConfig:
     beta_inv_over_eps: float = 0.0  # 0 means the spin coherent state (dynamics.PURE_STATE_BETA)
     time_factor: float | None = None  # None -> 1.0 for pi, 1.4 for zero
     out_dir: str = "catlab_out"
-    workers: int = 1
+    workers: int | None = None  # None -> one per usable core (harness.resolve_workers)
     time_factors: list[float] = field(default_factory=_default_time_factors)
     beta_inv_grid: list[float] = field(default_factory=_default_beta_inv_grid)
     optimize_time_factor: bool = False
@@ -114,7 +119,7 @@ class RunConfig:
             )
         if self.time_factor is not None and self.time_factor < 0:
             raise ConfigError(f"time_factor must be >= 0, got {self.time_factor!r}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         if not self.time_factors or any(f < 0 for f in self.time_factors):
             raise ConfigError("time_factors must be a non-empty list of factors >= 0")

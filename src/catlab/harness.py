@@ -50,6 +50,7 @@ from .dynamics import (
     TwistTurnParams,
     beta_scaled_of,
     prepare_and_evolve,
+    propagator,
     t_pi,
 )
 from .metrology import default_axis_grids, jz_distribution, metrology_reports, qfi_axis_map
@@ -120,6 +121,7 @@ def write_csv(path: Path, header: list[str], table: list[tuple] | Grid) -> str:
 
 
 def resolve_workers(config: RunConfig) -> int:
+    """CATLAB_WORKERS, else the configured count, else one worker per usable core."""
     env = os.environ.get("CATLAB_WORKERS")
     if env is not None:
         try:
@@ -129,6 +131,8 @@ def resolve_workers(config: RunConfig) -> int:
         if n < 1:
             raise ConfigError(f"CATLAB_WORKERS must be >= 1, got {n}")
         return n
+    if config.workers is None:
+        return len(os.sched_getaffinity(0))
     return config.workers
 
 
@@ -145,6 +149,15 @@ def parallel_map(func, items: list, n_workers: int) -> list:
 
 def _params_from_config(config: RunConfig) -> TwistTurnParams:
     return TwistTurnParams(space=SpinSpace(config.n_particles), u_int=config.u_int)
+
+
+def _pool_map(func, items: list, config: RunConfig) -> list:
+    """parallel_map over the run's workers, with H's and J_x's eigensystems built here first
+    (H's first, as prepare_and_evolve orders them): forked workers inherit both caches."""
+    params = _params_from_config(config)
+    propagator(params)
+    spin.jx_eigensystem(params.space)
+    return parallel_map(func, items, resolve_workers(config))
 
 
 def _evolved_state(config: RunConfig) -> spin.SpectralDecomp:
@@ -223,7 +236,7 @@ def cmd_time_sweep(config: RunConfig, state) -> tuple:
     n_workers = min(resolve_workers(config), len(factors))
     # one chunk of factors per worker, so each prepares its state once
     items = [(config, factors[k::n_workers]) for k in range(n_workers)]
-    chunks = parallel_map(_time_sweep_point, items, n_workers)
+    chunks = _pool_map(_time_sweep_point, items, config)
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
     header = ["time_factor", "lambda", "delta_s", "r_c", "r_q", "lambda_r_c", "lambda_r_q"]
     return "lambda_r_vs_time.csv", header, rows
@@ -232,7 +245,7 @@ def cmd_time_sweep(config: RunConfig, state) -> tuple:
 def cmd_temp_sweep(config: RunConfig, state) -> tuple:
     # one item per state: its temperatures share one evolved basis
     items = [(config, label) for label in ("pi", "zero")]
-    chunks = parallel_map(_temp_sweep_point, items, resolve_workers(config))
+    chunks = _pool_map(_temp_sweep_point, items, config)
     rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: (r[0], r[1]))
     header = [
         "state", "beta_inv", "lambda", "r_q", "r_c", "lambda_r_q", "lambda_r_c",

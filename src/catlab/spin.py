@@ -37,8 +37,10 @@ matrix is built (tridiagonal_eigensystem).  J_x's blocks are in closed
 form (jx_eigensystem: integer eigenvalues, eigenvectors from a recurrence),
 so H is the only matrix diagonalized, each block by LAPACK's tridiagonal
 divide and conquer (_stevd), with no dense matrix.  Each block's
-eigenvectors are checked orthonormal where they are made, in column panels
-(assert_unitary).  H's are then kept as dense panels, one per row window
+eigenvectors are checked orthonormal where they are made: from their
+residuals and the spectrum's gaps where those prove it, at O(N^2), else by
+their Gram in column panels (assert_eigenvectors, assert_unitary).  H's are
+then kept as dense panels, one per row window
 outside which its columns are exactly zero (panelled); J_x's dense blocks
 are one panel each.  turn is the one routine that reads them: it folds the
 columns x into the two parity sectors and applies exp(-i t A) as two real
@@ -234,20 +236,50 @@ def _eigh(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
 #: names of LAPACK's dstevd with 64-bit integers, the only width accepted
 _STEVD_SYMBOLS = ("scipy_dstevd_64_", "dstevd_64_")
 
+#: names of OpenBLAS's thread-count setter: numpy's own 64-bit builds, then the plain ones
+_SET_THREADS_SYMBOLS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+@lru_cache(maxsize=1)
+def _linalg_library() -> ctypes.CDLL:
+    """numpy.linalg's extension, opened once: its own dependencies resolve the BLAS and
+    LAPACK routines it links, so nothing is loaded."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+def _linked_routine(names: tuple[str, ...]):
+    """The first of names that numpy.linalg's libraries export, or None."""
+    lib = _linalg_library()
+    return next((f for f in (getattr(lib, name, None) for name in names) if f is not None), None)
+
 
 @lru_cache(maxsize=1)
 def _lapack_stevd() -> Callable[..., None] | None:
     """dstevd from the LAPACK that numpy.linalg already links, or None where it exports none
-    of _STEVD_SYMBOLS: the extension's own dependencies resolve it, so nothing is loaded."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in _STEVD_SYMBOLS:
-        routine = getattr(lib, name, None)
-        if routine is not None:
-            # JOBZ, then ten pointers, then the hidden length of JOBZ that gfortran appends
-            routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
-            routine.restype = None
-            return routine
-    return None
+    of _STEVD_SYMBOLS."""
+    routine = _linked_routine(_STEVD_SYMBOLS)
+    if routine is not None:
+        # JOBZ, then ten pointers, then the hidden length of JOBZ that gfortran appends
+        routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+        routine.restype = None
+    return routine
+
+
+def _pin_blas_threads() -> bool:
+    """Set OpenBLAS to one thread in this process and so in every process it forks; False
+    where numpy.linalg links none of _SET_THREADS_SYMBOLS, and the environment's count holds."""
+    setter = _linked_routine(_SET_THREADS_SYMBOLS)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return setter is not None
+
+
+#: whether BLAS runs one thread per process, pinned at import before any product: a
+#: threaded product can round differently (the bits then follow the thread count), and
+#: on the small products of a sweep its wake-ups cost more than the second thread gains
+BLAS_PINNED = _pin_blas_threads()
 
 
 def _stevd(diagonal: np.ndarray, off_diagonal: np.ndarray) -> SpectralDecomp:
@@ -303,13 +335,12 @@ def tridiagonal_eigensystem(
         raise ValueError("tridiagonal_eigensystem needs mirror-symmetric bands of odd size >= 3")
     c = n // 2
     even_off = np.append(off_diagonal[: c - 1], np.sqrt(2.0) * off_diagonal[c - 1])
-    blocks = ParityEigensystem(
-        solve(diagonal[: c + 1], even_off), solve(diagonal[:c], off_diagonal[: c - 1])
-    )
-    for w, u in blocks:
+    bands = ((diagonal[: c + 1], even_off), (diagonal[:c], off_diagonal[: c - 1]))
+    blocks = ParityEigensystem(*(solve(d, e) for d, e in bands))
+    for (d, e), block in zip(bands, blocks):
         # orthonormal blocks give orthonormal eigenvectors: every eigensystem is checked here
-        assert_unitary(u)
-        w.flags.writeable = u.flags.writeable = False
+        assert_eigenvectors(d, e, block)
+        block.values.flags.writeable = block.vectors.flags.writeable = False
     return blocks
 
 
@@ -535,6 +566,47 @@ def assert_unitary(u: np.ndarray) -> float:
     if not dev <= TOLERANCES["unitarity"]:  # NaN fails too
         raise NumericalInvariantError(f"matrix not unitary: max|U^dag U - I| = {dev:.3e}")
     return float(dev)
+
+
+def assert_eigenvectors(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, block: SpectralDecomp
+) -> float:
+    """Check the eigenvectors U of a real symmetric tridiagonal matrix A orthonormal, at
+    O(n^2) where A's residuals prove it; a bound on max|U^T U - I|.
+
+    With A u_i = w_i u_i + r_i, symmetry gives (w_i - w_j) u_j^T u_i = r_j^T u_i - u_j^T r_i,
+    so no overlap exceeds 2 max||r|| max||u|| / g for the smallest gap g of w; with
+    max| ||u_i||^2 - 1 | that bounds the deviation.  J_x's gaps are 2, and H's blocks' are
+    at least 11 at u = 0.1 and N = 800 to 4000, where the bound is 1e-13 to 6e-11.  The
+    squares are summed in row panels of CHECK_PANEL / 4 rows, two at a time.  Where the
+    bound does not pass TOLERANCES["unitarity"] (a duplicated, tilted or unnormalized
+    column, a degenerate w, or a residual past float range), assert_unitary decides.
+    """
+    w, u = block
+    n, height = w.size, CHECK_PANEL // 4
+    norms, residuals = np.zeros(n), np.zeros(n)  # each column's squares, over the panels
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN leaves it to the Gram
+        for a in range(0, n, height):
+            b = min(a + height, n)
+            r = np.subtract(diagonal[a:b, None], w)
+            r *= u[a:b]
+            spare = np.multiply(u[a:b], u[a:b])
+            norms += spare.sum(axis=0)
+            lo, hi = max(a, 1), min(b, n - 1)  # rows with a band entry left, and right
+            r[lo - a :] += np.multiply(off_diagonal[lo - 1 : b - 1, None], u[lo - 1 : b - 1],
+                                       out=spare[: b - lo])
+            r[: hi - a] += np.multiply(off_diagonal[a:hi, None], u[a + 1 : hi + 1],
+                                       out=spare[: hi - a])
+            r *= r
+            residuals += r.sum(axis=0)
+            del r, spare  # freed before the next panel is formed
+        dev = np.abs(norms - 1.0).max()
+        overlap = 2.0 * np.sqrt(residuals.max() * norms.max())
+    gap = np.diff(np.sort(w)).min() if n > 1 else np.inf
+    tol = TOLERANCES["unitarity"]
+    if gap > 0 and dev <= tol and overlap <= tol * gap:
+        return float(max(dev, overlap / gap))
+    return assert_unitary(u)
 
 
 def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) -> SpectralDecomp:

@@ -135,17 +135,78 @@ def test_import_sets_the_thread_timeout_unless_preset(preset, expected):
     assert result.stdout.strip() == expected
 
 
-def test_thread_timeout_moves_no_byte(tmp_path):
-    trees = {}
-    for workers, timeout in itertools.product(["1", "2"], [None, "28"]):
-        out = tmp_path / f"w{workers}-{timeout}"
-        argv = ["all-figures", "--n", "40", "--workers", workers, "--out", str(out)]
+def assert_same_bytes(tmp_path: Path, n: str, envs: dict) -> None:
+    """all-figures --n n at 1 and 2 workers in each environment gives byte-identical CSVs."""
+    trees = []
+    for workers, (name, env) in itertools.product(["1", "2"], envs.items()):
+        out = tmp_path / f"w{workers}-{name}"
+        argv = ["all-figures", "--n", n, "--workers", workers, "--out", str(out)]
         result = subprocess.run([sys.executable, "-m", "catlab.cli", *argv],
-                                env=blas_env(timeout), capture_output=True, text=True)
+                                env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        trees[workers, timeout] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
-    assert len(trees["1", None]) == len(harness.COMMANDS)
-    assert all(tree == trees["1", None] for tree in trees.values())
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
+    assert len(trees[0]) == len(harness.COMMANDS)
+    assert all(tree == trees[0] for tree in trees)
+
+
+def test_thread_timeout_moves_no_byte(tmp_path):
+    assert_same_bytes(tmp_path, "40", {timeout: blas_env(timeout) for timeout in (None, "28")})
+
+
+def test_blas_thread_count_moves_no_byte(tmp_path):
+    # at N = 40 OpenBLAS threads no product; at N = 200 a second thread moved crossover.csv
+    unset = {k: v for k, v in blas_env(None).items() if k != "OPENBLAS_NUM_THREADS"}
+    envs = {"unset": unset, **{t: {**unset, "OPENBLAS_NUM_THREADS": t} for t in ("1", "2")}}
+    assert_same_bytes(tmp_path, "200", envs)
+
+
+@pytest.mark.skipif(not spin.BLAS_PINNED,
+                    reason="numpy links no OpenBLAS thread setter: the environment's count holds")
+@pytest.mark.parametrize("first", ["catlab", "numpy"])
+def test_blas_runs_one_thread_in_the_parent_and_every_worker(first):
+    getters = tuple(name.replace("_set_", "_get_") for name in spin._SET_THREADS_SYMBOLS)
+    code = (
+        f"import ctypes, {first}, catlab\n"
+        "from catlab import spin\n"
+        "from catlab.harness import parallel_map\n"
+        "def threads(_=None):\n"
+        f"    getter = spin._linked_routine({getters!r})\n"
+        "    getter.restype = ctypes.c_int\n"
+        "    return getter()\n"
+        "print(threads(), *parallel_map(threads, [0, 1], 2))\n"
+    )
+    env = {**blas_env(None), "OPENBLAS_NUM_THREADS": "2"}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("command", ["time-sweep", "temp-sweep"])
+def test_a_pooled_sweep_builds_each_eigensystem_once_in_the_parent(tmp_path, monkeypatch, command):
+    # the workers inherit H's and J_x's eigensystems: rebuilt in each worker, they cost the
+    # cold N = 4000 time sweep more CPU than the pool saved
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    log = tmp_path / "calls.txt"
+
+    def logged(name, func):
+        def wrapper(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as out:
+                out.write(f"{name} {os.getpid()}\n")
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module in (spin, dynamics):
+        build = logged("build", module.tridiagonal_eigensystem)
+        monkeypatch.setattr(module, "tridiagonal_eigensystem", build)
+    monkeypatch.setattr(dynamics, "thermal_state", logged("prepare", dynamics.thermal_state))
+    spin.jx_eigensystem.cache_clear()
+    dynamics.propagator.cache_clear()
+    run_command(command, small_config(tmp_path, workers=2))
+    calls = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+    parent = str(os.getpid())
+    assert [pid for name, pid in calls if name == "build"] == [parent, parent]
+    workers = [pid for name, pid in calls if name == "prepare"]
+    assert len(set(workers)) == 2 and parent not in workers
 
 
 def test_a_run_never_imports_scipy_or_the_pool(tmp_path):
@@ -373,6 +434,7 @@ _JSON_KINDS = {
 # the JSON kinds each field annotation admits
 _ADMITS = {
     "int": {"int"},
+    "int | None": {"int", "null"},
     "float": {"int", "float"},
     "float | None": {"int", "float", "null"},
     "str": {"str"},
@@ -590,8 +652,9 @@ def test_memory_check_passes_small_runs_and_skips_without_a_reading(tmp_path, mo
 def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     n = 1600
-    cold = memory_estimate("time-sweep", RunConfig(n_particles=n))
-    hot = memory_estimate("time-sweep", RunConfig(n_particles=n, beta_inv_over_eps=100.0))
+    serial = dict(n_particles=n, workers=1)
+    cold = memory_estimate("time-sweep", RunConfig(**serial))
+    hot = memory_estimate("time-sweep", RunConfig(**serial, beta_inv_over_eps=100.0))
     # the process floor and 2 real (N+1)^2 matrices; the cold state is one column, the hot
     # one all N + 1
     assert cold == harness.PROCESS_BYTES + 8 * (n + 1) * (2 * (n + 1) + 26 * 1)
@@ -600,8 +663,8 @@ def test_memory_estimate_scales_with_rank_and_workers(monkeypatch):
     # the axis map adds its 64 x 128 grid to the state's bytes
     grid_bytes = 8 * harness.GRID_ARRAYS * 64 * 128
     assert memory_estimate("qfi-map", RunConfig(n_particles=n)) == cold + grid_bytes
-    # the default run stays far below any machine's memory
-    assert memory_estimate("all-figures", RunConfig()) < 100 * 2**20
+    # a default serial run stays far below any machine's memory
+    assert memory_estimate("all-figures", RunConfig(workers=1)) < 100 * 2**20
 
 
 def state_rank(command: str, config: RunConfig) -> int:
@@ -635,13 +698,17 @@ def test_memory_estimate_counts_the_processes_the_pool_starts(tmp_path, monkeypa
     monkeypatch.delenv("CATLAB_WORKERS", raising=False)
     # a temperature sweep's pool has one item per state, a time sweep's one per factor
     small = dict(n_particles=40, time_factors=[1.0, 1.4])
+    cores = len(os.sched_getaffinity(0))
     for command in ("temp-sweep", "time-sweep"):
-        one = memory_estimate(command, RunConfig(**small))
+        one = memory_estimate(command, RunConfig(**small, workers=1))
         assert memory_estimate(command, RunConfig(**small, workers=8)) == 2 * one
+        # the default is one worker per usable core
+        assert memory_estimate(command, RunConfig(**small)) == min(cores, 2) * one
     # a reading that two processes fit in lets --workers 8 through
     argv = ["temp-sweep", "--n", "40", "--betas", "1", "--workers", "8", "--out", str(tmp_path)]
     need = memory_estimate("temp-sweep", config_from_args(build_parser().parse_args(argv)))
-    assert need == 2 * memory_estimate("temp-sweep", RunConfig(n_particles=40, beta_inv_grid=[1.0]))
+    one = memory_estimate("temp-sweep", RunConfig(n_particles=40, beta_inv_grid=[1.0], workers=1))
+    assert need == 2 * one
     monkeypatch.setattr(harness, "_mem_available", lambda: need)
     assert main(argv) == 0
     monkeypatch.setattr(harness, "_mem_available", lambda: need - 1)
@@ -780,7 +847,7 @@ def test_workers_env_override(tmp_path, monkeypatch):
     run_command("time-sweep", cfg)
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     # the env override steers execution but never leaks into the config echo
-    assert manifest["config"]["workers"] == 1
+    assert manifest["config"]["workers"] is None
     monkeypatch.setenv("CATLAB_WORKERS", "zero")
     with pytest.raises(ConfigError):
         run_command("time-sweep", cfg)

@@ -245,7 +245,8 @@ def build_counts(monkeypatch):
 
 
 def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
-    cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4, 2.0], out_dir=str(tmp_path))
+    cfg = RunConfig(n_particles=40, time_factors=[0.0, 0.7, 1.4, 2.0], out_dir=str(tmp_path),
+                    workers=1)
     run_command("time-sweep", cfg)
     assert build_counts == {"thermal_state": 1, "propagator": 1}
     assert len(read_csv(tmp_path / "lambda_r_vs_time.csv")[1]) == 4
@@ -254,7 +255,7 @@ def test_serial_time_sweep_prepares_once(tmp_path, build_counts):
 def test_serial_all_figures_evolves_the_configured_state_once(tmp_path, build_counts):
     # one state per sweep chunk, one per temp-sweep label, and one that distribution,
     # qfi-map and wigner share
-    run_command("all-figures", RunConfig(n_particles=40, out_dir=str(tmp_path)))
+    run_command("all-figures", RunConfig(n_particles=40, out_dir=str(tmp_path), workers=1))
     assert build_counts == {"thermal_state": 4, "propagator": 1}
 
 
@@ -338,6 +339,7 @@ def test_optimized_temp_sweep_prepares_once_per_state(tmp_path, build_counts):
         time_factors=[1.0, 1.2, 1.4],
         optimize_time_factor=True,
         out_dir=str(tmp_path),
+        workers=1,
     )
     run_command("temp-sweep", cfg)
     # every temperature of a state is weights on its hottest state's evolved basis

@@ -623,6 +623,50 @@ def test_panelled_check_reports_the_one_shot_deviation(complex_):
             assert abs(spin.assert_unitary(v) - one_shot_deviation(v)) <= 1e-14, (rows, cols)
 
 
+def parity_blocks(n: int) -> list[tuple]:
+    """(name, diagonal, off_diagonal, eigensystem) of each parity block of J_x and of H
+    (u = 0.1) at N = n, as tridiagonal_eigensystem forms and solves them."""
+    solvers = {"h": spin._stevd, "jx": spin._jx_block}
+    blocks = []
+    for name, (d, e) in parity_bands(n).items():
+        solve = solvers[name]
+        c = d.size // 2
+        even_off = np.append(e[: c - 1], np.sqrt(2.0) * e[c - 1])
+        for parity, (bd, be) in (("even", (d[: c + 1], even_off)), ("odd", (d[:c], e[: c - 1]))):
+            blocks.append((f"{name}-{parity}", bd, be, solve(bd, be)))
+    return blocks
+
+
+@pytest.mark.parametrize("n", [2, 40, 600])
+def test_residual_check_bounds_the_gram_deviation(n, monkeypatch):
+    # at N = 600 a block spans 5 row panels; at N = 2 the odd block is one row
+    blocks = parity_blocks(n)
+    monkeypatch.setattr(spin, "assert_unitary", None)  # the O(n^2) bound alone decides
+    for name, d, e, block in blocks:
+        bound = spin.assert_eigenvectors(d, e, block)
+        assert one_shot_deviation(block.vectors) <= bound <= 1e-11, name
+
+
+def test_residual_check_finds_every_defect():
+    # each defect alone, 1e-8 against the 1e-9 tolerance, in J_x's and H's blocks; the bound
+    # does not pass, and the Gram check rejects it
+    for name, d, e, (w, u) in parity_blocks(600):
+        j, i = u.shape[1] - 5, 3
+        defects = {"overlap": (j, i, 1e-8), "norm": (j, j, 0.5e-8), "duplicate": (j, i, None)}
+        for defect, (col, other, eps) in defects.items():
+            v = u.copy()
+            v[:, col] = v[:, other] if eps is None else v[:, col] + eps * v[:, other]
+            with pytest.raises(NumericalInvariantError, match="not unitary"):
+                spin.assert_eigenvectors(d, e, spin.SpectralDecomp(w, v))
+        nan = spin.SpectralDecomp(w, np.where(np.eye(w.size) > 0, np.nan, u))
+        with pytest.raises(NumericalInvariantError, match="not unitary"):
+            spin.assert_eigenvectors(d, e, nan)
+        # orthonormal columns whose values leave no gap pass on the Gram
+        degenerate = w.copy()
+        degenerate[1] = degenerate[0]
+        assert spin.assert_eigenvectors(d, e, spin.SpectralDecomp(degenerate, u)) <= 1e-13, name
+
+
 def test_jx_eigensystem_holds_no_gram_beyond_one_check_panel():
     # with H's propagator held, J_x's blocks and one check panel are all it allocates:
     # an (N/2 + 1)^2 Gram, 1.3 MB at N = 800, does not fit in the slack
