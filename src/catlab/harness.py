@@ -131,8 +131,9 @@ def resolve_workers(config: RunConfig) -> int:
         if n < 1:
             raise ConfigError(f"CATLAB_WORKERS must be >= 1, got {n}")
         return n
-    if config.workers is None:
-        return len(os.sched_getaffinity(0))
+    if config.workers is None:  # the affinity mask where the OS has one (Linux), else every core
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
     return config.workers
 
 

@@ -508,11 +508,15 @@ def rotation(space: SpinSpace, alpha: float, axis: SpinAxis, x: np.ndarray) -> n
     return y
 
 
+def _tilt(space: SpinSpace, axis: SpinAxis, r: int) -> np.ndarray:
+    """D(phi) e^{-i theta J_y} on the top r Dicke states, exact at the pole theta = 0."""
+    dicke = np.eye(space.dim, r, r - space.dim)
+    return _gauge(space, axis.phi)[:, None] * rotation(space, axis.theta, Y_AXIS, dicke)
+
+
 def coherent_state(space: SpinSpace, axis: SpinAxis) -> np.ndarray:
     """Spin coherent state D(phi) e^{-i theta J_y} |m = j> pointing along the axis."""
-    top = np.zeros((space.dim, 1))
-    top[-1] = 1.0
-    return _gauge(space, axis.phi) * rotation(space, axis.theta, Y_AXIS, top)[:, 0]
+    return _tilt(space, axis, 1)[:, 0]
 
 
 def thermal_weights(space: SpinSpace, beta_scaled: float) -> np.ndarray:
@@ -529,20 +533,15 @@ def thermal_state(space: SpinSpace, beta_scaled: float, z: float, phi: float) ->
 
     beta_scaled is beta * eps_tau, the only temperature parameter exposed.
     The positive exponent means beta -> inf concentrates the state onto the
-    spin coherent state at phase-space point (z, phi).  Returned as its
-    checked eigensystem: thermal_weights on the Dicke states, tilted by
-    theta = acos z and gauged by D(phi), so the pole z = 1 stays exact.
+    spin coherent state at phase-space point (z, phi).  Returned as its eigensystem,
+    a state by construction: the nonzero thermal_weights (of a checked beta >= 0, in
+    [0, 1] and summing to 1) on as many top Dicke states, tilted by R's checked columns.
     """
     if abs(z) > 1:
         raise ValueError(f"imbalance z must lie in [-1, 1], got {z}")
-    axis = SpinAxis(float(np.arccos(z)), phi)
     p = thermal_weights(space, beta_scaled)
     r = np.count_nonzero(p)  # the support is the top r Dicke states
-    # tilted Dicke columns are orthonormal as R is, checked in tridiagonal_eigensystem
-    p, dicke = state_factor(p[-r:], np.eye(space.dim, r, r - space.dim), orthonormal=True)
-    return SpectralDecomp(
-        p, _gauge(space, axis.phi)[:, None] * rotation(space, axis.theta, Y_AXIS, dicke)
-    )
+    return SpectralDecomp(p[-r:], _tilt(space, SpinAxis(float(np.arccos(z)), phi), r))
 
 
 #: rows of U^dag U per panel of the orthonormality check; on a 5001-row block 256 take
@@ -609,12 +608,12 @@ def assert_eigenvectors(
     return assert_unitary(u)
 
 
-def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) -> SpectralDecomp:
+def state_factor(p: np.ndarray, vectors: np.ndarray) -> SpectralDecomp:
     """The one state check: weights p on columns V, kept where p > 0.
 
     p >= 0 summing to 1 on orthonormal columns is a density matrix; a
     unitary keeps all three, so evolved states are not checked again.
-    orthonormal=True skips the column check, for columns checked where built.
+    It checks every state it is given, columns too; thermal_state's are states by construction.
     """
     if not p.min() >= 0:  # NaN fails both checks
         raise NumericalInvariantError(f"negative state weight {p.min():.3e}")
@@ -622,8 +621,7 @@ def state_factor(p: np.ndarray, vectors: np.ndarray, orthonormal: bool = False) 
         raise NumericalInvariantError(f"trace deviates from 1 by {abs(p.sum() - 1.0):.3e}")
     keep = p > 0
     v = vectors[:, keep]
-    if not orthonormal:
-        assert_unitary(v)
+    assert_unitary(v)
     return SpectralDecomp(p[keep], v)
 
 

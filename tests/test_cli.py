@@ -853,6 +853,14 @@ def test_workers_env_override(tmp_path, monkeypatch):
         run_command("time-sweep", cfg)
 
 
+def test_default_workers_without_an_affinity_mask(tmp_path, monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the default is every core
+    monkeypatch.delenv("CATLAB_WORKERS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.resolve_workers(RunConfig()) == (os.cpu_count() or 1)
+    assert main(["distribution", "--n", "20", "--out", str(tmp_path)]) == 0
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     from catlab import cli
     from catlab.spin import NumericalInvariantError

@@ -111,7 +111,7 @@ def test_zero_temperature_is_the_coherent_state(n):
         weights, v = thermal_state(sp, PURE_BETA, z, phi)
         top = coherent_state(sp, SpinAxis(float(np.arccos(z)), phi))
         assert weights.tolist() == [1.0]
-        assert np.abs(v[:, 0] - top).max() <= 1e-15
+        assert np.array_equal(v[:, 0], top)
 
 
 def test_propagator_checks_its_eigenvectors(monkeypatch):
