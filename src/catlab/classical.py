@@ -21,11 +21,14 @@ Stability is always classified from the Jacobian of the flow, never from a
 closed-form coupling threshold, and like z_c(phi) = 0 at the saddle's azimuth
 it is decided exactly, with no slack.
 
-Every orbit, the portrait's and classify_batch's alike, steps in one RK4
-loop on Python floats (`_steps`); a step it refuses is retried as 2^r
-substeps through the same loop (`_orbit`).  Every orbit is classed by one
-rule (`_verdict`): its first event, or self-trapped if it has none and did not
-start on z = 0, pole starts included.
+Every orbit is classed by its energy, with no step taken (`_energy_class`):
+SELF_TRAPPING where H_cl > 1, else FREE_OSCILLATION.  This is exact at every
+lambda_cl >= 0: the roots of zdot^2 in z^2 are y+/- = 2[(lambda_cl H_cl - 1)
++/- sqrt(lambda_cl^2 - 2 lambda_cl H_cl + 1)] / lambda_cl^2, and z reaches 0
+exactly when y- <= 0, that is, when H_cl <= 1.
+
+Every portrait orbit steps in one RK4 loop on Python floats (`_steps`); a
+step it refuses is retried as 2^r substeps through the same loop (`_orbit`).
 
 The flow is odd under (z, phi) -> (-z, -phi): sqrt(1 - z^2) and cos are
 even, sin is odd, and rounding to nearest is sign-symmetric, so each RK4
@@ -279,9 +282,10 @@ ORBIT_BLOCK = 100
 #: the portrait's separatrix azimuths over [-pi, pi], its orbits' length and RK4 step
 PORTRAIT_AZIMUTHS, PORTRAIT_T_FINAL, PORTRAIT_DT = 181, 12.0, 1e-3
 
-#: classify_batch's horizon and step; orbits hugging the separatrix take a time
-#: ~ log(1/distance) to commit, which is why the horizon is long
-CLASSIFY_T_MAX, CLASSIFY_DT = 200.0, 2e-3
+
+def _energy_class(energy: float) -> TrajectoryClass:
+    """The class of every orbit of this energy: self-trapped above the separatrix H_cl = 1."""
+    return TrajectoryClass.SELF_TRAPPING if energy > 1.0 else TrajectoryClass.FREE_OSCILLATION
 
 
 def _integrate(
@@ -294,7 +298,7 @@ def _integrate(
     the energy budget is retried as 2^k substeps, k <= 10.  Once a step k
     fails every refinement, no orbit steps past k - 1, and the run gives up
     at the earliest failing step of all.  Each orbit's energy drift must stay
-    below TOLERANCES["energy_drift"], and `_verdict` classes it from all its points.
+    below TOLERANCES["energy_drift"]; its class is its start's energy class.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -323,7 +327,7 @@ def _integrate(
         trajectories.append(Trajectory(
             times.copy(),
             np.column_stack([zs, phis]),
-            _verdict(zs[0], phis[0], zs, phis, ended=True),
+            _energy_class(energies[0]),
             float(np.abs(np.subtract(energies, energies[0])).max()),
         ))
     drift = max(t.energy_drift for t in trajectories)
@@ -349,55 +353,14 @@ def integrate_trajectory(
     return trajectory
 
 
-def _verdict(z0: float, phi0: float, zs, phis, ended: bool) -> TrajectoryClass | None:
-    """The class of the orbit from (z0, phi0) whose points so far are zs, phis.
-
-    Its first event decides: z with the sign opposite to z0's is FREE_OSCILLATION,
-    a phase wound by more than 2 pi from phi0 SELF_TRAPPING.  With no event, an
-    orbit that has ended is SELF_TRAPPING, as z never changed sign, unless it
-    started on z = 0, where H_cl = -cos(phi) <= 1; one that has not ended is
-    undecided (None).
-    """
-    for z, phi in zip(zs, phis):
-        if z < 0.0 < z0 or z0 < 0.0 < z:
-            return TrajectoryClass.FREE_OSCILLATION
-        if abs(phi - phi0) > 2 * np.pi:
-            return TrajectoryClass.SELF_TRAPPING
-    if not ended:
-        return None
-    return TrajectoryClass.SELF_TRAPPING if z0 != 0.0 else TrajectoryClass.FREE_OSCILLATION
-
-
-def _fate(z0: float, phi0: float, lam: float, n_steps: int) -> TrajectoryClass:
-    """One start's class from the first event of its orbit, checked block by block."""
-    zs, phis, energies = [z0], [phi0], [float(_energy(z0, phi0, lam))]
-    while True:
-        block = min(ORBIT_BLOCK, n_steps)
-        _orbit(zs, phis, energies, lam, CLASSIFY_DT, block, math.inf)
-        n_steps -= block
-        # it ends at the horizon, or where it can take no further step
-        verdict = _verdict(z0, phi0, zs, phis, ended=n_steps == 0 or len(zs) <= block)
-        if verdict is not None:
-            return verdict
-        del zs[:-1], phis[:-1], energies[:-1]
-
-
 def classify_batch(points: list[PhasePoint], params: MeanFieldParams) -> list[TrajectoryClass]:
-    """Classify many initial points, each with its own early exit.
+    """Each start's class from its energy: SELF_TRAPPING where H_cl > 1, else FREE_OSCILLATION.
 
-    Each start steps through `_orbit` with no energy budget, by CLASSIFY_DT up
-    to CLASSIFY_T_MAX, ORBIT_BLOCK steps at a time.  It is FREE_OSCILLATION at
-    the first point where z has the sign opposite to z0's, and SELF_TRAPPING
-    at the first where its phase has wound by more than 2 pi.  A start still
-    undecided at the horizon, or whose orbit can take no further step (a pole
-    start takes none: the flow is singular there), is SELF_TRAPPING unless it
-    started on z = 0.  So pi-phase trapped orbits, which never wind, and the
-    self-trapped centers are SELF_TRAPPING.  For lambda_cl >= 2 that is the
-    energy criterion H_cl > 1: such an orbit never reaches z = 0, and one
-    with H_cl < 1 cannot reach phi = pi, so it must cross z = 0.
+    No orbit is stepped.  The rule is exact at every lambda_cl >= 0 (see the
+    module docstring), so pole starts, where the flow is singular, are classed
+    too: H_cl = lambda_cl / 2 there, free up to lambda_cl = 2 and trapped above.
     """
-    lam, n_steps = float(params.lambda_cl), int(round(CLASSIFY_T_MAX / CLASSIFY_DT))
-    return [_fate(float(p.z), float(p.phi), lam, n_steps) for p in points]
+    return [_energy_class(classical_energy(p, params)) for p in points]
 
 
 def phase_portrait(params: MeanFieldParams) -> PhasePortrait:

@@ -189,8 +189,8 @@ def test_trajectory_classification_examples():
     trapped = integrate_trajectory(PhasePoint(0.8, 0.0), mf, t_final=6.0)
     assert trapped.classification is TrajectoryClass.SELF_TRAPPING
     assert free.energy_drift < 1e-6 and trapped.energy_drift < 1e-6
-    # classify_batch's rule: a pi-phase trapped orbit and the self-trapped center never
-    # wind or change the sign of z; a start on z = 0 (about (0, 0), or the saddle) is free
+    # the energy rule: a pi-phase trapped orbit and the self-trapped center have H_cl > 1;
+    # a start on z = 0 has H_cl = -cos(phi) <= 1, so (0, 1) and the saddle are free
     starts = [PhasePoint(0.99, np.pi), PhasePoint(np.sqrt(0.99), np.pi),
               PhasePoint(0.0, 1.0), PhasePoint(0.0, np.pi)]
     got = [integrate_trajectory(p, mf, 12.0).classification for p in starts]
@@ -384,53 +384,70 @@ def test_classification_matches_energy_criterion():
         assert cls is expected, f"mismatch at z={p.z:.4f}, phi={p.phi:.4f}"
 
 
-@pytest.mark.parametrize("lam", [2.5, 10.0, 200.0])
+@pytest.mark.parametrize("lam", [1.5, 2.5, 10.0, 200.0])
 def test_classification_is_the_energy_criterion_across_the_cylinder(lam):
-    # above lambda_cl = 2 an orbit with H_cl > 1 never reaches z = 0, and one with H_cl < 1
-    # never reaches phi = pi, so it crosses z = 0; pi-phase trapped orbits never wind
+    # the orbit's own class: whether z changes sign within T = 200, stepped by the numpy
+    # oracle, not by catlab.classical, at most 1 / lambda_cl per step; uniform(-0.999,
+    # 0.999) never draws a pole
     mf, rng = MeanFieldParams(lam), np.random.default_rng(3)
     pts = []
     while len(pts) < 200:
         p = PhasePoint(rng.uniform(-0.999, 0.999), rng.uniform(-np.pi, np.pi))
-        near = abs(abs(p.z) - separatrix(p.phi, mf)) < 1e-3
-        if near or abs(classical_energy(p, mf) - 1.0) < 1e-3:
-            continue
-        pts.append(p)
-    for p, cls in zip(pts, classify_batch(pts, mf)):
-        trapped = classical_energy(p, mf) > 1.0
-        assert (cls is TrajectoryClass.SELF_TRAPPING) == trapped, f"z={p.z:.4f}, phi={p.phi:.4f}"
+        if abs(classical_energy(p, mf) - 1.0) >= 1e-3:
+            pts.append(p)
+    crossed = oracle.oracle_crosses_zero(pts, lam, 200.0, min(1e-2, 1.0 / lam))
+    for p, cls, free in zip(pts, classify_batch(pts, mf), crossed):
+        assert (cls is TrajectoryClass.FREE_OSCILLATION) == free, f"z={p.z:.4f}, phi={p.phi:.4f}"
 
 
 def test_pi_phase_trapped_orbits_centers_and_poles_are_trapped():
     mf = MeanFieldParams(10.0)
     z_st = np.sqrt(1.0 - 1.0 / 10.0**2)
-    # (0.99, pi) librates in z in [0.990, 0.998] and through 0.85 rad of phi: no event
+    # (0.99, pi) librates in z in [0.990, 0.998] without winding, yet H_cl = 5.04 > 1
     starts = [PhasePoint(0.99, np.pi), PhasePoint(z_st, np.pi), PhasePoint(-z_st, np.pi)]
     starts += [PhasePoint(pole, phi) for pole in (1.0, -1.0) for phi in (0.0, 1.0, np.pi)]
     assert classify_batch(starts, mf) == [TrajectoryClass.SELF_TRAPPING] * len(starts)
-    # a start on z = 0 never changes the sign of z either; the saddle stays put
+    # the saddle sits on the separatrix, H_cl = 1, which is free
     assert classify_batch([PhasePoint(0.0, np.pi)], mf) == [TrajectoryClass.FREE_OSCILLATION]
 
 
-def mirror_steps(zs, phis, energies, lam, dt, n_steps, budget):
-    """A stand-in loop whose every step flips the sign of z."""
-    for _ in range(n_steps):
-        zs.append(-zs[-1])
-        phis.append(phis[-1])
-        energies.append(energies[-1])
-    return n_steps
+@pytest.mark.parametrize("lam", [0.5, 1.5, 2.0, 2.5, 10.0])
+def test_pole_starts_are_classed_by_their_energy(lam):
+    # H_cl = lambda_cl / 2 at a pole for every phi: free up to lambda_cl = 2, trapped above
+    mf = MeanFieldParams(lam)
+    poles = [PhasePoint(pole, phi) for pole in (1.0, -1.0) for phi in (0.0, 1.0, np.pi)]
+    expected = TrajectoryClass.SELF_TRAPPING if lam > 2.0 else TrajectoryClass.FREE_OSCILLATION
+    assert classify_batch(poles, mf) == [expected] * len(poles)
+    # H_cl(0, pi) = 1 at every lambda_cl
+    assert classify_batch([PhasePoint(0.0, np.pi)], mf) == [TrajectoryClass.FREE_OSCILLATION]
 
 
-@pytest.mark.parametrize("steps,expected", [
-    (lambda *args: 0, TrajectoryClass.SELF_TRAPPING),  # no step: undecided off z = 0
-    (mirror_steps, TrajectoryClass.FREE_OSCILLATION),
-])
-def test_classify_batch_steps_only_through_the_orbit_loop(monkeypatch, steps, expected):
-    # a deeply trapped start and a small free oscillation: any other kernel classes one
-    # of them otherwise
-    monkeypatch.setattr(classical, "_steps", steps)
-    starts = [PhasePoint(0.9, 0.0), PhasePoint(0.1, 0.0)]
-    assert classify_batch(starts, MeanFieldParams(10.0)) == [expected, expected]
+@pytest.mark.parametrize("t_final", [classical.PORTRAIT_DT, classical.PORTRAIT_T_FINAL])
+def test_an_integrated_orbit_has_its_start_class(t_final):
+    # near-pole starts on both sides of lambda_cl = 2, where the pole's H_cl crosses 1
+    # (the first is free, yet its z keeps its sign for many steps), and the free and
+    # trapped starts at lambda_cl = 10
+    starts = [(2.0, PhasePoint(1.0 - 2**-7, 0.0)), (1.5, PhasePoint(-(1.0 - 2**-7), 1.0)),
+              (2.5, PhasePoint(1.0 - 2**-7, np.pi)), (10.0, PhasePoint(0.2, 0.0)),
+              (10.0, PhasePoint(0.8, 0.0)), (10.0, PhasePoint(0.0, np.pi))]
+    for lam, p in starts:
+        mf = MeanFieldParams(lam)
+        assert integrate_trajectory(p, mf, t_final).classification is classify_batch([p], mf)[0]
+
+
+def test_classify_batch_takes_no_orbit_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("classify_batch stepped an orbit")
+
+    monkeypatch.setattr(classical, "_steps", no_step)
+    mf = MeanFieldParams(10.0)
+    starts = [PhasePoint(0.9, 0.0), PhasePoint(0.1, 0.0), PhasePoint(1.0, 0.0),
+              PhasePoint(0.0, np.pi), PhasePoint(-0.99, np.pi)]
+    trapped = [classical_energy(p, mf) > 1.0 for p in starts]
+    assert trapped == [True, False, True, False, True]
+    assert classify_batch(starts, mf) == [
+        TrajectoryClass.SELF_TRAPPING if t else TrajectoryClass.FREE_OSCILLATION for t in trapped
+    ]
 
 
 @pytest.mark.parametrize("z,phi", [(np.nan, 0.0), (0.1, np.nan), (0.1, np.inf), (1.5, 0.0)])

@@ -64,8 +64,6 @@ def test_readme_lists_every_command():
     ("PORTRAIT_AZIMUTHS", classical),
     ("PORTRAIT_T_FINAL", classical),
     ("PORTRAIT_DT", classical),
-    ("CLASSIFY_T_MAX", classical),
-    ("CLASSIFY_DT", classical),
     ("spin.CHECK_PANEL", spin),
     ("dynamics.PURE_STATE_BETA", dynamics),
     ("metrology.AXIS_THETA_POINTS", metrology),
