@@ -435,19 +435,41 @@ def test_an_integrated_orbit_has_its_start_class(t_final):
         assert integrate_trajectory(p, mf, t_final).classification is classify_batch([p], mf)[0]
 
 
-def test_classify_batch_takes_no_orbit_step(monkeypatch):
-    def no_step(*args):
-        raise AssertionError("classify_batch stepped an orbit")
+def mirror_steps(zs, phis, energies, lam, dt, n_steps, budget):
+    """A stand-in loop whose every step flips the sign of z."""
+    for _ in range(n_steps):
+        zs.append(-zs[-1])
+        phis.append(phis[-1])
+        energies.append(energies[-1])
+    return n_steps
 
-    monkeypatch.setattr(classical, "_steps", no_step)
+
+@pytest.mark.parametrize("steps,forced", [
+    (lambda *args: 0, TrajectoryClass.SELF_TRAPPING),  # no step: no event is ever seen
+    (mirror_steps, TrajectoryClass.FREE_OSCILLATION),  # every step crosses z = 0
+])
+def test_classify_batch_steps_only_through_the_orbit_loop(monkeypatch, steps, forced):
+    # every orbit step goes through _steps, and classify_batch now takes none: a class
+    # read off the stand-in loop would be `forced` at every start, while the energy
+    # classes of these starts hold both classes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(classical, "_steps", counted)
     mf = MeanFieldParams(10.0)
     starts = [PhasePoint(0.9, 0.0), PhasePoint(0.1, 0.0), PhasePoint(1.0, 0.0),
               PhasePoint(0.0, np.pi), PhasePoint(-0.99, np.pi)]
     trapped = [classical_energy(p, mf) > 1.0 for p in starts]
     assert trapped == [True, False, True, False, True]
-    assert classify_batch(starts, mf) == [
+    classes = classify_batch(starts, mf)
+    assert classes == [
         TrajectoryClass.SELF_TRAPPING if t else TrajectoryClass.FREE_OSCILLATION for t in trapped
     ]
+    assert classes != [forced] * len(starts)
+    assert calls == []
 
 
 @pytest.mark.parametrize("z,phi", [(np.nan, 0.0), (0.1, np.nan), (0.1, np.inf), (1.5, 0.0)])
